@@ -1,11 +1,15 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from opensys.dynamics import (
+    OBSERVABLE,
     ForcingSignal,
     Trajectory,
+    _bump_profile,
     kernel_to_csv,
     make_grid,
     make_kernel,
@@ -15,6 +19,7 @@ from opensys.dynamics import (
     reduction_discrepancy,
     trajectory_to_csv,
 )
+from opensys.lattice import LatticeSpec, build_lattice_system
 from opensys.subspaces import DimensionMismatchError
 from opensys.systems import BlockSystem, assemble_full, random_system
 
@@ -22,6 +27,87 @@ from opensys.systems import BlockSystem, assemble_full, random_system
 def swap_system():
     """The 2x2 closed-form case: full propagation gives v1(t) = cos(t)."""
     return BlockSystem(np.array([[0.0]]), np.array([[0.0]]), np.array([[1.0]]))
+
+
+@pytest.fixture(scope="module")
+def lattice():
+    return build_lattice_system(LatticeSpec.centered(6, 2, dims=3))
+
+
+def _relative_gap(new, reference):
+    return np.max(np.abs(new - reference)) / np.max(np.abs(reference))
+
+
+# --- O(steps^2) reference routes: the same discretisations, summed directly ---
+
+def _quadratic_reduced(sys, v1_0, f1, times):
+    """Reduced propagation that re-sums the whole memory history each step."""
+    d1 = sys.d1
+    times = np.asarray(times, dtype=float)
+    h = times[1] - times[0]
+    nt = len(times)
+    f = f1.sampled(nt, d1)
+    k = make_kernel(sys, OBSERVABLE).on_grid(times - times[0])
+    k0 = k[0]
+    lu = lu_factor(np.eye(d1, dtype=complex) + (h / 2) * 1j * sys.omega1
+                   + (h * h / 4) * k0)
+    states = np.zeros((nt, d1), dtype=complex)
+    states[0] = v1_0
+    for n in range(nt - 1):
+        vn = states[n]
+        if n == 0:
+            conv_n = np.zeros(d1, dtype=complex)
+        else:
+            conv_n = h * (0.5 * (k0 @ vn)
+                          + np.einsum("jab,jb->a", k[1:n], states[n - 1:0:-1])
+                          + 0.5 * (k[n] @ states[0]))
+        rhs_n = -1j * (sys.omega1 @ vn) - conv_n + f[n]
+        conv_next = h * (np.einsum("jab,jb->a", k[1:n + 1], states[n:0:-1])
+                         + 0.5 * (k[n + 1] @ states[0]))
+        rhs = vn + (h / 2) * (rhs_n + f[n + 1] - conv_next)
+        states[n + 1] = lu_solve(lu, rhs)
+    return states
+
+
+def _trial_draws(times, dim, trials, seed):
+    """The (lo, hi, u) of each no-gain trial, drawn as ``no_gain_check`` does."""
+    span = times[-1] - times[0]
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        lo, hi = np.sort(rng.uniform(times[0], times[-1], size=2))
+        if hi - lo < span / 4:
+            mid = (lo + hi) / 2
+            lo, hi = mid - span / 8, mid + span / 8
+        u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        yield lo, hi, u / np.linalg.norm(u)
+
+
+def _shifted(signal):
+    """Stack s[i, j] = signal[i - j] with zero for negative indices."""
+    nt, d = signal.shape
+    out = np.zeros((nt, nt, d), dtype=complex)
+    for j in range(nt):
+        out[j:, j] = signal[: nt - j]
+    return out
+
+
+def _stacked_no_gain(kernel, trials, times, seed):
+    """No-gain values and bound through the (nt, nt, d) shifted-signal stack."""
+    h = times[1] - times[0]
+    span = times[-1] - times[0]
+    k = kernel.on_grid(times - times[0])
+    weights = np.full(len(times), h)
+    weights[0] = weights[-1] = h / 2
+    values, bound = [], 0.0
+    for lo, hi, u in _trial_draws(times, kernel.dim, trials, seed):
+        signal = _bump_profile(times, lo, hi)[:, None] * u
+        kv = np.einsum("jab,ijb->ija", k, _shifted(signal))
+        g = np.real(np.einsum("ia,ija->ij", signal.conj(), kv))
+        values.append(float(weights @ g @ weights))
+        curv_t = np.max(np.abs(np.diff(g, 2, axis=0))) / h ** 2
+        curv_tau = np.max(np.abs(np.diff(g, 2, axis=1))) / h ** 2
+        bound = max(bound, (h ** 2 / 12) * span ** 2 * (curv_t + curv_tau))
+    return np.array(values), bound
 
 
 class TestKernel:
@@ -133,6 +219,31 @@ class TestPropagateReduced:
         assert 1.7 <= result["order"] <= 2.3
         assert result["sup_diff_fine"] < result["sup_diff_coarse"]
 
+    def test_cosine_closed_form_long_horizon(self):
+        grid = make_grid(160.0, 32000)
+        red = propagate_reduced(swap_system(), np.array([1.0 + 0j]),
+                                ForcingSignal.zero("observable"), grid)
+        assert np.max(np.abs(red.states[:, 0] - np.cos(grid))) < 1e-3
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("which", ["random", "lattice"])
+    def test_matches_quadratic_reference(self, which, forced, request):
+        if which == "lattice":
+            sys, grid = request.getfixturevalue("lattice"), make_grid(2.5, 300)
+        else:
+            sys, grid = random_system(3, 6, 2, seed=17), make_grid(10.0, 400)
+        rng = np.random.default_rng(4)
+        v1 = rng.standard_normal(sys.d1) + 1j * rng.standard_normal(sys.d1)
+        f1 = ForcingSignal.zero("observable")
+        if forced:
+            rates = np.arange(1, sys.d1 + 1)
+            f1 = ForcingSignal(np.sin(np.outer(grid, rates))
+                               + 1j * np.cos(np.outer(grid, rates / 2)),
+                               "observable")
+        red = propagate_reduced(sys, v1, f1, grid)
+        reference = _quadratic_reduced(sys, v1, f1, grid)
+        assert _relative_gap(red.states, reference) <= 1e-12
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             propagate_reduced(swap_system(), np.zeros(2),
@@ -142,7 +253,6 @@ class TestPropagateReduced:
 
 class TestNoGain:
     def test_zero_signal_gives_zero(self):
-        from opensys.dynamics import _bump_profile
         grid = make_grid(10.0, 100)
         assert np.all(_bump_profile(grid, 2.0, 4.0)[grid <= 2.0] == 0.0)
 
@@ -165,6 +275,46 @@ class TestNoGain:
         k = make_kernel(random_system(3, 6, 2, seed=31))
         res = no_gain_check(k, 25, make_grid(20.0, 300), seed=7)
         assert res.passed
+
+    @pytest.mark.parametrize("which", ["random", "lattice"])
+    def test_matches_stacked_reference(self, which, request):
+        if which == "lattice":
+            kernel = make_kernel(request.getfixturevalue("lattice"))
+        else:
+            kernel = make_kernel(random_system(3, 6, 2, seed=31))
+        grid = make_grid(20.0, 300)
+        res = no_gain_check(kernel, 6, grid, seed=7)
+        values, bound = _stacked_no_gain(kernel, 6, grid, seed=7)
+        assert _relative_gap(res.values, values) <= 1e-12
+        assert abs(res.quad_error_bound - bound) <= 1e-12 * bound
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_spectral_closed_form(self, seed):
+        # For v(t) = p(t) u the form is (1/2) sum_m |c_m|^2 |int p e^{i w_m t}|^2
+        # with c = M^dag u: non-negative by construction, free of the grid.
+        kernel = make_kernel(random_system(3, 6, 2, seed=31))
+        grid = make_grid(20.0, 400)
+        res = no_gain_check(kernel, 1, grid, seed=seed)
+        (lo, hi, u), = _trial_draws(grid, kernel.dim, 1, seed)
+        a, b = max(lo, grid[0]), min(hi, grid[-1])
+        nodes, node_weights = np.polynomial.legendre.leggauss(64)
+        t = (a + b) / 2 + (b - a) / 2 * nodes
+        transform = ((b - a) / 2 * node_weights * _bump_profile(t, lo, hi)
+                     @ np.exp(1j * np.outer(t, kernel.eigvals)))
+        weights = np.abs(kernel.coupling_modes.conj().T @ u) ** 2
+        exact = 0.5 * float(weights @ np.abs(transform) ** 2)
+        assert abs(res.values[0] - exact) <= res.quad_error_bound
+
+    def test_peak_memory_stays_small(self):
+        kernel = make_kernel(random_system(4, 8, 2, seed=1))
+        grid = make_grid(10.0, 2000)
+        tracemalloc.start()
+        try:
+            no_gain_check(kernel, 2, grid, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
 
     def test_deterministic(self):
         k = make_kernel(random_system(2, 4, 1, seed=2))
