@@ -6,6 +6,7 @@ from .subspaces import (
     DEFAULT_TOL,
     ContainmentError,
     DimensionMismatchError,
+    Spectrum,
     SubspaceBasis,
     SymmetryError,
     complement,

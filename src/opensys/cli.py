@@ -18,6 +18,7 @@ import numpy as np
 from . import decomposition as dc
 from . import dynamics as dyn
 from . import lattice as lat
+from .subspaces import ContainmentError
 from .systems import (
     load_system,
     random_system,
@@ -307,6 +308,11 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
+    except ContainmentError as exc:
+        # a failed certificate mid-pipeline, not bad input
+        print(f"verification failure in {args.command}: {exc}",
+              file=_sys.stderr)
+        return EXIT_VERIFICATION
     except (json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE

@@ -26,7 +26,9 @@ import numpy as np
 
 from .subspaces import (
     DEFAULT_TOL,
+    Spectrum,
     SubspaceBasis,
+    _eigen_clusters,
     check_hermitian,
     complement,
     direct_sum_basis,
@@ -157,9 +159,6 @@ def _project_out_block(closure: SubspaceBasis, side_basis: SubspaceBasis,
     side; this is asserted before re-orthonormalizing the remaining rows.
     """
     excess = complement(closure, side_basis, tol)
-    if excess.dim == 0:
-        return SubspaceBasis.empty(take.stop - take.start
-                                   if take.stop is not None else 0, tol)
     leak = excess.matrix[other]
     worst = np.max(np.linalg.norm(leak, axis=0)) if leak.size else 0.0
     if worst > CONSISTENCY_FACTOR * tol:
@@ -181,13 +180,13 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
     the two are required to agree to within CONSISTENCY_FACTOR * tol.
     """
     d1, d2, tol = sys.d1, sys.d2, sys.tol
-    omega = assemble_full(sys).omega
+    omega = Spectrum(assemble_full(sys).omega, tol)
 
     h1_full = _embed_observable(SubspaceBasis.full(d1, tol), d1, d2)
     h2_full = _embed_hidden(SubspaceBasis.full(d2, tol), d1, d2)
 
-    closure_h1 = orbit(omega, h1_full, tol)
-    closure_h2 = orbit(omega, h2_full, tol)
+    closure_h1 = omega.orbit(h1_full)
+    closure_h2 = omega.orbit(h2_full)
     h2c = _project_out_block(closure_h1, h1_full, slice(d1, d1 + d2),
                              slice(0, d1), tol)
     h1c = _project_out_block(closure_h2, h2_full, slice(0, d1),
@@ -264,14 +263,8 @@ def multiplicity(a: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> int
     a = check_hermitian(a, max(cluster_tol, DEFAULT_TOL), "multiplicity input")
     if a.shape[0] == 0:
         return 0
-    w = np.linalg.eigvalsh(a)
-    threshold = cluster_tol * max(1.0, float(np.max(np.abs(w))))
-    best = 1
-    run = 1
-    for gap in np.diff(w):
-        run = run + 1 if gap <= threshold else 1
-        best = max(best, run)
-    return best
+    clusters = _eigen_clusters(np.linalg.eigvalsh(a), cluster_tol)
+    return max(hi - lo for lo, hi in clusters)
 
 
 def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
@@ -289,17 +282,17 @@ def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
     if dec is None:
         dec = decompose(sys)
     d1, d2, tol = sys.d1, sys.d2, sys.tol
-    omega = assemble_full(sys).omega
+    omega = Spectrum(assemble_full(sys).omega, tol)
     omega_ring, gamma_ring = decoupled_parts(sys)
     n = d1 + d2
 
     h1c_full = _embed_observable(dec.h1c, d1, d2)
     h2c_full = _embed_hidden(dec.h2c, d1, d2)
     core = direct_sum_basis(h1c_full, h2c_full)
-    closure_h1c = orbit(omega, h1c_full, tol)
-    closure_h2c = orbit(omega, h2c_full, tol)
+    closure_h1c = omega.orbit(h1c_full)
+    closure_h2c = omega.orbit(h2c_full)
     ran_ring = orthonormalize(gamma_ring, tol, ambient_dim=n)
-    closure_ring = orbit(omega, ran_ring, tol)
+    closure_ring = omega.orbit(ran_ring)
 
     subspaces = [
         ("h1c+h2c", core),

@@ -1,15 +1,22 @@
 """Orthonormal subspace arithmetic in finite-dimensional complex Hilbert spaces.
 
 Subspaces are represented by matrices whose columns form an orthonormal
-basis.  All rank decisions are controlled by an explicit relative tolerance
-so that every computation is deterministic and reproducible: vectors are
-processed in input order and there is no pivoting randomness.
+basis.  Two rules, each with the caller's relative tolerance ``tol``,
+make every numerical decision in this module:
 
-The central operation is :func:`orbit`, which computes the smallest
-invariant subspace of a Hermitian matrix containing a given seed subspace.
-For a bounded operator in finite dimension this coincides with polynomial
-closure under the matrix, so iterated block-Krylov closure with
-re-orthogonalization computes it exactly (up to the rank tolerance).
+- Rank: a singular value ``s`` counts when ``s > tol * max(1, s_max)``,
+  ``s_max`` being the largest singular value of the same matrix.  Only
+  :func:`_range_basis` applies it; :func:`orthonormalize`,
+  :func:`numeric_rank` and :func:`orbit` (within each cluster) call it
+  (Golub & Van Loan, *Matrix Computations*, section 5.4).
+- Clusters: sorted eigenvalues belong to one cluster while consecutive
+  gaps are ``<= tol * max(1, |lambda|_max)`` (:func:`_eigen_clusters`).
+
+The central operation is :func:`orbit`, the smallest invariant subspace
+of a Hermitian matrix containing a given seed subspace.  It is computed
+from one eigendecomposition, a :class:`Spectrum`, which several orbits
+under the same matrix share.  :func:`complement` makes no rank decision:
+its dimension is fixed by the inputs.
 """
 
 from __future__ import annotations
@@ -22,8 +29,9 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 #: Documented constant `c` in the orbit invariance certificate
-#: ||(I - P) A P|| <= c * tol * ||A||.  Each dropped closure residual has
-#: norm <= tol*||A||; at most sqrt(dim) of them combine in the operator norm.
+#: ||(I - P) A P|| <= c * tol * ||A||.  An orbit is exactly invariant up to
+#: the seed parts dropped by the rank cut (norm <= tol each) and the spread
+#: of the eigenvalues inside one cluster.
 ORBIT_CERT_FACTOR = 10.0
 
 
@@ -117,50 +125,27 @@ def _as_columns(vectors, ambient_dim: int | None) -> np.ndarray:
     return cols
 
 
-def _gram_schmidt(cols: np.ndarray, drop_threshold: float,
-                  against: np.ndarray | None = None) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+def _range_basis(m: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of the numerical range of ``m``: the rank cut.
 
-    Columns are processed in order; a column is dropped when its residual
-    after projection (onto ``against`` and previously accepted columns)
-    has norm <= drop_threshold.  Returns the accepted orthonormal columns.
+    Keeps the left singular vectors whose singular values exceed
+    ``tol * max(1, s_max)`` (the module's one rank threshold).
     """
-    n = cols.shape[0]
-    accepted: list[np.ndarray] = []
-    for j in range(cols.shape[1]):
-        v = cols[:, j].copy()
-        # project twice: the classical fix for loss of orthogonality
-        for _ in range(2):
-            if against is not None and against.shape[1]:
-                v -= against @ (against.conj().T @ v)
-            for q in accepted:
-                v -= (q.conj() @ v) * q
-        norm = np.linalg.norm(v)
-        if norm > drop_threshold:
-            accepted.append(v / norm)
-    if not accepted:
-        return np.zeros((n, 0), dtype=complex)
-    return np.stack(accepted, axis=1)
+    if m.size == 0:
+        return np.zeros((m.shape[0], 0), dtype=complex)
+    left, sing, _ = np.linalg.svd(m, full_matrices=False)
+    return left[:, sing > tol * max(1.0, sing[0])]
 
 
 def orthonormalize(vectors, tol: float = DEFAULT_TOL, *,
                    ambient_dim: int | None = None) -> SubspaceBasis:
-    """Orthonormal basis of the span of ``vectors``.
-
-    A vector whose residual after projection onto the previously accepted
-    vectors has norm <= tol * max(largest input norm, 1) is dropped.
-    Deterministic given the input order.
+    """Orthonormal basis of the span of ``vectors``, cut by :func:`_range_basis`.
 
     ``vectors`` may be a sequence of 1-d arrays or an (n, k) array of
     columns; ``ambient_dim`` is only needed when the input is empty.
     """
     cols = _as_columns(vectors, ambient_dim)
-    n = cols.shape[0]
-    if cols.shape[1] == 0:
-        return SubspaceBasis.empty(n, tol)
-    scale = max(np.max(np.linalg.norm(cols, axis=0)), 1.0)
-    basis = _gram_schmidt(cols, tol * scale)
-    return SubspaceBasis(n, basis, tol)
+    return SubspaceBasis(cols.shape[0], _range_basis(cols, tol), tol)
 
 
 def check_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
@@ -178,8 +163,8 @@ def check_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarr
 
 
 def _eigen_clusters(w: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """Index ranges of eigenvalues chained by gaps <= tol * max(1, |w|max)."""
-    threshold = tol * max(1.0, float(np.max(np.abs(w))))
+    """Index ranges of sorted eigenvalues chained by gaps <= tol * max(1, |w|max)."""
+    threshold = tol * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     ranges = []
     start = 0
     for i in range(1, len(w) + 1):
@@ -189,115 +174,94 @@ def _eigen_clusters(w: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return ranges
 
 
+class Spectrum:
+    """One eigendecomposition of a Hermitian matrix and its eigenvalue clusters.
+
+    Every invariant subspace computed from the same operator reuses it.
+    """
+
+    def __init__(self, a: np.ndarray, tol: float = DEFAULT_TOL):
+        a = check_hermitian(a, tol, "orbit generator")
+        self.tol = tol
+        self.values, self.vectors = np.linalg.eigh(a)
+        self.clusters = _eigen_clusters(self.values, tol)
+
+    def orbit(self, seed: SubspaceBasis) -> SubspaceBasis:
+        """Smallest invariant subspace containing span(seed).
+
+        In finite dimension the invariant closure of a seed S is the direct
+        sum, over the eigenspaces E of A, of span(P_E S).  Each eigenspace is
+        one eigenvalue cluster, and the rank of the projected seed in it is
+        cut by :func:`_range_basis`.  The result P satisfies
+        ||(I - P) A P|| <= ORBIT_CERT_FACTOR * tol * ||A||.
+        """
+        n = len(self.values)
+        if seed.ambient_dim != n:
+            raise DimensionMismatchError(
+                f"seed ambient {seed.ambient_dim} != matrix dimension {n}"
+            )
+        coords = self.vectors.conj().T @ seed.matrix  # seed in the eigenbasis
+        pieces = [self.vectors[:, lo:hi] @ _range_basis(coords[lo:hi], self.tol)
+                  for lo, hi in self.clusters]
+        return SubspaceBasis(
+            n, np.hstack([np.zeros((n, 0), dtype=complex), *pieces]), self.tol)
+
+
 def orbit(a: np.ndarray, seed: SubspaceBasis, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     """Smallest A-invariant subspace containing span(seed), A Hermitian.
 
-    In finite dimension the invariant closure of a seed S decomposes over
-    the spectrum: it is the direct sum, over the eigenspaces E of A, of
-    span(P_E S).  The eigenspaces are obtained from one eigendecomposition
-    with eigenvalues chained into clusters at relative gap tol; the rank
-    of each projected seed is decided by singular values > tol.  This is
-    exact up to the tolerance and, unlike iterated Krylov closure, does
-    not accumulate noise over closure passes.  The result P satisfies
-    ||(I - P) A P|| <= ORBIT_CERT_FACTOR * tol * ||A||.
+    One-off form of :meth:`Spectrum.orbit`; build a :class:`Spectrum` to
+    take several orbits under the same matrix.
     """
-    a = check_hermitian(a, tol, "orbit generator")
-    n = a.shape[0]
-    if seed.ambient_dim != n:
-        raise DimensionMismatchError(
-            f"seed ambient {seed.ambient_dim} != matrix dimension {n}"
-        )
-    if seed.dim == 0 or n == 0:
-        return SubspaceBasis.empty(n, tol)
-    w, u = np.linalg.eigh(a)
-    pieces = []
-    for lo, hi in _eigen_clusters(w, tol):
-        block = u[:, lo:hi]
-        coords = block.conj().T @ seed.matrix  # seed projected into the cluster
-        if not coords.size:
-            continue
-        left, sing, _ = np.linalg.svd(coords, full_matrices=False)
-        keep = sing > tol
-        if np.any(keep):
-            pieces.append(block @ left[:, keep])
-    if not pieces:
-        return SubspaceBasis.empty(n, tol)
-    return SubspaceBasis(n, np.hstack(pieces), tol)
-
-
-def orbit_block_closure(a: np.ndarray, seed: SubspaceBasis,
-                        tol: float = DEFAULT_TOL) -> SubspaceBasis:
-    """Invariant closure by iterated block-Krylov passes.
-
-    Repeatedly applies A to the newest vectors, orthogonalizes against
-    everything accepted so far (twice), and keeps residuals with norm
-    > tol*||A||; terminates in at most ambient_dim passes.  Kept as an
-    independent cross-check of :func:`orbit` -- it is reliable at small
-    dimension but accumulates roundoff over many passes, so the spectral
-    route is the primary implementation.
-    """
-    a = check_hermitian(a, tol, "orbit generator")
-    n = a.shape[0]
-    if seed.ambient_dim != n:
-        raise DimensionMismatchError(
-            f"seed ambient {seed.ambient_dim} != matrix dimension {n}"
-        )
-    if seed.dim == 0:
-        return SubspaceBasis.empty(n, tol)
-    scale = max(np.linalg.norm(a, 2), 1.0) if n else 1.0
-    basis = seed.matrix
-    fresh = basis
-    while fresh.shape[1] and basis.shape[1] < n:
-        image = a @ fresh
-        fresh = _gram_schmidt(image, tol * scale, against=basis)
-        if fresh.shape[1]:
-            basis = np.hstack([basis, fresh])
-    return SubspaceBasis(n, basis, tol)
+    return Spectrum(a, tol).orbit(seed)
 
 
 def complement(whole: SubspaceBasis, part: SubspaceBasis,
                tol: float = DEFAULT_TOL) -> SubspaceBasis:
     """Orthogonal complement of ``part`` inside ``whole``.
 
-    Requires part to be contained in whole (each part vector within
-    distance ~tol of span(whole)); the result has dimension
-    dim(whole) - dim(part).
+    Requires part to be contained in whole: every part vector within
+    distance 10*tol of span(whole).  With whole^dag part = U S V^dag (full
+    SVD), the complement is whole @ U[:, dim(part):], so its dimension is
+    dim(whole) - dim(part) by construction.
     """
     if whole.ambient_dim != part.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {whole.ambient_dim} vs {part.ambient_dim}"
         )
+    coords = whole.matrix.conj().T @ part.matrix
     if part.dim:
-        residual = part.matrix - whole.matrix @ (whole.matrix.conj().T @ part.matrix)
+        residual = part.matrix - whole.matrix @ coords
         worst = np.max(np.linalg.norm(residual, axis=0))
         if worst > 10 * tol:
             raise ContainmentError(
                 f"part is not contained in whole: max residual {worst:.3e}"
             )
-    deflated = whole.matrix - part.matrix @ (part.matrix.conj().T @ whole.matrix)
-    result = _gram_schmidt(deflated, max(tol, DEFAULT_TOL))
-    expected = whole.dim - part.dim
-    if result.shape[1] != expected:
-        raise ContainmentError(
-            f"complement dimension {result.shape[1]} != expected {expected}"
-        )
-    return SubspaceBasis(whole.ambient_dim, result, tol)
+    left = np.linalg.svd(coords, full_matrices=True)[0]
+    return SubspaceBasis(whole.ambient_dim, whole.matrix @ left[:, part.dim:], tol)
+
+
+def _excess_norm(a: SubspaceBasis, b: SubspaceBasis) -> float:
+    """||(I - P_b) A|| in the spectral norm, from the n x k bases."""
+    if a.dim == 0:
+        return 0.0
+    residual = a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix)
+    return float(np.linalg.norm(residual, 2))
 
 
 def projector_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
-    """Operator (spectral) norm of P_a - P_b.
+    """Operator (spectral) norm of P_a - P_b, without forming either projector.
 
-    Zero iff the subspaces are equal; equals the sine of the largest
-    principal angle when the subspaces have equal dimension.
+    It equals max(||(I - P_b) A||, ||(I - P_a) B||): the sine of the largest
+    principal angle when the dimensions agree, 1 when they differ.  The
+    residual norms keep angles far below 1e-8, which sqrt(1 - cos^2) of
+    the principal cosines would round to zero.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    if a.dim == 0 and b.dim == 0:
-        return 0.0
-    diff = a.projector() - b.projector()
-    return float(np.linalg.norm(diff, 2))
+    return max(_excess_norm(a, b), _excess_norm(b, a))
 
 
 def direct_sum_basis(*parts: SubspaceBasis) -> SubspaceBasis:
@@ -311,13 +275,8 @@ def direct_sum_basis(*parts: SubspaceBasis) -> SubspaceBasis:
 
 
 def numeric_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values exceeding tol * (largest singular value)."""
+    """Number of singular values of ``m`` kept by :func:`_range_basis`."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return _range_basis(m, tol).shape[1]

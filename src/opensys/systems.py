@@ -150,21 +150,24 @@ def random_system(d1: int, d2: int, coupling_rank: int, seed: int,
 def encode_matrix(m: np.ndarray) -> list:
     """Row-major nested lists with each complex entry as an [re, im] pair."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def decode_matrix(data: list, shape: tuple[int, int]) -> np.ndarray:
     """Inverse of :func:`encode_matrix`; ``shape`` disambiguates empty axes."""
+    pairs = np.asarray(data)
+    expected = (*shape, 2)
+    if pairs.dtype.kind not in "iuf":
+        raise ValueError(f"matrix entries must be numbers, got {pairs.dtype}")
+    if pairs.shape != expected and not (
+            pairs.size == 0 and pairs.shape == expected[:pairs.ndim]):
+        raise ValueError(
+            f"matrix of [re, im] pairs has shape {pairs.shape}, "
+            f"expected {expected}"
+        )
     out = np.zeros(shape, dtype=complex)
-    if len(data) != shape[0]:
-        raise ValueError(f"matrix has {len(data)} rows, expected {shape[0]}")
-    for i, row in enumerate(data):
-        if len(row) != shape[1]:
-            raise ValueError(
-                f"row {i} has {len(row)} entries, expected {shape[1]}"
-            )
-        for j, pair in enumerate(row):
-            out[i, j] = complex(pair[0], pair[1])
+    if pairs.size:
+        out.real, out.imag = pairs[..., 0], pairs[..., 1]
     return out
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from opensys import decomposition
 from opensys.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from opensys.subspaces import ContainmentError
 from opensys.systems import load_system
 
 
@@ -104,6 +106,28 @@ def test_malformed_input_is_usage_error(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{]")
     assert main(["decompose", "--input", str(notjson)]) == EXIT_USAGE
+
+
+def test_non_hermitian_input_is_usage_error(tmp_path, sys_file):
+    data = json.loads(sys_file.read_text())
+    data["omega1"][0][1] = [5.0, 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["decompose", "--input", str(bad)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify-theorem"])
+def test_containment_failure_is_verification_error(sys_file, monkeypatch,
+                                                   capsys, command):
+    def fail(whole, part, tol):
+        raise ContainmentError("part is not contained in whole: "
+                               "max residual 3.000e-02")
+
+    monkeypatch.setattr(decomposition, "complement", fail)
+    assert main([command, "--input", str(sys_file)]) == EXIT_VERIFICATION
+    err = capsys.readouterr().err
+    assert f"verification failure in {command}" in err
+    assert "max residual 3.000e-02" in err
 
 
 def test_missing_file_is_usage_error(tmp_path):

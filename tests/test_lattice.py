@@ -9,7 +9,9 @@ from opensys.lattice import (
     surface_count,
     verify_example,
 )
+from opensys.decomposition import decompose, verify_block_form, verify_theorem
 from opensys.subspaces import numeric_rank
+from opensys.systems import assemble_full
 
 
 class TestFormulas:
@@ -130,3 +132,26 @@ class TestVerifyExample:
         data = rep.to_dict()
         assert data["surface_count"] == surface_count(2, dims=2)
         assert data["subspace_dims"]["h1c"] >= 1
+
+
+class TestLargeTwoDimensional:
+    """2-d lattices on which a column-by-column Gram-Schmidt complement
+    made the wrong rank cut (ContainmentError: 438 != 436 and 530 != 526),
+    and one whose projector distances it pushed to 1."""
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec.centered(22, 6, dims=2),
+        LatticeSpec(box=24, cube=6, offset=(9, 9), dims=2),
+    ], ids=["box22-cube6", "box24-cube6-at-9-9"])
+    def test_decomposes_to_block_form(self, spec):
+        sys = build_lattice_system(spec)
+        dec = decompose(sys)
+        assert dec.dims["h1d"] + dec.dims["h1c"] == sys.d1
+        assert dec.dims["h2c"] + dec.dims["h2d"] == sys.d2
+        omega_norm = np.linalg.norm(assemble_full(sys).omega, 2)
+        assert verify_block_form(sys, dec) <= 1e-10 * omega_norm
+
+    def test_theorem_passes_off_centre(self):
+        sys = build_lattice_system(LatticeSpec(box=20, cube=5, offset=(8, 8),
+                                               dims=2))
+        assert verify_theorem(sys).passed()

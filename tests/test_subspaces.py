@@ -11,12 +11,33 @@ from opensys.subspaces import (
     direct_sum_basis,
     numeric_rank,
     orbit,
-    orbit_block_closure,
     orthonormalize,
     projector_distance,
 )
 
 TOL = 1e-10
+
+
+def orbit_block_closure(a, seed, tol=TOL):
+    """Invariant closure by iterated block-Krylov passes: an oracle for
+    :func:`orbit` that never diagonalizes ``a``.
+
+    Each pass applies A to the newest vectors, projects out everything
+    accepted so far (twice), and keeps the new directions whose singular
+    values exceed tol*||A||.  It accumulates roundoff over passes, so it
+    is reliable only at small dimension.
+    """
+    n = a.shape[0]
+    scale = max(np.linalg.norm(a, 2), 1.0)
+    basis = fresh = seed.matrix
+    while fresh.shape[1] and basis.shape[1] < n:
+        image = a @ fresh
+        for _ in range(2):
+            image = image - basis @ (basis.conj().T @ image)
+        left, sing, _ = np.linalg.svd(image, full_matrices=False)
+        fresh = left[:, sing > tol * scale]
+        basis = np.hstack([basis, fresh])
+    return SubspaceBasis(n, basis, tol)
 
 
 def unit(n, i):
@@ -170,6 +191,31 @@ class TestComplement:
         assert projector_distance(reunion, whole) < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 9), st.integers(1, 9),
+       st.floats(-12.0, 3.0), st.data())
+def test_one_rank_rule(seed, n, k, log_scale, data):
+    """numeric_rank and orthonormalize make the same cut at every scale, and
+    complement always returns dim(whole) - dim(part) orthonormal columns."""
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(0, min(n, k)))
+    g = ((rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
+         @ rng.standard_normal((rank, k))) * 10.0 ** log_scale
+    basis = orthonormalize(g, TOL)
+    assert numeric_rank(g, TOL) == basis.dim
+    part = SubspaceBasis(n, basis.matrix[:, :data.draw(
+        st.integers(0, basis.dim))], TOL)
+    whole = orthonormalize(np.hstack([
+        part.matrix, rng.standard_normal((n, data.draw(st.integers(0, n))))]),
+        TOL)
+    rest = complement(whole, part, TOL)
+    assert rest.dim == whole.dim - part.dim
+    gram = rest.matrix.conj().T @ rest.matrix
+    assert np.max(np.abs(gram - np.eye(rest.dim)), initial=0.0) <= 1e-13
+    assert np.max(np.abs(part.matrix.conj().T @ rest.matrix),
+                  initial=0.0) <= 1e-13
+
+
 class TestProjectorDistance:
     def test_equal_subspaces(self):
         b = orthonormalize([unit(3, 0), unit(3, 2)], TOL)
@@ -190,6 +236,16 @@ class TestProjectorDistance:
         dist = projector_distance(a, b)
         assert abs(dist - oracle) < 1e-12
         assert abs(dist - np.sin(np.pi / 4)) < 1e-12
+
+    @pytest.mark.parametrize("angle", [1e-6, 1e-9, 1e-12])
+    def test_small_angles_resolved(self, angle):
+        # sqrt(1 - cos^2) of the principal cosine would read 0 below ~1e-8
+        a = orthonormalize([unit(3, 0), unit(3, 1)], TOL)
+        b = orthonormalize([np.array([np.cos(angle), 0.0, np.sin(angle)]),
+                            unit(3, 1)], TOL)
+        assert abs(projector_distance(a, b) - np.sin(angle)) <= 1e-3 * angle
+        assert projector_distance(a, SubspaceBasis(3, a.matrix[:, :1], TOL)) \
+            == pytest.approx(1.0)
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatchError):

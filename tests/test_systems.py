@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from opensys.subspaces import DimensionMismatchError, SymmetryError, numeric_ran
 from opensys.systems import (
     BlockSystem,
     assemble_full,
+    decode_matrix,
     decoupled_parts,
+    encode_matrix,
     load_system,
     random_system,
     save_system,
@@ -136,3 +140,30 @@ def test_malformed_data_rejected():
     with pytest.raises(ValueError):
         system_from_dict({"d1": 2, "d2": 2, "tol": 1e-10,
                           "omega1": [[[0, 0]]], "omega2": [], "gamma": []})
+
+
+def test_encoding_matches_per_entry_pairs():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    m[0, 0] = complex(-0.0, 5e-324)
+    per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    assert json.dumps(encode_matrix(m)) == json.dumps(per_entry)
+    decoded = decode_matrix(json.loads(json.dumps(per_entry)), m.shape)
+    assert np.array_equal(decoded.view(float), m.view(float))
+    assert np.signbit(decoded[0, 0].real)
+
+
+def test_decode_rejects_wrong_shape():
+    data = encode_matrix(np.arange(6.0).reshape(2, 3))
+    assert decode_matrix(data, (2, 3)).shape == (2, 3)
+    with pytest.raises(ValueError):
+        decode_matrix(data, (3, 2))  # same six pairs, other shape
+    with pytest.raises(ValueError):
+        decode_matrix([[[1.0, 0.0, 0.0]]], (1, 1))
+
+
+def test_decode_rejects_non_numbers():
+    with pytest.raises(ValueError):
+        decode_matrix([[["1.0", "0.0"]]], (1, 1))
+    with pytest.raises(ValueError):
+        decode_matrix([[[None, 0.0]]], (1, 1))
