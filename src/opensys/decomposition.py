@@ -180,13 +180,13 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
     the two are required to agree to within CONSISTENCY_FACTOR * tol.
     """
     d1, d2, tol = sys.d1, sys.d2, sys.tol
-    omega = Spectrum(assemble_full(sys).omega, tol)
+    spectrum = Spectrum(assemble_full(sys).omega, tol)
 
     h1_full = _embed_observable(SubspaceBasis.full(d1, tol), d1, d2)
     h2_full = _embed_hidden(SubspaceBasis.full(d2, tol), d1, d2)
 
-    closure_h1 = omega.orbit(h1_full)
-    closure_h2 = omega.orbit(h2_full)
+    closure_h1 = spectrum.orbit(h1_full)
+    closure_h2 = spectrum.orbit(h2_full)
     h2c = _project_out_block(closure_h1, h1_full, slice(d1, d1 + d2),
                              slice(0, d1), tol)
     h1c = _project_out_block(closure_h2, h2_full, slice(0, d1),
@@ -282,17 +282,17 @@ def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
     if dec is None:
         dec = decompose(sys)
     d1, d2, tol = sys.d1, sys.d2, sys.tol
-    omega = Spectrum(assemble_full(sys).omega, tol)
+    spectrum = Spectrum(assemble_full(sys).omega, tol)
     omega_ring, gamma_ring = decoupled_parts(sys)
     n = d1 + d2
 
     h1c_full = _embed_observable(dec.h1c, d1, d2)
     h2c_full = _embed_hidden(dec.h2c, d1, d2)
     core = direct_sum_basis(h1c_full, h2c_full)
-    closure_h1c = omega.orbit(h1c_full)
-    closure_h2c = omega.orbit(h2c_full)
+    closure_h1c = spectrum.orbit(h1c_full)
+    closure_h2c = spectrum.orbit(h2c_full)
     ran_ring = orthonormalize(gamma_ring, tol, ambient_dim=n)
-    closure_ring = omega.orbit(ran_ring)
+    closure_ring = spectrum.orbit(ran_ring)
 
     subspaces = [
         ("h1c+h2c", core),
