@@ -29,7 +29,6 @@ from .decomposition import (
     FourWayDecomposition,
     TheoremReport,
     decompose,
-    is_reconstructible,
     multiplicity,
     verify_block_form,
     verify_theorem,

@@ -16,11 +16,18 @@ cross-checked: the definitional one (invariant closures of H1 and H2 under
 the full operator) and the fast one (closures of the coupling ranges under
 the diagonal blocks alone).  Their agreement is the strongest internal
 correctness certificate available.
+
+Each operator is factored once per certificate.  :func:`decompose` runs
+one ``eigh`` each of Omega, Omega1 and Omega2 and keeps the spectrum of
+Omega in its result.  :func:`verify_theorem` takes every closure under
+Omega from that spectrum, factors only diag(Omega1, Omega2) itself, and
+reads the core's multiplicity and reconstructibility off the nested
+``decompose`` of the core.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,7 +72,8 @@ class FourWayDecomposition:
 
     h1d, h1c live in the observable coordinates (ambient d1); h2c, h2d in
     the hidden coordinates (ambient d2).  Restricted operators are formed
-    by basis conjugation and re-symmetrized.
+    by basis conjugation and re-symmetrized.  ``spectrum`` is the
+    eigendecomposition of the full Omega the split was computed from.
     """
 
     h1d: SubspaceBasis
@@ -78,6 +86,7 @@ class FourWayDecomposition:
     omega2d: np.ndarray
     gamma_c: np.ndarray
     tol: float
+    spectrum: Spectrum = field(repr=False, compare=False)
 
     @property
     def dims(self) -> dict[str, int]:
@@ -88,9 +97,10 @@ class FourWayDecomposition:
             "h2d": self.h2d.dim,
         }
 
-    def core_operator(self) -> np.ndarray:
-        """The coupled core [[Omega1c, Gamma_c], [Gamma_c^dag, Omega2c]]."""
-        return assemble_full(self.core_system()).omega
+    @property
+    def reconstructible(self) -> bool:
+        """Whether both decoupled parts vanish (the system is its coupled core)."""
+        return self.h1d.dim == 0 and self.h2d.dim == 0
 
     def core_system(self) -> BlockSystem:
         return BlockSystem(self.omega1c, self.omega2c, self.gamma_c, self.tol)
@@ -212,6 +222,7 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
         omega2d=_restrict(sys.omega2, h2d),
         gamma_c=h1c.matrix.conj().T @ sys.gamma @ h2c.matrix,
         tol=tol,
+        spectrum=spectrum,
     )
 
 
@@ -251,6 +262,12 @@ def verify_block_form(sys: BlockSystem, dec: FourWayDecomposition) -> float:
     return worst
 
 
+def _largest_cluster(values: np.ndarray, cluster_tol: float) -> int:
+    """Size of the largest cluster of sorted eigenvalues (0 when empty)."""
+    return max((hi - lo for lo, hi in _eigen_clusters(values, cluster_tol)),
+               default=0)
+
+
 def multiplicity(a: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> int:
     """Largest eigenvalue-cluster size of a Hermitian matrix.
 
@@ -261,44 +278,39 @@ def multiplicity(a: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> int
     vectors (the spectral multiplicity).
     """
     a = check_hermitian(a, max(cluster_tol, DEFAULT_TOL), "multiplicity input")
-    if a.shape[0] == 0:
-        return 0
-    clusters = _eigen_clusters(np.linalg.eigvalsh(a), cluster_tol)
-    return max(hi - lo for lo, hi in clusters)
+    return _largest_cluster(np.linalg.eigvalsh(a), cluster_tol)
 
 
 def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
                    cluster_tol: float = DEFAULT_CLUSTER_TOL) -> TheoremReport:
     """Run the full reconstruction-theorem check suite on one system.
 
+    ``dec`` must be ``decompose(sys)``; it is computed when omitted.
     Compares, by projector distance, the four characterizations of the
     coupled core: H1c + H2c, the invariant closures of H1c, of H2c, and
-    of the range of the symmetrized coupling.  Also checks the proof-chain
-    identity that the closure of the coupling range under the decoupled
-    diagonal operator splits as the direct sum of the one-sided closures,
-    computes the spectral multiplicity of the core operator, and tests it
-    against min(2*rank(Gamma), dim H1c, dim H2c).
+    of the range of the symmetrized coupling, all three closures taken
+    from ``dec.spectrum``.  Also checks the proof-chain identity that the
+    closure of the coupling range under the decoupled diagonal operator
+    is H1c + H2c (``decompose`` has already matched H1c and H2c against
+    the one-sided closures of Ran(Gamma) and Ran(Gamma^dag)).  Finally
+    decomposes the core itself: its spectrum gives the multiplicity,
+    tested against min(2*rank(Gamma), dim H1c, dim H2c), and the core
+    must have no decoupled part.
     """
     if dec is None:
         dec = decompose(sys)
     d1, d2, tol = sys.d1, sys.d2, sys.tol
-    spectrum = Spectrum(assemble_full(sys).omega, tol)
     omega_ring, gamma_ring = decoupled_parts(sys)
-    n = d1 + d2
 
     h1c_full = _embed_observable(dec.h1c, d1, d2)
     h2c_full = _embed_hidden(dec.h2c, d1, d2)
     core = direct_sum_basis(h1c_full, h2c_full)
-    closure_h1c = spectrum.orbit(h1c_full)
-    closure_h2c = spectrum.orbit(h2c_full)
-    ran_ring = orthonormalize(gamma_ring, tol, ambient_dim=n)
-    closure_ring = spectrum.orbit(ran_ring)
-
+    ran_ring = orthonormalize(gamma_ring, tol, ambient_dim=d1 + d2)
     subspaces = [
         ("h1c+h2c", core),
-        ("closure(h1c)", closure_h1c),
-        ("closure(h2c)", closure_h2c),
-        ("closure(ran coupling)", closure_ring),
+        ("closure(h1c)", dec.spectrum.orbit(h1c_full)),
+        ("closure(h2c)", dec.spectrum.orbit(h2c_full)),
+        ("closure(ran coupling)", dec.spectrum.orbit(ran_ring)),
     ]
     equalities: list[tuple[str, float]] = []
     for i in range(len(subspaces)):
@@ -307,30 +319,19 @@ def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
             equalities.append(
                 (name, projector_distance(subspaces[i][1], subspaces[j][1]))
             )
-
-    # proof-chain identity: closure under the decoupled diagonal operator
-    # splits as the direct sum of the one-sided closures
-    closure_ring_diag = orbit(omega_ring, ran_ring, tol)
-    ran_gamma = orthonormalize(sys.gamma, tol, ambient_dim=d1)
-    ran_gamma_dag = orthonormalize(sys.gamma.conj().T, tol, ambient_dim=d2)
-    split_sum = direct_sum_basis(
-        _embed_observable(orbit(sys.omega1, ran_gamma, tol), d1, d2),
-        _embed_hidden(orbit(sys.omega2, ran_gamma_dag, tol), d1, d2),
-    )
     equalities.append(
-        ("diag closure vs one-sided sum",
-         projector_distance(closure_ring_diag, split_sum))
+        ("diag closure vs h1c+h2c",
+         projector_distance(orbit(omega_ring, ran_ring, tol), core))
     )
 
-    mult = multiplicity(dec.core_operator(), cluster_tol)
     rank_gamma = numeric_rank(sys.gamma, tol)
     bound = min(2 * rank_gamma, dec.h1c.dim, dec.h2c.dim)
-
-    if dec.h1c.dim == 0 and dec.h2c.dim == 0:
-        core_reconstructible = True  # empty core, vacuously
+    if core.dim == 0:
+        mult, core_reconstructible = 0, True  # empty core, vacuously
     else:
         core_dec = decompose(dec.core_system())
-        core_reconstructible = core_dec.h1d.dim == 0 and core_dec.h2d.dim == 0
+        mult = _largest_cluster(core_dec.spectrum.values, cluster_tol)
+        core_reconstructible = core_dec.reconstructible
 
     return TheoremReport(
         orbit_equalities=equalities,
@@ -341,9 +342,3 @@ def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
         dims=dec.dims,
         tol=tol,
     )
-
-
-def is_reconstructible(sys: BlockSystem) -> bool:
-    """Whether both decoupled parts vanish (system equals its coupled core)."""
-    dec = decompose(sys)
-    return dec.h1d.dim == 0 and dec.h2d.dim == 0

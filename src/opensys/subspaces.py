@@ -252,16 +252,17 @@ def _excess_norm(a: SubspaceBasis, b: SubspaceBasis) -> float:
 def projector_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
     """Operator (spectral) norm of P_a - P_b, without forming either projector.
 
-    It equals max(||(I - P_b) A||, ||(I - P_a) B||): the sine of the largest
-    principal angle when the dimensions agree, 1 when they differ.  The
-    residual norms keep angles far below 1e-8, which sqrt(1 - cos^2) of
-    the principal cosines would round to zero.
+    When the dimensions differ it is exactly 1.  When they agree it is the
+    sine of the largest principal angle, which ||(I - P_b) A|| and
+    ||(I - P_a) B|| both equal in exact arithmetic, so one residual is
+    taken.  The residual norm keeps angles far below 1e-8, which
+    sqrt(1 - cos^2) of the principal cosines would round to zero.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    return max(_excess_norm(a, b), _excess_norm(b, a))
+    return _excess_norm(a, b) if a.dim == b.dim else 1.0
 
 
 def direct_sum_basis(*parts: SubspaceBasis) -> SubspaceBasis:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -7,13 +8,18 @@ from hypothesis import given, settings, strategies as st
 from opensys.decomposition import (
     DecompositionError,
     decompose,
-    is_reconstructible,
     multiplicity,
     verify_block_form,
     verify_theorem,
 )
-from opensys.subspaces import orbit, orthonormalize
-from opensys.systems import BlockSystem, assemble_full, random_system
+from opensys.lattice import LatticeSpec, build_lattice_system
+from opensys.subspaces import check_hermitian, orbit, orthonormalize
+from opensys.systems import (
+    BlockSystem,
+    assemble_full,
+    decoupled_parts,
+    random_system,
+)
 
 TOL = 1e-10
 
@@ -165,17 +171,51 @@ class TestTheorem:
 
 class TestReconstructible:
     def test_zero_coupling_not_reconstructible(self):
-        assert not is_reconstructible(random_system(1, 1, 0, seed=0))
+        assert not decompose(random_system(1, 1, 0, seed=0)).reconstructible
 
     def test_fully_coupled_swap(self):
         sys = BlockSystem(np.array([[0.0]]), np.array([[0.0]]),
                           np.array([[1.0]]))
-        assert is_reconstructible(sys)
+        assert decompose(sys).reconstructible
 
     def test_partially_coupled_hidden(self):
         sys = BlockSystem(np.array([[0.0]]), np.diag([1.0, 1.0]),
                           np.array([[1.0, 0.0]]))
-        assert not is_reconstructible(sys)
+        assert not decompose(sys).reconstructible
+
+
+def _digest(a):
+    a = np.ascontiguousarray(a, dtype=complex)
+    return (a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_system(5, 8, 2, seed=42),
+    lambda: build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL)),
+], ids=["random", "lattice-box6-cube2"])
+def test_one_eigendecomposition_per_operator(make, monkeypatch):
+    """decompose + verify_theorem factor each operator exactly once:
+    Omega, Omega1, Omega2, diag(Omega1, Omega2), the core, Omega1c, Omega2c."""
+    sys = make()
+    inputs = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            inputs.append(_digest(a))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    dec = decompose(sys)
+    assert verify_theorem(sys, dec).passed()
+    monkeypatch.undo()
+
+    core = dec.core_system()
+    operators = [assemble_full(sys).omega, sys.omega1, sys.omega2,
+                 decoupled_parts(sys)[0], assemble_full(core).omega,
+                 core.omega1, core.omega2]
+    expected = [_digest(check_hermitian(m, TOL)) for m in operators]
+    assert len(set(expected)) == 7
+    assert len(inputs) == 7
+    assert sorted(inputs) == sorted(expected)
 
 
 def test_trajectory_stays_in_invariant_closure():

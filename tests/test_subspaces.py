@@ -247,6 +247,35 @@ class TestProjectorDistance:
         assert projector_distance(a, SubspaceBasis(3, a.matrix[:, :1], TOL)) \
             == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+    def test_residual_norms_agree(self, scale):
+        # for equal dimensions ||(I-P_b)A|| = ||(I-P_a)B|| = sin(largest
+        # principal angle), so projector_distance takes only one of them
+        rng = np.random.default_rng(int(-np.log10(scale)))
+
+        def unitary(n):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            return np.linalg.qr(g)[0]
+
+        def residual_norm(a, b):  # ||(I - P_b) A||
+            r = a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix)
+            return np.linalg.norm(r, 2)
+
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            k = int(rng.integers(1, n // 2 + 1))
+            q = unitary(n)
+            angles = scale * rng.uniform(0.5, 1.0, k)
+            rotated = q[:, :k] * np.cos(angles) + q[:, k:2 * k] * np.sin(angles)
+            a = SubspaceBasis(n, q[:, :k] @ unitary(k), TOL)
+            b = SubspaceBasis(n, rotated @ unitary(k), TOL)
+            ab, ba = residual_norm(a, b), residual_norm(b, a)
+            # relative to the unit norm of the orthonormal bases
+            assert abs(ab - ba) <= 1e-12
+            sine = np.sin(np.max(angles))
+            for value in (ab, ba, projector_distance(a, b)):
+                assert abs(value - sine) <= 1e-3 * sine
+
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             projector_distance(SubspaceBasis.full(2, TOL),
