@@ -146,12 +146,12 @@ class TheoremReport:
 
 
 def _embed_observable(basis: SubspaceBasis, d1: int, d2: int) -> SubspaceBasis:
-    m = np.vstack([basis.matrix, np.zeros((d2, basis.dim), dtype=complex)])
+    m = np.vstack([basis.matrix, np.zeros((d2, basis.dim))])
     return SubspaceBasis(d1 + d2, m, basis.tol)
 
 
 def _embed_hidden(basis: SubspaceBasis, d1: int, d2: int) -> SubspaceBasis:
-    m = np.vstack([np.zeros((d1, basis.dim), dtype=complex), basis.matrix])
+    m = np.vstack([np.zeros((d1, basis.dim)), basis.matrix])
     return SubspaceBasis(d1 + d2, m, basis.tol)
 
 

@@ -1,7 +1,9 @@
-"""Orthonormal subspace arithmetic in finite-dimensional complex Hilbert spaces.
+"""Orthonormal subspaces: real input in real arithmetic, complex in complex.
 
-Subspaces are represented by matrices whose columns form an orthonormal
-basis.  Two rules, each with the caller's relative tolerance ``tol``,
+:func:`as_field` maps every input to float64 or complex128, so a real
+symmetric operator keeps real eigenvectors, bases and orbits.  Subspaces
+are represented by matrices whose columns form an orthonormal basis.
+Two rules, each with the caller's relative tolerance ``tol``,
 make every numerical decision in this module:
 
 - Rank: a singular value ``s`` counts when ``s > tol * max(1, s_max)``,
@@ -35,6 +37,21 @@ DEFAULT_TOL = 1e-10
 ORBIT_CERT_FACTOR = 10.0
 
 
+def as_field(a) -> np.ndarray:
+    """``a`` as float64 when its entries are real, as complex128 when complex.
+
+    Bool, integer and floating input (``longdouble`` included, which
+    LAPACK rejects) becomes float64; complex input becomes complex128.
+    Anything else raises ``ValueError``.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind in "biuf":
+        return a.astype(np.float64, copy=False)
+    if a.dtype.kind == "c":
+        return a.astype(np.complex128, copy=False)
+    raise ValueError(f"expected a numeric array, got dtype {a.dtype}")
+
+
 class DimensionMismatchError(ValueError):
     """Raised when vector or ambient dimensions are inconsistent."""
 
@@ -49,7 +66,7 @@ class ContainmentError(ValueError):
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal spanning set of a subspace of C^ambient_dim.
+    """Orthonormal spanning set of a subspace of R^n or C^n, n = ambient_dim.
 
     ``matrix`` has shape ``(ambient_dim, dim)``; its columns are the basis
     vectors, orthonormal to within ``tol``.  Dimension zero is represented
@@ -61,7 +78,7 @@ class SubspaceBasis:
     tol: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = as_field(self.matrix)
         if m.ndim != 2 or m.shape[0] != self.ambient_dim:
             raise DimensionMismatchError(
                 f"basis matrix shape {m.shape} incompatible with ambient "
@@ -84,7 +101,7 @@ class SubspaceBasis:
 
     def contains(self, vector: np.ndarray, tol: float | None = None) -> bool:
         """Whether ``vector`` lies in the subspace to within tolerance."""
-        v = np.asarray(vector, dtype=complex)
+        v = as_field(vector)
         if v.shape != (self.ambient_dim,):
             raise DimensionMismatchError(
                 f"vector length {v.shape} != ambient {self.ambient_dim}"
@@ -95,25 +112,25 @@ class SubspaceBasis:
 
     @classmethod
     def empty(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "SubspaceBasis":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex), tol)
+        return cls(ambient_dim, np.zeros((ambient_dim, 0)), tol)
 
     @classmethod
     def full(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "SubspaceBasis":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=complex), tol)
+        return cls(ambient_dim, np.eye(ambient_dim), tol)
 
 
 def _as_columns(vectors, ambient_dim: int | None) -> np.ndarray:
     """Convert a list of vectors or an (n, k) array to a column matrix."""
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = np.asarray(vectors, dtype=complex)
+        cols = as_field(vectors)
     else:
-        vecs = [np.asarray(v, dtype=complex) for v in vectors]
+        vecs = [as_field(v) for v in vectors]
         if not vecs:
             if ambient_dim is None:
                 raise DimensionMismatchError(
                     "ambient_dim required to orthonormalize an empty set"
                 )
-            return np.zeros((ambient_dim, 0), dtype=complex)
+            return np.zeros((ambient_dim, 0))
         lengths = {v.shape for v in vecs}
         if len(lengths) != 1 or vecs[0].ndim != 1:
             raise DimensionMismatchError(f"inconsistent vector shapes: {lengths}")
@@ -132,7 +149,7 @@ def _range_basis(m: np.ndarray, tol: float) -> np.ndarray:
     ``tol * max(1, s_max)`` (the module's one rank threshold).
     """
     if m.size == 0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
+        return np.zeros((m.shape[0], 0), dtype=m.dtype)
     left, sing, _ = np.linalg.svd(m, full_matrices=False)
     return left[:, sing > tol * max(1.0, sing[0])]
 
@@ -150,7 +167,7 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL, *,
 
 def check_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
     """Validate near-Hermiticity (Frobenius norm) and return (A + A^dag)/2."""
-    a = np.asarray(a, dtype=complex)
+    a = as_field(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{what} is not square: shape {a.shape}")
     if a.size:
@@ -204,7 +221,7 @@ class Spectrum:
         pieces = [self.vectors[:, lo:hi] @ _range_basis(coords[lo:hi], self.tol)
                   for lo, hi in self.clusters]
         return SubspaceBasis(
-            n, np.hstack([np.zeros((n, 0), dtype=complex), *pieces]), self.tol)
+            n, np.hstack([np.zeros((n, 0)), *pieces]), self.tol)
 
 
 def orbit(a: np.ndarray, seed: SubspaceBasis, tol: float = DEFAULT_TOL) -> SubspaceBasis:
@@ -277,7 +294,7 @@ def direct_sum_basis(*parts: SubspaceBasis) -> SubspaceBasis:
 
 def numeric_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values of ``m`` kept by :func:`_range_basis`."""
-    m = np.asarray(m, dtype=complex)
+    m = as_field(m)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
     return _range_basis(m, tol).shape[1]

@@ -8,15 +8,17 @@ frequency operator is assembled as
     Omega = [[Omega1, Gamma  ],
              [Gamma^dag, Omega2]]
 
-Systems serialize to a structured JSON file with complex scalars written
-as [re, im] pairs of decimal doubles; the round trip is bit-exact.
+Systems serialize to compact one-line JSON with every scalar written as
+an [re, im] pair of decimal doubles; the round trip is bit-exact.  A
+matrix whose imaginary parts are all +0.0 decodes as real (float64), any
+other as complex128, so a real system reads back real.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ import numpy as np
 from .subspaces import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    as_field,
     check_hermitian,
 )
 
@@ -34,7 +37,8 @@ class BlockSystem:
 
     Hermiticity of the diagonal blocks is validated on construction and
     then enforced exactly by symmetrization, so downstream eigensolvers
-    always receive exactly Hermitian input.
+    always receive exactly Hermitian input.  The three blocks share one
+    dtype: float64 when all are real, complex128 otherwise.
     """
 
     omega1: np.ndarray
@@ -47,15 +51,16 @@ class BlockSystem:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         o1 = check_hermitian(self.omega1, self.tol, "omega1")
         o2 = check_hermitian(self.omega2, self.tol, "omega2")
-        g = np.asarray(self.gamma, dtype=complex)
+        g = as_field(self.gamma)
         if g.ndim != 2 or g.shape != (o1.shape[0], o2.shape[0]):
             raise DimensionMismatchError(
                 f"gamma shape {g.shape} incompatible with blocks "
                 f"{o1.shape[0]}x{o2.shape[0]}"
             )
-        object.__setattr__(self, "omega1", o1)
-        object.__setattr__(self, "omega2", o2)
-        object.__setattr__(self, "gamma", g)
+        dtype = np.result_type(o1, o2, g)
+        object.__setattr__(self, "omega1", o1.astype(dtype, copy=False))
+        object.__setattr__(self, "omega2", o2.astype(dtype, copy=False))
+        object.__setattr__(self, "gamma", g.astype(dtype, copy=False))
 
     @property
     def d1(self) -> int:
@@ -74,7 +79,7 @@ class FullOperator:
     split: tuple[int, int]
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=complex)
+        omega = as_field(self.omega)
         d1, d2 = self.split
         if omega.shape != (d1 + d2, d1 + d2):
             raise DimensionMismatchError(
@@ -90,7 +95,7 @@ class FullOperator:
 def assemble_full(sys: BlockSystem) -> FullOperator:
     """Assemble [[Omega1, Gamma], [Gamma^dag, Omega2]] by direct placement."""
     d1, d2 = sys.d1, sys.d2
-    omega = np.zeros((d1 + d2, d1 + d2), dtype=complex)
+    omega = np.zeros((d1 + d2, d1 + d2), dtype=sys.gamma.dtype)
     omega[:d1, :d1] = sys.omega1
     omega[d1:, d1:] = sys.omega2
     omega[:d1, d1:] = sys.gamma
@@ -106,10 +111,10 @@ def decoupled_parts(sys: BlockSystem) -> tuple[np.ndarray, np.ndarray]:
     """
     d1, d2 = sys.d1, sys.d2
     n = d1 + d2
-    omega_ring = np.zeros((n, n), dtype=complex)
+    omega_ring = np.zeros((n, n), dtype=sys.gamma.dtype)
     omega_ring[:d1, :d1] = sys.omega1
     omega_ring[d1:, d1:] = sys.omega2
-    gamma_ring = np.zeros((n, n), dtype=complex)
+    gamma_ring = np.zeros_like(omega_ring)
     gamma_ring[:d1, d1:] = sys.gamma
     gamma_ring[d1:, :d1] = sys.gamma.conj().T
     return omega_ring, gamma_ring
@@ -148,13 +153,17 @@ def random_system(d1: int, d2: int, coupling_rank: int, seed: int,
 # --- serialization ---------------------------------------------------------
 
 def encode_matrix(m: np.ndarray) -> list:
-    """Row-major nested lists with each complex entry as an [re, im] pair."""
-    m = np.asarray(m, dtype=complex)
+    """Row-major nested lists with each entry as an [re, im] pair."""
+    m = as_field(m)
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def decode_matrix(data: list, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`encode_matrix`; ``shape`` disambiguates empty axes."""
+    """Inverse of :func:`encode_matrix`; ``shape`` disambiguates empty axes.
+
+    Returns float64 when every imaginary part is +0.0 (a -0.0 would be
+    lost), complex128 otherwise.
+    """
     pairs = np.asarray(data)
     expected = (*shape, 2)
     if pairs.dtype.kind not in "iuf":
@@ -165,9 +174,12 @@ def decode_matrix(data: list, shape: tuple[int, int]) -> np.ndarray:
             f"matrix of [re, im] pairs has shape {pairs.shape}, "
             f"expected {expected}"
         )
-    out = np.zeros(shape, dtype=complex)
-    if pairs.size:
-        out.real, out.imag = pairs[..., 0], pairs[..., 1]
+    pairs = pairs.astype(np.float64, copy=False).reshape(expected)
+    re, im = pairs[..., 0], pairs[..., 1]
+    if not im.any() and not np.signbit(im).any():
+        return np.ascontiguousarray(re)
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 
@@ -196,13 +208,18 @@ def system_from_dict(data: dict) -> BlockSystem:
 
 
 def write_json_atomic(data: dict, path: str) -> None:
-    """Write JSON via a temp file then rename, so readers never see a torn file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write one-line JSON to a temp file, then rename it over ``path``.
+
+    Readers never see a torn file.  ``json.dumps`` without indentation
+    runs CPython's C encoder.  The temp file is created as a plain
+    ``open(path, "w")`` would create ``path``, so the result gets the
+    same permissions.
+    """
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        with fh:
+            fh.write(json.dumps(data, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

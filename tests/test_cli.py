@@ -92,6 +92,13 @@ def test_gen_lattice_metadata(tmp_path):
     assert sys.d1 == 2 and sys.d2 == 6
 
 
+def test_lattice_file_is_compact(tmp_path):
+    path = tmp_path / "lat.json"
+    assert main(["gen-lattice", "--box", "6", "--cube", "2",
+                 "--output", str(path)]) == EXIT_OK
+    assert path.stat().st_size < 600_000  # 1.26 MB when indented
+
+
 def test_lattice_then_verify(tmp_path):
     path = tmp_path / "lat.json"
     main(["gen-lattice", "--dims", "2", "--box", "5", "--cube", "2",
@@ -111,6 +118,14 @@ def test_malformed_input_is_usage_error(tmp_path):
 def test_non_hermitian_input_is_usage_error(tmp_path, sys_file):
     data = json.loads(sys_file.read_text())
     data["omega1"][0][1] = [5.0, 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["decompose", "--input", str(bad)]) == EXIT_USAGE
+
+
+def test_string_matrix_is_usage_error(tmp_path, sys_file):
+    data = json.loads(sys_file.read_text())
+    data["omega1"] = [[["a", "0"]] * 4] * 4
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["decompose", "--input", str(bad)]) == EXIT_USAGE

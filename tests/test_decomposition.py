@@ -13,12 +13,19 @@ from opensys.decomposition import (
     verify_theorem,
 )
 from opensys.lattice import LatticeSpec, build_lattice_system
-from opensys.subspaces import check_hermitian, orbit, orthonormalize
+from opensys.subspaces import (
+    check_hermitian,
+    orbit,
+    orthonormalize,
+    projector_distance,
+)
 from opensys.systems import (
     BlockSystem,
     assemble_full,
     decoupled_parts,
+    load_system,
     random_system,
+    save_system,
 )
 
 TOL = 1e-10
@@ -216,6 +223,53 @@ def test_one_eigendecomposition_per_operator(make, monkeypatch):
     assert len(set(expected)) == 7
     assert len(inputs) == 7
     assert sorted(inputs) == sorted(expected)
+
+
+def _field_dtypes(sys, dec):
+    return {m.dtype for m in (
+        sys.omega1, sys.omega2, sys.gamma, dec.h1c.matrix, dec.h2c.matrix,
+        dec.h2d.matrix, dec.spectrum.vectors, dec.omega2c, dec.gamma_c)}
+
+
+def test_lattice_stays_real_random_stays_complex(tmp_path):
+    lattice = build_lattice_system(LatticeSpec.centered(5, 2, 3, TOL))
+    path = tmp_path / "lat.json"
+    save_system(lattice, str(path))
+    for sys in (lattice, load_system(str(path))):
+        assert _field_dtypes(sys, decompose(sys)) == {np.dtype(np.float64)}
+    sys = random_system(4, 7, 2, seed=3)
+    assert _field_dtypes(sys, decompose(sys)) == {np.dtype(np.complex128)}
+
+
+@st.composite
+def real_systems(draw):
+    """Small 1-d/2-d lattices and random real symmetric block systems."""
+    if draw(st.booleans()):
+        dims = draw(st.integers(1, 2))
+        box = draw(st.integers(2, 7 if dims == 1 else 5))
+        cube = draw(st.integers(1, box - 1))
+        offset = tuple(draw(st.integers(0, box - cube)) for _ in range(dims))
+        return build_lattice_system(LatticeSpec(box, cube, offset, dims, TOL))
+    d1, d2 = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    rank = draw(st.integers(0, min(d1, d2)))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    a1, a2 = rng.standard_normal((d1, d1)), rng.standard_normal((d2, d2))
+    gamma = rng.standard_normal((d1, rank)) @ rng.standard_normal((rank, d2))
+    return BlockSystem((a1 + a1.T) / 2, (a2 + a2.T) / 2, gamma, TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(real_systems())
+def test_real_and_complex_copies_agree(sys):
+    copy = BlockSystem(*(m.astype(complex) for m in
+                         (sys.omega1, sys.omega2, sys.gamma)), TOL)
+    assert sys.gamma.dtype == np.float64 and copy.gamma.dtype == np.complex128
+    dec, dec_c = decompose(sys), decompose(copy)
+    report, report_c = verify_theorem(sys, dec), verify_theorem(copy, dec_c)
+    assert dec.dims == dec_c.dims
+    assert report.multiplicity_omega_c == report_c.multiplicity_omega_c
+    assert report.passed() == report_c.passed()
+    assert projector_distance(dec.h2c, dec_c.h2c) <= 1e-10
 
 
 def test_trajectory_stays_in_invariant_closure():

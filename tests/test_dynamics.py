@@ -244,6 +244,20 @@ class TestPropagateReduced:
         reference = _quadratic_reduced(sys, v1, f1, grid)
         assert _relative_gap(red.states, reference) <= 1e-12
 
+    def test_one_eigh_per_operator_in_discrepancy(self, monkeypatch):
+        """The coarse and the fine reduced run share one kernel: eigh runs
+        once on Omega (full propagation) and once on Omega2 (the kernel)."""
+        sys = random_system(3, 5, 2, seed=19)
+        calls = []
+
+        def counted(a, *args, _eigh=np.linalg.eigh, **kwargs):
+            calls.append(a.shape)
+            return _eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        reduction_discrepancy(sys, np.ones(3) / np.sqrt(3), 2.0, 50)
+        assert sorted(calls) == [(5, 5), (8, 8)]
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             propagate_reduced(swap_system(), np.zeros(2),

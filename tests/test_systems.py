@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from opensys.lattice import LatticeSpec, build_lattice_system
 from opensys.subspaces import DimensionMismatchError, SymmetryError, numeric_rank
 from opensys.systems import (
     BlockSystem,
@@ -15,6 +17,7 @@ from opensys.systems import (
     save_system,
     system_from_dict,
     system_to_dict,
+    write_json_atomic,
 )
 
 
@@ -167,3 +170,63 @@ def test_decode_rejects_non_numbers():
         decode_matrix([[["1.0", "0.0"]]], (1, 1))
     with pytest.raises(ValueError):
         decode_matrix([[[None, 0.0]]], (1, 1))
+
+
+def test_real_blocks_stored_as_float64():
+    sys = BlockSystem(np.eye(2, dtype=np.float32),
+                      np.diag(np.array([1, 2, 3], dtype=np.longdouble)),
+                      np.ones((2, 3), dtype=int))
+    assert {m.dtype for m in (sys.omega1, sys.omega2, sys.gamma)} == \
+        {np.dtype(np.float64)}
+    assert assemble_full(sys).omega.dtype == np.float64
+    assert all(m.dtype == np.float64 for m in decoupled_parts(sys))
+
+
+def test_one_complex_block_makes_the_system_complex():
+    sys = BlockSystem(np.eye(2), np.eye(3), np.ones((2, 3), dtype=np.complex64))
+    assert {m.dtype for m in (sys.omega1, sys.omega2, sys.gamma)} == \
+        {np.dtype(np.complex128)}
+
+
+def test_string_matrix_rejected():
+    for block in ([["a", "b"], ["b", "a"]], [["1.0", "0"], ["0", "1.0"]]):
+        with pytest.raises(ValueError):
+            BlockSystem(np.array(block), np.eye(2), np.zeros((2, 2)))
+
+
+def test_real_system_roundtrip_bit_exact_float64(tmp_path):
+    sys = build_lattice_system(LatticeSpec.centered(4, 2, dims=2))
+    sys = BlockSystem(sys.omega1 / 3, sys.omega2 * np.pi, -sys.gamma / 7)
+    path = tmp_path / "lat.json"
+    save_system(sys, str(path))
+    loaded = load_system(str(path))
+    for name in ("omega1", "omega2", "gamma"):
+        assert getattr(loaded, name).dtype == np.float64
+        assert np.array_equal(getattr(loaded, name), getattr(sys, name))
+
+
+def test_negative_zero_imaginary_part_decodes_complex():
+    data = [[[1.0, 0.0], [2.0, -0.0]]]
+    decoded = decode_matrix(data, (1, 2))
+    assert decoded.dtype == np.complex128
+    assert np.signbit(decoded[0, 1].imag)
+    assert decode_matrix([[[1.0, 0.0], [2.0, 0.0]]], (1, 2)).dtype == np.float64
+
+
+def test_json_writer_compact_one_line(tmp_path):
+    data = {"b": [[[1.5, -0.0], [2.0, 1e-300]]], "a": {"x": 1, "y": "z"}}
+    path = tmp_path / "out.json"
+    write_json_atomic(data, str(path))
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == data
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+
+
+def test_json_writer_gives_plain_open_permissions(tmp_path):
+    plain = tmp_path / "plain.json"
+    with open(plain, "w") as fh:
+        fh.write("{}")
+    written = tmp_path / "written.json"
+    write_json_atomic({}, str(written))
+    assert os.stat(written).st_mode == os.stat(plain).st_mode
