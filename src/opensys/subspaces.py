@@ -3,16 +3,23 @@
 :func:`as_field` maps every input to float64 or complex128, so a real
 symmetric operator keeps real eigenvectors, bases and orbits.  Subspaces
 are represented by matrices whose columns form an orthonormal basis.
-Two rules, each with the caller's relative tolerance ``tol``,
-make every numerical decision in this module:
+Every numerical decision in the package is one of these tests, ``tol``
+being the system's (DEFAULT_TOL = 1e-10, ``--tol`` or OPENSYS_TOL):
 
-- Rank: a singular value ``s`` counts when ``s > tol * max(1, s_max)``,
-  ``s_max`` being the largest singular value of the same matrix.  Only
-  :func:`_range_basis` applies it; :func:`orthonormalize`,
-  :func:`numeric_rank` and :func:`orbit` (within each cluster) call it
-  (Golub & Van Loan, *Matrix Computations*, section 5.4).
-- Clusters: sorted eigenvalues belong to one cluster while consecutive
-  gaps are ``<= tol * max(1, |lambda|_max)`` (:func:`_eigen_clusters`).
+==================  =========================================  ===============
+rank                keep singular values ``s > tol * max(1,    _range_basis,
+                    s_max)`` (Golub & Van Loan, section 5.4)   the only cut
+cluster             sorted eigenvalues chain while each gap    _eigen_clusters
+                    is ``<= t * max(1, |w|_max)``, ``t = tol``
+cluster_tol         ``t = 1e-8`` (DEFAULT_CLUSTER_TOL)         multiplicities
+Hermitian           ``||A - A^dag||_F <= tol * max(1,          check_hermitian
+                    ||A||_F)``
+containment         residuals ``<= 10 * tol``                  complement
+ORBIT_CERT_FACTOR   ``||(I - P) A P|| <= 10 * tol * ||A||``    Spectrum.orbit
+CONSISTENCY_FACTOR  route, leak and theorem distances          decomposition
+                    ``<= 100 * tol``; block residual           and cli
+                    ``<= 100 * tol * ||Omega||``
+==================  =========================================  ===============
 
 The central operation is :func:`orbit`, the smallest invariant subspace
 of a Hermitian matrix containing a given seed subspace.  It is computed
@@ -30,10 +37,9 @@ import numpy as np
 #: Default relative tolerance for rank and orthogonality decisions.
 DEFAULT_TOL = 1e-10
 
-#: Documented constant `c` in the orbit invariance certificate
-#: ||(I - P) A P|| <= c * tol * ||A||.  An orbit is exactly invariant up to
-#: the seed parts dropped by the rank cut (norm <= tol each) and the spread
-#: of the eigenvalues inside one cluster.
+#: The ``c`` of the orbit certificate in the table above.  An orbit is exactly
+#: invariant up to the seed parts dropped by the rank cut (norm <= tol each)
+#: and the spread of the eigenvalues inside one cluster.
 ORBIT_CERT_FACTOR = 10.0
 
 

@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opensys.decomposition import (
+    DEFAULT_CLUSTER_TOL,
     DecompositionError,
+    _largest_cluster,
     decompose,
+    decomposition_basis,
     multiplicity,
     verify_block_form,
     verify_theorem,
 )
 from opensys.lattice import LatticeSpec, build_lattice_system
 from opensys.subspaces import (
+    SubspaceBasis,
     check_hermitian,
     orbit,
     orthonormalize,
@@ -52,6 +56,72 @@ def coupled_plus_decoupled(seed=5):
     gamma = np.zeros((4, 5), dtype=complex)
     gamma[:2, :3] = core.gamma
     return BlockSystem(omega1, omega2, gamma, TOL)
+
+
+@st.composite
+def complex_systems(draw):
+    """Small complex random systems of every coupling rank."""
+    d1, d2 = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    rank = draw(st.integers(0, min(d1, d2)))
+    return random_system(d1, d2, rank, seed=draw(st.integers(0, 10_000)))
+
+
+def nested_core_route(dec, cluster_tol=DEFAULT_CLUSTER_TOL):
+    """Largest ``cluster_tol`` eigenvalue cluster and reconstructibility of
+    the core, from a :func:`decompose` of the core system itself.
+
+    An oracle for :func:`verify_theorem`, which reads both off the
+    spectrum of Omega; this route factors the core, Omega1c and Omega2c.
+    """
+    if dec.h1c.dim == 0:
+        return 0, True  # empty core, vacuously
+    core = decompose(BlockSystem(dec.omega1c, dec.omega2c, dec.gamma_c, dec.tol))
+    return _largest_cluster(core.spectrum.values, cluster_tol), core.reconstructible
+
+
+def diag_closure_distance(sys, dec):
+    """Distance from H1c + H2c of the closure of the coupling range under
+    diag(Omega1, Omega2), by an eigendecomposition of that n x n matrix:
+    an oracle for ``dec.route_distance``."""
+    omega_ring, gamma_ring = decoupled_parts(sys)
+    n = sys.d1 + sys.d2
+    ran_ring = orthonormalize(gamma_ring, sys.tol, ambient_dim=n)
+    lo = dec.h1d.dim
+    core = SubspaceBasis(n, decomposition_basis(sys, dec)[
+        :, lo:lo + dec.h1c.dim + dec.h2c.dim], sys.tol)
+    return projector_distance(orbit(omega_ring, ran_ring, sys.tol), core)
+
+
+def assert_matches_nested_route(sys, dec=None):
+    """verify_theorem gives the nested route's multiplicity, core verdict
+    and passed(), and its proof-chain entry is the diagonal closure's
+    distance."""
+    dec = decompose(sys) if dec is None else dec
+    report = verify_theorem(sys, dec)
+    mult, reconstructible = nested_core_route(dec)
+    diag = diag_closure_distance(sys, dec)
+    nested = dataclasses.replace(
+        report, multiplicity_omega_c=mult, bound_satisfied=mult <= report.bound,
+        reconstructible_core=reconstructible,
+        orbit_equalities=[*report.orbit_equalities[:-1],
+                          ("diag closure vs h1c+h2c", diag)])
+    assert report.orbit_equalities[-1] == ("diag closure vs h1c+h2c",
+                                           dec.route_distance)
+    assert abs(dec.route_distance - diag) <= 1e-9
+    assert report.multiplicity_omega_c == mult
+    assert report.reconstructible_core == reconstructible
+    assert report.passed() == nested.passed()
+    return report
+
+
+def _with_h2c(dec, matrix):
+    return dataclasses.replace(dec, h2c=dataclasses.replace(dec.h2c, matrix=matrix))
+
+
+def random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    return q
 
 
 class TestDecompose:
@@ -160,18 +230,33 @@ class TestTheorem:
         assert report.reconstructible_core
 
     def test_system_with_decoupled_parts(self):
-        report = verify_theorem(coupled_plus_decoupled())
+        report = assert_matches_nested_route(coupled_plus_decoupled())
         assert report.dims["h1d"] == 2 and report.dims["h2d"] == 2
         assert report.max_distance <= 1e-9
         assert report.bound_satisfied
         assert report.reconstructible_core
 
+    def test_h2c_rotated_toward_h2d_fails(self):
+        sys = coupled_plus_decoupled()
+        dec = decompose(sys)
+        h2c = dec.h2c.matrix.copy()
+        h2c[:, 0] = np.cos(1e-6) * h2c[:, 0] + np.sin(1e-6) * dec.h2d.matrix[:, 0]
+        report = verify_theorem(sys, _with_h2c(dec, h2c))
+        assert not report.passed()
+        assert report.max_distance >= 1e-7
+
+    def test_h2d_column_in_h2c_fails(self):
+        sys = coupled_plus_decoupled()
+        dec = decompose(sys)
+        h2c = np.hstack([dec.h2c.matrix, dec.h2d.matrix[:, :1]])
+        report = verify_theorem(sys, _with_h2c(dec, h2c))
+        assert not report.reconstructible_core
+        assert not report.passed()
+
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 9),
-           st.data())
-    def test_orbit_equalities_property(self, seed, d1, d2, data):
-        rank = data.draw(st.integers(0, min(d1, d2)))
-        report = verify_theorem(random_system(d1, d2, rank, seed=seed))
+    @given(complex_systems())
+    def test_orbit_equalities_property(self, sys):
+        report = assert_matches_nested_route(sys)
         assert report.max_distance <= 1e-8
         assert report.bound_satisfied
 
@@ -201,8 +286,8 @@ def _digest(a):
     lambda: build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL)),
 ], ids=["random", "lattice-box6-cube2"])
 def test_one_eigendecomposition_per_operator(make, monkeypatch):
-    """decompose + verify_theorem factor each operator exactly once:
-    Omega, Omega1, Omega2, diag(Omega1, Omega2), the core, Omega1c, Omega2c."""
+    """decompose + verify_theorem factor Omega, Omega1 and Omega2 once
+    each, and nothing else."""
     sys = make()
     inputs = []
     for name in ("eigh", "eigvalsh"):
@@ -215,14 +300,17 @@ def test_one_eigendecomposition_per_operator(make, monkeypatch):
     assert verify_theorem(sys, dec).passed()
     monkeypatch.undo()
 
-    core = dec.core_system()
-    operators = [assemble_full(sys).omega, sys.omega1, sys.omega2,
-                 decoupled_parts(sys)[0], assemble_full(core).omega,
-                 core.omega1, core.omega2]
+    operators = [assemble_full(sys).omega, sys.omega1, sys.omega2]
     expected = [_digest(check_hermitian(m, TOL)) for m in operators]
-    assert len(set(expected)) == 7
-    assert len(inputs) == 7
+    assert len(set(expected)) == 3
+    assert len(inputs) == 3
     assert sorted(inputs) == sorted(expected)
+
+
+@pytest.mark.parametrize("box,cube", [(6, 2), (8, 3)])
+def test_lattice_matches_nested_route(box, cube):
+    sys = build_lattice_system(LatticeSpec.centered(box, cube, 3, TOL))
+    assert assert_matches_nested_route(sys).passed()
 
 
 def _field_dtypes(sys, dec):
@@ -270,11 +358,28 @@ def test_real_and_complex_copies_agree(sys):
     assert report.multiplicity_omega_c == report_c.multiplicity_omega_c
     assert report.passed() == report_c.passed()
     assert projector_distance(dec.h2c, dec_c.h2c) <= 1e-10
+    assert_matches_nested_route(sys, dec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(real_systems(), complex_systems()), st.integers(0, 10_000))
+def test_block_unitary_invariance(sys, seed):
+    """U1 Omega1 U1^dag, U2 Omega2 U2^dag, U1 Gamma U2^dag has the same
+    dims, core multiplicity and verdict as (Omega1, Omega2, Gamma)."""
+    rng = np.random.default_rng(seed)
+    u1, u2 = random_unitary(rng, sys.d1), random_unitary(rng, sys.d2)
+    rotated = BlockSystem(u1 @ sys.omega1 @ u1.conj().T,
+                          u2 @ sys.omega2 @ u2.conj().T,
+                          u1 @ sys.gamma @ u2.conj().T, sys.tol)
+    dec, dec_r = decompose(sys), decompose(rotated)
+    report, report_r = verify_theorem(sys, dec), verify_theorem(rotated, dec_r)
+    assert dec.dims == dec_r.dims
+    assert report.multiplicity_omega_c == report_r.multiplicity_omega_c
+    assert report.passed() == report_r.passed()
 
 
 def test_trajectory_stays_in_invariant_closure():
     from opensys.dynamics import ForcingSignal, make_grid, propagate_full
-    from opensys.subspaces import SubspaceBasis
 
     sys = random_system(3, 6, 2, seed=51)
     full = assemble_full(sys)
