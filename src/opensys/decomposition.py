@@ -38,7 +38,6 @@ from .subspaces import (
     Spectrum,
     SubspaceBasis,
     _eigen_clusters,
-    _range_basis,
     check_hermitian,
     complement,
     direct_sum_basis,
@@ -47,7 +46,7 @@ from .subspaces import (
     orthonormalize,
     projector_distance,
 )
-from .systems import BlockSystem, assemble_full, decoupled_parts
+from .systems import BlockSystem, assemble_full
 
 #: Multiple of the system tolerance allowed for cross-route agreement and
 #: block-zero residuals (the `c` of the module contracts).
@@ -58,15 +57,19 @@ DEFAULT_CLUSTER_TOL = 1e-8
 
 
 class DecompositionError(RuntimeError):
-    """Definitional and fast-path coupled subspaces disagree beyond tolerance."""
+    """A check of :func:`decompose` failed.
 
-    def __init__(self, dist_h1c: float, dist_h2c: float):
+    The message names the stage, the quantity that tripped it, its value
+    and the limit it broke.
+    """
+
+    def __init__(self, stage: str, quantity: str, value: float, limit: float):
         super().__init__(
-            f"coupled-subspace routes disagree: "
-            f"d(H1c) = {dist_h1c:.3e}, d(H2c) = {dist_h2c:.3e}"
-        )
-        self.dist_h1c = dist_h1c
-        self.dist_h2c = dist_h2c
+            f"{stage}: {quantity} = {value:.3e} exceeds its limit {limit:.3e}")
+        self.stage = stage
+        self.quantity = quantity
+        self.value = value
+        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -164,22 +167,36 @@ def _restrict(a: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
 
 
 def _project_out_block(closure: SubspaceBasis, side_basis: SubspaceBasis,
-                       take: slice, other: slice, tol: float) -> SubspaceBasis:
-    """Re-express closure-minus-side in the coordinates of the other block.
+                       take: slice, other: slice, tol: float,
+                       stage: str) -> tuple[SubspaceBasis, SubspaceBasis]:
+    """Closure-minus-side in the coordinates of the other block, and its
+    orthogonal complement there.
 
-    The complement vectors must have vanishing components on the original
-    side; this is asserted before re-orthonormalizing the remaining rows.
+    The complement E = [rows; leak] has orthonormal columns, and each
+    column's leak onto the original side must vanish to within
+    CONSISTENCY_FACTOR * tol.  Then rows^dag rows = I - leak^dag leak, so
+    with ||leak||_F < 1/2 every singular value of the rows exceeds
+    sqrt(3)/2: they have full column rank.  The leading columns of their
+    complete Householder QR are then an orthonormal basis of the same
+    dimension as E, and the trailing columns one of its complement.
     """
     excess = complement(closure, side_basis, tol)
     leak = excess.matrix[other]
-    worst = np.max(np.linalg.norm(leak, axis=0)) if leak.size else 0.0
-    if worst > CONSISTENCY_FACTOR * tol:
-        raise DecompositionError(worst, worst)
+    worst = np.max(np.linalg.norm(leak, axis=0), initial=0.0)
+    limit = CONSISTENCY_FACTOR * tol
+    if worst > limit:
+        raise DecompositionError(
+            stage, "largest column norm of the leak onto the other block",
+            worst, limit)
+    leak_norm = np.linalg.norm(leak)
+    if not leak_norm < 0.5:
+        raise DecompositionError(
+            stage, "||leak||_F, below which the kept rows have full rank",
+            leak_norm, 0.5)
     rows = excess.matrix[take]
-    result = orthonormalize(rows, tol, ambient_dim=rows.shape[0])
-    if result.dim != excess.dim:
-        raise DecompositionError(float(result.dim), float(excess.dim))
-    return result
+    q = np.linalg.qr(rows, mode="complete")[0]
+    return (SubspaceBasis(rows.shape[0], q[:, :excess.dim], tol),
+            SubspaceBasis(rows.shape[0], q[:, excess.dim:], tol))
 
 
 def decompose(sys: BlockSystem) -> FourWayDecomposition:
@@ -199,10 +216,10 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
 
     closure_h1 = spectrum.orbit(h1_full)
     closure_h2 = spectrum.orbit(h2_full)
-    h2c = _project_out_block(closure_h1, h1_full, slice(d1, d1 + d2),
-                             slice(0, d1), tol)
-    h1c = _project_out_block(closure_h2, h2_full, slice(0, d1),
-                             slice(d1, d1 + d2), tol)
+    h2c, h2d = _project_out_block(closure_h1, h1_full, slice(d1, d1 + d2),
+                                  slice(0, d1), tol, "H2c from closure(H1)")
+    h1c, h1d = _project_out_block(closure_h2, h2_full, slice(0, d1),
+                                  slice(d1, d1 + d2), tol, "H1c from closure(H2)")
     # independent fast route through the coupling ranges
     ran_gamma = orthonormalize(sys.gamma, tol, ambient_dim=d1)
     ran_gamma_dag = orthonormalize(sys.gamma.conj().T, tol, ambient_dim=d2)
@@ -210,11 +227,11 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
     h2c_fast = orbit(sys.omega2, ran_gamma_dag, tol)
     dist1 = projector_distance(h1c, h1c_fast)
     dist2 = projector_distance(h2c, h2c_fast)
-    if max(dist1, dist2) > CONSISTENCY_FACTOR * tol:
-        raise DecompositionError(dist1, dist2)
-
-    h1d = complement(SubspaceBasis.full(d1, tol), h1c, tol)
-    h2d = complement(SubspaceBasis.full(d2, tol), h2c, tol)
+    route_distance = max(dist1, dist2)
+    if route_distance > CONSISTENCY_FACTOR * tol:
+        raise DecompositionError(
+            "definitional vs fast route", "d(H1c)" if dist1 >= dist2
+            else "d(H2c)", route_distance, CONSISTENCY_FACTOR * tol)
 
     return FourWayDecomposition(
         h1d=h1d, h1c=h1c, h2c=h2c, h2d=h2d,
@@ -224,7 +241,7 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
         omega2d=_restrict(sys.omega2, h2d),
         gamma_c=h1c.matrix.conj().T @ sys.gamma @ h2c.matrix,
         tol=tol,
-        route_distance=max(dist1, dist2),
+        route_distance=route_distance,
         spectrum=spectrum,
     )
 
@@ -265,10 +282,24 @@ def verify_block_form(sys: BlockSystem, dec: FourWayDecomposition) -> float:
     return worst
 
 
+def _coupling_range(sys: BlockSystem) -> SubspaceBasis:
+    """Range of the symmetrized coupling [[0, Gamma], [Gamma^dag, 0]].
+
+    It is Ran(Gamma) (+) Ran(Gamma^dag), and the matrix's singular values
+    are Gamma's, each twice, so the rank cuts of Gamma and Gamma^dag make
+    the same cut as one of the n x n matrix.
+    """
+    d1, d2, tol = sys.d1, sys.d2, sys.tol
+    return direct_sum_basis(
+        _embed_observable(orthonormalize(sys.gamma, tol, ambient_dim=d1),
+                          d1, d2),
+        _embed_hidden(orthonormalize(sys.gamma.conj().T, tol, ambient_dim=d2),
+                      d1, d2))
+
+
 def _largest_cluster(values: np.ndarray, cluster_tol: float) -> int:
     """Size of the largest cluster of sorted eigenvalues (0 when empty)."""
-    return max((hi - lo for lo, hi in _eigen_clusters(values, cluster_tol)),
-               default=0)
+    return int(np.max(_eigen_clusters(values, cluster_tol)[1], initial=0))
 
 
 def multiplicity(a: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> int:
@@ -305,17 +336,14 @@ def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
     if dec is None:
         dec = decompose(sys)
     d1, d2, tol = sys.d1, sys.d2, sys.tol
-    _, gamma_ring = decoupled_parts(sys)
-
     h1c_full = _embed_observable(dec.h1c, d1, d2)
     h2c_full = _embed_hidden(dec.h2c, d1, d2)
     core = direct_sum_basis(h1c_full, h2c_full)
-    ran_ring = orthonormalize(gamma_ring, tol, ambient_dim=d1 + d2)
     subspaces = [
         ("h1c+h2c", core),
         ("closure(h1c)", dec.spectrum.orbit(h1c_full)),
         ("closure(h2c)", dec.spectrum.orbit(h2c_full)),
-        ("closure(ran coupling)", dec.spectrum.orbit(ran_ring)),
+        ("closure(ran coupling)", dec.spectrum.orbit(_coupling_range(sys))),
     ]
     equalities = [(f"{a} vs {b}", projector_distance(sa, sb))
                   for (a, sa), (b, sb) in combinations(subspaces, 2)]
@@ -324,11 +352,7 @@ def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
     core_reconstructible = max(equalities[0][1], equalities[1][1]) <= \
         CONSISTENCY_FACTOR * tol
 
-    coords = dec.spectrum.vectors.conj().T @ core.matrix
-    core_values = np.concatenate([
-        dec.spectrum.values[lo:lo + _range_basis(coords[lo:hi], tol).shape[1]]
-        for lo, hi in dec.spectrum.clusters])
-    mult = _largest_cluster(core_values, cluster_tol)
+    mult = _largest_cluster(dec.spectrum.closure_values(core), cluster_tol)
     rank_gamma = numeric_rank(sys.gamma, tol)
     bound = min(2 * rank_gamma, dec.h1c.dim, dec.h2c.dim)
 

@@ -140,18 +140,6 @@ def build_lattice_system(spec: LatticeSpec) -> BlockSystem:
     )
 
 
-def count_contact_sites(spec: LatticeSpec) -> int:
-    """Cube sites with at least one neighbor outside the cube (in the box)."""
-    _, cube = _sites(spec)
-    count = 0
-    for s in cube:
-        for nb in _neighbors(s, spec.dims):
-            if nb not in cube and all(0 <= c < spec.box for c in nb):
-                count += 1
-                break
-    return count
-
-
 @dataclass(frozen=True)
 class LatticeReport:
     """Decomposition and multiplicity evidence for one lattice configuration."""

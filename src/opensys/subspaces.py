@@ -8,7 +8,8 @@ being the system's (DEFAULT_TOL = 1e-10, ``--tol`` or OPENSYS_TOL):
 
 ==================  =========================================  ===============
 rank                keep singular values ``s > tol * max(1,    _range_basis,
-                    s_max)`` (Golub & Van Loan, section 5.4)   the only cut
+                    s_max)`` (Golub & Van Loan, section 5.4);  the only cut
+                    a stacked cut takes ``s_max`` per cluster
 cluster             sorted eigenvalues chain while each gap    _eigen_clusters
                     is ``<= t * max(1, |w|_max)``, ``t = tol``
 cluster_tol         ``t = 1e-8`` (DEFAULT_CLUSTER_TOL)         multiplicities
@@ -19,13 +20,18 @@ ORBIT_CERT_FACTOR   ``||(I - P) A P|| <= 10 * tol * ||A||``    Spectrum.orbit
 CONSISTENCY_FACTOR  route, leak and theorem distances          decomposition
                     ``<= 100 * tol``; block residual           and cli
                     ``<= 100 * tol * ||Omega||``
+leak rank proof     ``||leak||_F < 1/2``: kept rows have full   decomposition
+                    column rank, so a QR needs no cut
 ==================  =========================================  ===============
 
 The central operation is :func:`orbit`, the smallest invariant subspace
 of a Hermitian matrix containing a given seed subspace.  It is computed
 from one eigendecomposition, a :class:`Spectrum`, which several orbits
-under the same matrix share.  :func:`complement` makes no rank decision:
-its dimension is fixed by the inputs.
+under the same matrix share; the rank cuts of all its clusters of one size
+take one stacked SVD.  :func:`complement` makes no rank decision: it
+takes the trailing columns of a Householder QR, and its dimension is
+fixed by the inputs.  :func:`projector_distance` takes the top eigenvalue
+of a k x k Gram matrix, not an SVD.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 #: Default relative tolerance for rank and orthogonality decisions.
 DEFAULT_TOL = 1e-10
@@ -101,21 +108,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace, as a dense matrix."""
-        return self.matrix @ self.matrix.conj().T
-
-    def contains(self, vector: np.ndarray, tol: float | None = None) -> bool:
-        """Whether ``vector`` lies in the subspace to within tolerance."""
-        v = as_field(vector)
-        if v.shape != (self.ambient_dim,):
-            raise DimensionMismatchError(
-                f"vector length {v.shape} != ambient {self.ambient_dim}"
-            )
-        tol = self.tol if tol is None else tol
-        residual = v - self.matrix @ (self.matrix.conj().T @ v)
-        return np.linalg.norm(residual) <= tol * max(np.linalg.norm(v), 1.0)
-
     @classmethod
     def empty(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "SubspaceBasis":
         return cls(ambient_dim, np.zeros((ambient_dim, 0)), tol)
@@ -148,16 +140,20 @@ def _as_columns(vectors, ambient_dim: int | None) -> np.ndarray:
     return cols
 
 
-def _range_basis(m: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the numerical range of ``m``: the rank cut.
+def _range_basis(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rank cut of each matrix in a stack ``m`` of shape (..., g, k).
 
-    Keeps the left singular vectors whose singular values exceed
-    ``tol * max(1, s_max)`` (the module's one rank threshold).
+    Returns the left singular vectors, shape (..., g, min(g, k)), and for
+    each matrix the number of leading ones whose singular values exceed
+    ``tol * max(1, s_max)`` (the module's one rank threshold, ``s_max``
+    taken per matrix).  One SVD call covers the whole stack.
     """
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0), dtype=m.dtype)
+    if m.shape[-1] == 0 or m.shape[-2] == 0:
+        return (np.zeros((*m.shape[:-1], 0), dtype=m.dtype),
+                np.zeros(m.shape[:-2], dtype=int))
     left, sing, _ = np.linalg.svd(m, full_matrices=False)
-    return left[:, sing > tol * max(1.0, sing[0])]
+    kept = np.sum(sing > tol * np.maximum(1.0, sing[..., :1]), axis=-1)
+    return left, kept
 
 
 def orthonormalize(vectors, tol: float = DEFAULT_TOL, *,
@@ -168,7 +164,8 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL, *,
     columns; ``ambient_dim`` is only needed when the input is empty.
     """
     cols = _as_columns(vectors, ambient_dim)
-    return SubspaceBasis(cols.shape[0], _range_basis(cols, tol), tol)
+    left, kept = _range_basis(cols, tol)
+    return SubspaceBasis(cols.shape[0], left[:, :kept], tol)
 
 
 def check_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
@@ -185,38 +182,34 @@ def check_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarr
     return (a + a.conj().T) / 2
 
 
-def _eigen_clusters(w: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """Index ranges of sorted eigenvalues chained by gaps <= tol * max(1, |w|max)."""
+def _eigen_clusters(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """First index and size of each run of sorted eigenvalues chained by
+    gaps <= tol * max(1, |w|max)."""
     threshold = tol * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    ranges = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > threshold:
-            ranges.append((start, i))
-            start = i
-    return ranges
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > threshold)
+    return starts, np.diff(starts, append=len(w))
 
 
 class Spectrum:
     """One eigendecomposition of a Hermitian matrix and its eigenvalue clusters.
 
     Every invariant subspace computed from the same operator reuses it.
+    Cluster ``i`` holds the eigenvalues ``starts[i]`` to
+    ``starts[i] + sizes[i] - 1``, in ascending order.
     """
 
     def __init__(self, a: np.ndarray, tol: float = DEFAULT_TOL):
         a = check_hermitian(a, tol, "orbit generator")
         self.tol = tol
         self.values, self.vectors = np.linalg.eigh(a)
-        self.clusters = _eigen_clusters(self.values, tol)
+        self.starts, self.sizes = _eigen_clusters(self.values, tol)
 
-    def orbit(self, seed: SubspaceBasis) -> SubspaceBasis:
-        """Smallest invariant subspace containing span(seed).
+    def _cuts(self, seed: SubspaceBasis):
+        """Rank cut of the seed's eigen-coordinates in every cluster.
 
-        In finite dimension the invariant closure of a seed S is the direct
-        sum, over the eigenspaces E of A, of span(P_E S).  Each eigenspace is
-        one eigenvalue cluster, and the rank of the projected seed in it is
-        cut by :func:`_range_basis`.  The result P satisfies
-        ||(I - P) A P|| <= ORBIT_CERT_FACTOR * tol * ||A||.
+        Clusters of one size share one stacked :func:`_range_basis` call.
+        Returns the rank kept in each cluster and, per size, the clusters
+        of that size with their left singular vectors.
         """
         n = len(self.values)
         if seed.ambient_dim != n:
@@ -224,10 +217,49 @@ class Spectrum:
                 f"seed ambient {seed.ambient_dim} != matrix dimension {n}"
             )
         coords = self.vectors.conj().T @ seed.matrix  # seed in the eigenbasis
-        pieces = [self.vectors[:, lo:hi] @ _range_basis(coords[lo:hi], self.tol)
-                  for lo, hi in self.clusters]
-        return SubspaceBasis(
-            n, np.hstack([np.zeros((n, 0)), *pieces]), self.tol)
+        ranks = np.zeros(len(self.sizes), dtype=int)
+        stacks = []
+        for size in np.unique(self.sizes):
+            members = np.flatnonzero(self.sizes == size)
+            rows = self.starts[members, None] + np.arange(size)
+            left, ranks[members] = _range_basis(coords[rows], self.tol)
+            stacks.append((members, left))
+        return ranks, stacks
+
+    def orbit(self, seed: SubspaceBasis) -> SubspaceBasis:
+        """Smallest invariant subspace containing span(seed).
+
+        In finite dimension the invariant closure of a seed S is the direct
+        sum, over the eigenspaces E of A, of span(P_E S).  Each eigenspace is
+        one eigenvalue cluster, and the rank of the projected seed in it is
+        cut by :func:`_range_basis`, in one stacked SVD per cluster size.
+        The columns come cluster by cluster in ascending order.  The result
+        P satisfies ||(I - P) A P|| <= ORBIT_CERT_FACTOR * tol * ||A||.
+        """
+        ranks, stacks = self._cuts(seed)
+        n = len(self.values)
+        offsets = np.cumsum(ranks) - ranks  # first column of each cluster
+        out = np.zeros((n, int(ranks.sum())),
+                       dtype=np.result_type(self.vectors, seed.matrix))
+        for members, left in stacks:
+            # kept column j of cluster c: sum_t vectors[:, start + t] left[c, t, j]
+            c, j = np.nonzero(np.arange(left.shape[-1]) < ranks[members, None])
+            first = self.starts[members[c]]
+            block = self.vectors[:, first] * left[c, 0, j]
+            for t in range(1, left.shape[1]):
+                block += self.vectors[:, first + t] * left[c, t, j]
+            out[:, offsets[members[c]] + j] = block
+        return SubspaceBasis(n, out, self.tol)
+
+    def closure_values(self, seed: SubspaceBasis) -> np.ndarray:
+        """Eigenvalues of A on orbit(seed), without forming the orbit.
+
+        In each cluster, as many of its eigenvalues as the rank that
+        :meth:`orbit` keeps there; ascending.
+        """
+        ranks, _ = self._cuts(seed)
+        position = np.arange(len(self.values)) - np.repeat(self.starts, self.sizes)
+        return self.values[position < np.repeat(ranks, self.sizes)]
 
 
 def orbit(a: np.ndarray, seed: SubspaceBasis, tol: float = DEFAULT_TOL) -> SubspaceBasis:
@@ -244,9 +276,10 @@ def complement(whole: SubspaceBasis, part: SubspaceBasis,
     """Orthogonal complement of ``part`` inside ``whole``.
 
     Requires part to be contained in whole: every part vector within
-    distance 10*tol of span(whole).  With whole^dag part = U S V^dag (full
-    SVD), the complement is whole @ U[:, dim(part):], so its dimension is
-    dim(whole) - dim(part) by construction.
+    distance 10*tol of span(whole).  Then C = whole^dag part has
+    orthonormal columns up to that residual, and with the full Householder
+    QR C = Q R the complement is whole @ Q[:, dim(part):].  No rank is
+    decided: its dimension is dim(whole) - dim(part) by construction.
     """
     if whole.ambient_dim != part.ambient_dim:
         raise DimensionMismatchError(
@@ -260,16 +293,25 @@ def complement(whole: SubspaceBasis, part: SubspaceBasis,
             raise ContainmentError(
                 f"part is not contained in whole: max residual {worst:.3e}"
             )
-    left = np.linalg.svd(coords, full_matrices=True)[0]
-    return SubspaceBasis(whole.ambient_dim, whole.matrix @ left[:, part.dim:], tol)
+    q = np.linalg.qr(coords, mode="complete")[0]
+    return SubspaceBasis(whole.ambient_dim, whole.matrix @ q[:, part.dim:], tol)
 
 
 def _excess_norm(a: SubspaceBasis, b: SubspaceBasis) -> float:
-    """||(I - P_b) A|| in the spectral norm, from the n x k bases."""
-    if a.dim == 0:
+    """||(I - P_b) A|| in the spectral norm, from the n x k bases.
+
+    The square root of the top eigenvalue of the k x k Gram matrix R^dag R
+    of the residual R = A - B (B^dag A).  The Gram is formed from R
+    itself, not as I - C^dag C, so a residual of norm 1e-12 keeps its
+    digits.
+    """
+    k = a.dim
+    if k == 0:
         return 0.0
     residual = a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix)
-    return float(np.linalg.norm(residual, 2))
+    top = scipy.linalg.eigh(residual.conj().T @ residual, eigvals_only=True,
+                            subset_by_index=[k - 1, k - 1])
+    return float(np.sqrt(max(top[0], 0.0)))
 
 
 def projector_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
@@ -278,8 +320,9 @@ def projector_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
     When the dimensions differ it is exactly 1.  When they agree it is the
     sine of the largest principal angle, which ||(I - P_b) A|| and
     ||(I - P_a) B|| both equal in exact arithmetic, so one residual is
-    taken.  The residual norm keeps angles far below 1e-8, which
-    sqrt(1 - cos^2) of the principal cosines would round to zero.
+    taken, its norm from the top eigenvalue of its k x k Gram matrix
+    (:func:`_excess_norm`).  The residual keeps angles far below 1e-8,
+    which sqrt(1 - cos^2) of the principal cosines would round to zero.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
@@ -303,4 +346,4 @@ def numeric_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     m = as_field(m)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
-    return _range_basis(m, tol).shape[1]
+    return int(_range_basis(m, tol)[1])

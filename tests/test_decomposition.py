@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from opensys.decomposition import (
     DEFAULT_CLUSTER_TOL,
     DecompositionError,
+    _coupling_range,
     _largest_cluster,
+    _project_out_block,
     decompose,
     decomposition_basis,
     multiplicity,
@@ -154,12 +156,10 @@ class TestDecompose:
     def test_coupling_ranges_inside_coupled_parts(self):
         sys = random_system(5, 7, 3, seed=17)
         dec = decompose(sys)
-        for col in sys.gamma.T:
-            if np.linalg.norm(col) > 1e-12:
-                assert dec.h1c.contains(col / np.linalg.norm(col), 1e-8)
-        for col in sys.gamma.conj():
-            if np.linalg.norm(col) > 1e-12:
-                assert dec.h2c.contains(col / np.linalg.norm(col), 1e-8)
+        for basis, cols in ((dec.h1c, sys.gamma), (dec.h2c, sys.gamma.conj().T)):
+            cols = cols / np.linalg.norm(cols, axis=0)
+            residual = cols - basis.matrix @ (basis.matrix.conj().T @ cols)
+            assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8
 
 
 class TestBlockForm:
@@ -386,7 +386,7 @@ def test_trajectory_stays_in_invariant_closure():
     n = full.dim
     h1 = SubspaceBasis(n, np.eye(n, 3, dtype=complex), TOL)
     closure = orbit(full.omega, h1, TOL)
-    p = closure.projector()
+    p = closure.matrix @ closure.matrix.conj().T
 
     rng = np.random.default_rng(0)
     v1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -394,3 +394,45 @@ def test_trajectory_stays_in_invariant_closure():
     traj = propagate_full(full, v0, ForcingSignal.zero(), make_grid(10.0, 500))
     leak = np.linalg.norm(traj.states - traj.states @ p.T, axis=1)
     assert np.max(leak) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(real_systems(), complex_systems()))
+def test_coupling_range_matches_symmetrized_coupling(sys):
+    """Ran Gamma (+) Ran Gamma^dag from two d1 x d2 cuts is the cut of the
+    n x n [[0, Gamma], [Gamma^dag, 0]]."""
+    n = sys.d1 + sys.d2
+    direct = _coupling_range(sys)
+    oracle = orthonormalize(decoupled_parts(sys)[1], sys.tol, ambient_dim=n)
+    assert direct.dim == oracle.dim
+    assert projector_distance(direct, oracle) <= 1e-12
+
+
+def test_leak_failure_names_stage_and_limit():
+    whole = SubspaceBasis.full(2, TOL)
+    side = SubspaceBasis(2, np.array([[1.0], [1.0]]) / np.sqrt(2), TOL)
+    with pytest.raises(DecompositionError) as info:
+        _project_out_block(whole, side, slice(1, 2), slice(0, 1), TOL,
+                           "H2c from closure(H1)")
+    message = str(info.value)
+    assert message.startswith("H2c from closure(H1): ")
+    assert "leak onto the other block = 7.071e-01" in message
+    assert "limit 1.000e-08" in message
+    assert info.value.stage == "H2c from closure(H1)"
+    assert info.value.value == pytest.approx(np.sqrt(0.5))
+
+
+def test_rank_proof_failure_names_condition():
+    """Thirty columns each leaking 0.099, under the column limit 100 * tol
+    = 0.1, have ||leak||_F = 0.54: the full-rank proof needs < 1/2."""
+    tol, d, leak = 1e-3, 30, 0.099
+    excess = np.vstack([np.sqrt(1 - leak ** 2) * np.eye(d), leak * np.eye(d)])
+    closure = SubspaceBasis(2 * d, excess, tol)
+    with pytest.raises(DecompositionError) as info:
+        _project_out_block(closure, SubspaceBasis.empty(2 * d, tol),
+                           slice(0, d), slice(d, 2 * d), tol,
+                           "H1c from closure(H2)")
+    message = str(info.value)
+    assert message.startswith("H1c from closure(H2): ||leak||_F")
+    assert f"= {leak * np.sqrt(d):.3e}" in message
+    assert "limit 5.000e-01" in message

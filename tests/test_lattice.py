@@ -3,8 +3,9 @@ import pytest
 
 from opensys.lattice import (
     LatticeSpec,
+    _neighbors,
+    _sites,
     build_lattice_system,
-    count_contact_sites,
     multiplicity_bound,
     surface_count,
     verify_example,
@@ -12,6 +13,15 @@ from opensys.lattice import (
 from opensys.decomposition import decompose, verify_block_form, verify_theorem
 from opensys.subspaces import numeric_rank
 from opensys.systems import assemble_full
+
+
+def count_contact_sites(spec: LatticeSpec) -> int:
+    """Cube sites with at least one neighbor outside the cube (in the box)."""
+    _, cube = _sites(spec)
+    return sum(
+        any(nb not in cube and all(0 <= c < spec.box for c in nb)
+            for nb in _neighbors(s, spec.dims))
+        for s in cube)
 
 
 class TestFormulas:

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opensys.lattice import LatticeSpec, build_lattice_system
 from opensys.subspaces import (
     ContainmentError,
     DimensionMismatchError,
+    Spectrum,
     SubspaceBasis,
     SymmetryError,
+    _range_basis,
     complement,
     direct_sum_basis,
     numeric_rank,
@@ -14,6 +17,7 @@ from opensys.subspaces import (
     orthonormalize,
     projector_distance,
 )
+from opensys.systems import assemble_full, random_system
 
 TOL = 1e-10
 
@@ -38,6 +42,17 @@ def orbit_block_closure(a, seed, tol=TOL):
         fresh = left[:, sing > tol * scale]
         basis = np.hstack([basis, fresh])
     return SubspaceBasis(n, basis, tol)
+
+
+def projector(basis):
+    """Dense orthogonal projector onto the subspace."""
+    return basis.matrix @ basis.matrix.conj().T
+
+
+def contains(basis, vector, tol):
+    """Whether ``vector`` lies in the subspace to within tol * max(1, |v|)."""
+    residual = vector - basis.matrix @ (basis.matrix.conj().T @ vector)
+    return np.linalg.norm(residual) <= tol * max(np.linalg.norm(vector), 1.0)
 
 
 def unit(n, i):
@@ -133,12 +148,12 @@ class TestOrbit:
         # monotonicity: contains the seed, dimension does not shrink
         assert result.dim >= s.dim
         for j in range(s.dim):
-            assert result.contains(s.matrix[:, j], 1e-8)
+            assert contains(result, s.matrix[:, j], 1e-8)
         # idempotence
         again = orbit(a, result, TOL)
         assert projector_distance(again, result) <= 10 * TOL
         # invariance certificate
-        p = result.projector()
+        p = projector(result)
         residual = np.linalg.norm((np.eye(n) - p) @ a @ p, 2)
         assert residual <= 10 * TOL * np.linalg.norm(a, 2) + 1e-12
 
@@ -167,8 +182,8 @@ class TestComplement:
             [np.array([1.0, 1.0, 0.0]) / np.sqrt(2), unit(3, 2)], TOL)
         part = orthonormalize([np.array([1.0, 1.0, 0.0]) / np.sqrt(2)], TOL)
         rest = complement(whole, part, TOL)
-        oracle = whole.projector() - part.projector()
-        assert np.linalg.norm(rest.projector() - oracle) < 1e-12
+        oracle = projector(whole) - projector(part)
+        assert np.linalg.norm(projector(rest) - oracle) < 1e-12
 
     def test_not_contained_rejected(self):
         whole = orthonormalize([unit(3, 0)], TOL)
@@ -230,7 +245,7 @@ class TestProjectorDistance:
         a = orthonormalize([unit(2, 0)], TOL)
         b = orthonormalize([np.array([1.0, 1.0]) / np.sqrt(2)], TOL)
         # oracle: largest principal angle from singular values of Pa @ Pb
-        cos_theta = np.linalg.svd(a.projector() @ b.projector(),
+        cos_theta = np.linalg.svd(projector(a) @ projector(b),
                                   compute_uv=False)[0]
         oracle = np.sin(np.arccos(np.clip(cos_theta, -1, 1)))
         dist = projector_distance(a, b)
@@ -307,3 +322,120 @@ def test_direct_sum_requires_common_ambient():
 def test_basis_rejects_too_many_vectors():
     with pytest.raises(DimensionMismatchError):
         SubspaceBasis(2, np.eye(3, dtype=complex), TOL)
+
+
+def per_cluster_orbit(spectrum, seed):
+    """Orbit by one :func:`_range_basis` cut per cluster, in a loop: an
+    oracle for the stacked cuts of :meth:`Spectrum.orbit`."""
+    n = len(spectrum.values)
+    coords = spectrum.vectors.conj().T @ seed.matrix
+    pieces, values = [], []
+    for lo, size in zip(spectrum.starts, spectrum.sizes):
+        left, kept = _range_basis(coords[lo:lo + size], spectrum.tol)
+        pieces.append(spectrum.vectors[:, lo:lo + size] @ left[:, :kept])
+        values.append(spectrum.values[lo:lo + kept])
+    return (SubspaceBasis(n, np.hstack([np.zeros((n, 0)), *pieces]), TOL),
+            np.concatenate(values))
+
+
+def assert_matches_per_cluster(spectrum, seed):
+    oracle, oracle_values = per_cluster_orbit(spectrum, seed)
+    result = spectrum.orbit(seed)
+    assert result.dim == oracle.dim
+    assert projector_distance(result, oracle) <= 1e-12
+    assert np.array_equal(spectrum.closure_values(seed), oracle_values)
+
+
+def block_seeds(d1, d2, dtype):
+    n = d1 + d2
+    eye = np.eye(n, dtype=dtype)
+    return SubspaceBasis(n, eye[:, :d1], TOL), SubspaceBasis(n, eye[:, d1:], TOL)
+
+
+class TestStackedClusterCuts:
+    def test_lattice_cluster_sizes(self):
+        sys = build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL))
+        spectrum = Spectrum(assemble_full(sys).omega, TOL)
+        assert set(spectrum.sizes.tolist()) == {1, 3, 6, 15}
+        for seed in block_seeds(sys.d1, sys.d2, float):
+            assert_matches_per_cluster(spectrum, seed)
+        rng = np.random.default_rng(0)
+        assert_matches_per_cluster(spectrum, orthonormalize(
+            rng.standard_normal((sys.d1 + sys.d2, 5)), TOL))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 9), st.data())
+    def test_random_systems(self, d1, d2, data):
+        rank = data.draw(st.integers(0, min(d1, d2)))
+        sys = random_system(d1, d2, rank, seed=data.draw(st.integers(0, 10_000)))
+        spectrum = Spectrum(assemble_full(sys).omega, TOL)
+        for seed in block_seeds(d1, d2, complex):
+            assert_matches_per_cluster(spectrum, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6),
+           st.integers(0, 10_000), st.integers(0, 4))
+    def test_degenerate_spectra(self, multiplicities, seed, k):
+        """Hermitian matrices with clusters of several sizes."""
+        rng = np.random.default_rng(seed)
+        values = np.repeat(rng.standard_normal(len(multiplicities)),
+                           multiplicities)
+        n = len(values)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q = np.linalg.qr(g)[0]
+        spectrum = Spectrum((q * values) @ q.conj().T, TOL)
+        seed_basis = orthonormalize(
+            rng.standard_normal((n, min(k, n))), TOL, ambient_dim=n)
+        assert_matches_per_cluster(spectrum, seed_basis)
+
+
+def test_svd_counts(monkeypatch):
+    """Spectrum.orbit makes one SVD per distinct cluster size; complement
+    and projector_distance make none."""
+    inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # norm's svd
+    sys = build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL))
+    spectrum = Spectrum(assemble_full(sys).omega, TOL)
+    h1, _ = block_seeds(sys.d1, sys.d2, float)
+    calls = []
+
+    def counted(*args, _svd=np.linalg.svd, **kwargs):
+        calls.append(1)
+        return _svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(inner, "svd", counted)
+
+    closure = spectrum.orbit(h1)
+    assert 0 < len(calls) <= len(np.unique(spectrum.sizes)) == 4
+    calls.clear()
+    rest = complement(closure, h1, TOL)
+    assert rest.dim == closure.dim - h1.dim
+    assert projector_distance(rest, complement(closure, h1, TOL)) < 1e-12
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 24), st.data(), st.floats(-12.0, 0.0), st.booleans(),
+       st.integers(0, 10_000))
+def test_projector_distance_is_residual_spectral_norm(n, data, log_angle,
+                                                      real, seed):
+    """The top-Gram-eigenvalue norm equals the SVD spectral norm of the
+    residual to 1e-12 relative, at angles from 1 down to 1e-12."""
+    k = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+
+    def unitary(d):
+        g = rng.standard_normal((d, d))
+        if not real:
+            g = g + 1j * rng.standard_normal((d, d))
+        return np.linalg.qr(g)[0]
+
+    q = unitary(n)
+    m = min(k, n - k)  # directions rotated out of span(a)
+    angles = 10.0 ** log_angle * rng.uniform(0.5, 1.0, m)
+    rotated = q[:, :k].copy()
+    rotated[:, :m] = q[:, :m] * np.cos(angles) + q[:, k:k + m] * np.sin(angles)
+    a = SubspaceBasis(n, q[:, :k] @ unitary(k), TOL)
+    b = SubspaceBasis(n, rotated @ unitary(k), TOL)
+    residual = a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix)
+    expected = np.linalg.norm(residual, 2)
+    assert abs(projector_distance(a, b) - expected) <= 1e-12 * expected
