@@ -19,7 +19,6 @@ from .systems import (
     BlockSystem,
     FullOperator,
     assemble_full,
-    decoupled_parts,
     load_system,
     random_system,
     save_system,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification assertion exceeds its
 tolerance (the offending quantity is printed), 2 on input or usage errors.
-The default tolerance is 1e-10, overridable per command with --tol or
-globally with the OPENSYS_TOL environment variable.
+Every command takes its tolerance from --tol, else from the OPENSYS_TOL
+environment variable, else from the input system file's ``tol`` (for the
+gen-* commands, which read no file, 1e-10).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import decomposition as dc
 from . import dynamics as dyn
 from . import lattice as lat
-from .subspaces import ContainmentError
+from .subspaces import DEFAULT_TOL, ContainmentError
 from .systems import (
     assemble_full,
     load_system,
@@ -33,13 +34,18 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
 
-def _default_tol() -> float:
-    return float(os.environ.get("OPENSYS_TOL", "1e-10"))
+def _resolve_tol(tol: float | None, file_tol: float = DEFAULT_TOL) -> float:
+    """--tol, else OPENSYS_TOL, else the system file's tol."""
+    if tol is not None:
+        return tol
+    env = os.environ.get("OPENSYS_TOL")
+    return float(env) if env is not None else file_tol
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None,
-                   help="relative tolerance (default: OPENSYS_TOL or 1e-10)")
+                   help="relative tolerance (default: OPENSYS_TOL, else the "
+                        "input file's tol, else 1e-10)")
 
 
 def _add_grid(p: argparse.ArgumentParser) -> None:
@@ -49,7 +55,8 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
 
 def _load(path: str, tol: float | None):
     sys = load_system(path)
-    if tol is not None and tol != sys.tol:
+    tol = _resolve_tol(tol, sys.tol)
+    if tol != sys.tol:
         sys = type(sys)(sys.omega1, sys.omega2, sys.gamma, tol)
     return sys
 
@@ -61,7 +68,7 @@ def _initial_observable(sys, seed: int) -> np.ndarray:
 
 
 def cmd_gen_random(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _resolve_tol(args.tol)
     sys = random_system(args.d1, args.d2, args.rank, args.seed, tol)
     save_system(sys, args.output)
     print(f"wrote random system d1={args.d1} d2={args.d2} "
@@ -70,7 +77,7 @@ def cmd_gen_random(args) -> int:
 
 
 def cmd_gen_lattice(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _resolve_tol(args.tol)
     if args.offset is None:
         spec = lat.LatticeSpec.centered(args.box, args.cube, args.dims, tol)
     else:
@@ -308,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    except ContainmentError as exc:
+    except (ContainmentError, dc.DecompositionError) as exc:
         # a failed certificate mid-pipeline, not bad input
         print(f"verification failure in {args.command}: {exc}",
               file=_sys.stderr)
@@ -316,9 +323,6 @@ def main(argv: list[str] | None = None) -> int:
     except (json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    except dc.DecompositionError as exc:
-        print(f"verification failure: {exc}", file=_sys.stderr)
-        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

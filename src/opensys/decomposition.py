@@ -19,8 +19,9 @@ correctness certificate available.
 
 Each operator is factored once per certificate.  :func:`decompose` runs
 one ``eigh`` each of Omega, Omega1 and Omega2 and keeps the spectrum of
-Omega and the distance between the two routes in its result.
-:func:`verify_theorem` factors nothing: the core H1c + H2c is
+Omega, the rank cuts of Gamma and Gamma^dag and the distance between the
+two routes in its result.  :func:`verify_theorem` factors nothing and
+cuts no Gamma: the core H1c + H2c is
 Omega-invariant, so it is reconstructible exactly when closure(H1c) and
 closure(H2c) both equal it, and in each eigenvalue cluster of Omega it
 holds as many eigenvalues as its coordinates there have rank.
@@ -41,7 +42,6 @@ from .subspaces import (
     check_hermitian,
     complement,
     direct_sum_basis,
-    numeric_rank,
     orbit,
     orthonormalize,
     projector_distance,
@@ -74,24 +74,28 @@ class DecompositionError(RuntimeError):
 
 @dataclass(frozen=True)
 class FourWayDecomposition:
-    """Bases of the four parts plus the operators restricted to them.
+    """Bases of the four parts and the evidence they were computed from.
 
     h1d, h1c live in the observable coordinates (ambient d1); h2c, h2d in
-    the hidden coordinates (ambient d2).  Restricted operators are formed
-    by basis conjugation and re-symmetrized.  ``spectrum`` is the
-    eigendecomposition of the full Omega the split was computed from, and
-    ``route_distance`` the larger of the two routes' distances (H1c, H2c).
+    the hidden coordinates (ambient d2).  ``ran_gamma`` and
+    ``ran_gamma_dag`` are the rank cuts of Gamma and Gamma^dag that seed
+    the fast route; ``spectrum`` is the eigendecomposition of the full
+    Omega the split was computed from, and ``route_distance`` the larger
+    of the two routes' distances (H1c, H2c).
+
+    The restricted operators Omega1d, Omega1c, Omega2c, Omega2d and the
+    core coupling Gamma_c are not stored: they are the diagonal blocks and
+    the (h1c, h2c) block of ``U^dag Omega U`` with
+    ``U = decomposition_basis(sys, dec)``, the product
+    :func:`verify_block_form` forms.
     """
 
     h1d: SubspaceBasis
     h1c: SubspaceBasis
     h2c: SubspaceBasis
     h2d: SubspaceBasis
-    omega1d: np.ndarray
-    omega1c: np.ndarray
-    omega2c: np.ndarray
-    omega2d: np.ndarray
-    gamma_c: np.ndarray
+    ran_gamma: SubspaceBasis
+    ran_gamma_dag: SubspaceBasis
     tol: float
     route_distance: float
     spectrum: Spectrum = field(repr=False, compare=False)
@@ -151,19 +155,11 @@ class TheoremReport:
 
 
 def _embed_observable(basis: SubspaceBasis, d1: int, d2: int) -> SubspaceBasis:
-    m = np.vstack([basis.matrix, np.zeros((d2, basis.dim))])
-    return SubspaceBasis(d1 + d2, m, basis.tol)
+    return SubspaceBasis(np.vstack([basis.matrix, np.zeros((d2, basis.dim))]))
 
 
 def _embed_hidden(basis: SubspaceBasis, d1: int, d2: int) -> SubspaceBasis:
-    m = np.vstack([np.zeros((d1, basis.dim)), basis.matrix])
-    return SubspaceBasis(d1 + d2, m, basis.tol)
-
-
-def _restrict(a: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
-    """B^dag A B, re-symmetrized to kill roundoff drift."""
-    r = basis.matrix.conj().T @ a @ basis.matrix
-    return (r + r.conj().T) / 2
+    return SubspaceBasis(np.vstack([np.zeros((d1, basis.dim)), basis.matrix]))
 
 
 def _project_out_block(closure: SubspaceBasis, side_basis: SubspaceBasis,
@@ -195,12 +191,11 @@ def _project_out_block(closure: SubspaceBasis, side_basis: SubspaceBasis,
             leak_norm, 0.5)
     rows = excess.matrix[take]
     q = np.linalg.qr(rows, mode="complete")[0]
-    return (SubspaceBasis(rows.shape[0], q[:, :excess.dim], tol),
-            SubspaceBasis(rows.shape[0], q[:, excess.dim:], tol))
+    return SubspaceBasis(q[:, :excess.dim]), SubspaceBasis(q[:, excess.dim:])
 
 
 def decompose(sys: BlockSystem) -> FourWayDecomposition:
-    """Compute the four-way split and the restricted operators.
+    """Compute the four-way split.
 
     The coupled hidden part is defined as the invariant closure of H1
     under the full operator, minus H1, and symmetrically for the coupled
@@ -211,8 +206,8 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
     d1, d2, tol = sys.d1, sys.d2, sys.tol
     spectrum = Spectrum(assemble_full(sys).omega, tol)
 
-    h1_full = _embed_observable(SubspaceBasis.full(d1, tol), d1, d2)
-    h2_full = _embed_hidden(SubspaceBasis.full(d2, tol), d1, d2)
+    h1_full = _embed_observable(SubspaceBasis.full(d1), d1, d2)
+    h2_full = _embed_hidden(SubspaceBasis.full(d2), d1, d2)
 
     closure_h1 = spectrum.orbit(h1_full)
     closure_h2 = spectrum.orbit(h2_full)
@@ -235,11 +230,7 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
 
     return FourWayDecomposition(
         h1d=h1d, h1c=h1c, h2c=h2c, h2d=h2d,
-        omega1d=_restrict(sys.omega1, h1d),
-        omega1c=_restrict(sys.omega1, h1c),
-        omega2c=_restrict(sys.omega2, h2c),
-        omega2d=_restrict(sys.omega2, h2d),
-        gamma_c=h1c.matrix.conj().T @ sys.gamma @ h2c.matrix,
+        ran_gamma=ran_gamma, ran_gamma_dag=ran_gamma_dag,
         tol=tol,
         route_distance=route_distance,
         spectrum=spectrum,
@@ -282,21 +273,6 @@ def verify_block_form(sys: BlockSystem, dec: FourWayDecomposition) -> float:
     return worst
 
 
-def _coupling_range(sys: BlockSystem) -> SubspaceBasis:
-    """Range of the symmetrized coupling [[0, Gamma], [Gamma^dag, 0]].
-
-    It is Ran(Gamma) (+) Ran(Gamma^dag), and the matrix's singular values
-    are Gamma's, each twice, so the rank cuts of Gamma and Gamma^dag make
-    the same cut as one of the n x n matrix.
-    """
-    d1, d2, tol = sys.d1, sys.d2, sys.tol
-    return direct_sum_basis(
-        _embed_observable(orthonormalize(sys.gamma, tol, ambient_dim=d1),
-                          d1, d2),
-        _embed_hidden(orthonormalize(sys.gamma.conj().T, tol, ambient_dim=d2),
-                      d1, d2))
-
-
 def _largest_cluster(values: np.ndarray, cluster_tol: float) -> int:
     """Size of the largest cluster of sorted eigenvalues (0 when empty)."""
     return int(np.max(_eigen_clusters(values, cluster_tol)[1], initial=0))
@@ -331,7 +307,8 @@ def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
     Being Omega-invariant, it has as many eigenvalues in each cluster of
     ``dec.spectrum`` as the rank of its coordinates there; clustered at
     ``cluster_tol`` they give its multiplicity, tested against
-    min(2*rank(Gamma), dim H1c, dim H2c).
+    min(2*rank(Gamma), dim H1c, dim H2c), the rank being that of
+    ``dec.ran_gamma``.
     """
     if dec is None:
         dec = decompose(sys)
@@ -339,11 +316,16 @@ def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
     h1c_full = _embed_observable(dec.h1c, d1, d2)
     h2c_full = _embed_hidden(dec.h2c, d1, d2)
     core = direct_sum_basis(h1c_full, h2c_full)
+    # Ran [[0, Gamma], [Gamma^dag, 0]] = Ran(Gamma) (+) Ran(Gamma^dag): the
+    # matrix's singular values are Gamma's, each twice, so decompose's cuts
+    # of Gamma and Gamma^dag are its cut
+    coupling = direct_sum_basis(_embed_observable(dec.ran_gamma, d1, d2),
+                                _embed_hidden(dec.ran_gamma_dag, d1, d2))
     subspaces = [
         ("h1c+h2c", core),
         ("closure(h1c)", dec.spectrum.orbit(h1c_full)),
         ("closure(h2c)", dec.spectrum.orbit(h2c_full)),
-        ("closure(ran coupling)", dec.spectrum.orbit(_coupling_range(sys))),
+        ("closure(ran coupling)", dec.spectrum.orbit(coupling)),
     ]
     equalities = [(f"{a} vs {b}", projector_distance(sa, sb))
                   for (a, sa), (b, sb) in combinations(subspaces, 2)]
@@ -353,8 +335,7 @@ def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
         CONSISTENCY_FACTOR * tol
 
     mult = _largest_cluster(dec.spectrum.closure_values(core), cluster_tol)
-    rank_gamma = numeric_rank(sys.gamma, tol)
-    bound = min(2 * rank_gamma, dec.h1c.dim, dec.h2c.dim)
+    bound = min(2 * dec.ran_gamma.dim, dec.h1c.dim, dec.h2c.dim)
 
     return TheoremReport(
         orbit_equalities=equalities,

@@ -2,9 +2,11 @@
 
 :func:`as_field` maps every input to float64 or complex128, so a real
 symmetric operator keeps real eigenvectors, bases and orbits.  Subspaces
-are represented by matrices whose columns form an orthonormal basis.
-Every numerical decision in the package is one of these tests, ``tol``
-being the system's (DEFAULT_TOL = 1e-10, ``--tol`` or OPENSYS_TOL):
+are represented by matrices whose columns form an orthonormal basis.  A
+basis carries no tolerance: every entry of the table below takes its
+tolerance as an argument.  Every numerical decision in the package is one
+of these tests, ``tol`` being ``BlockSystem.tol`` (DEFAULT_TOL = 1e-10;
+the CLI takes ``--tol``, then OPENSYS_TOL, then the system file's ``tol``):
 
 ==================  =========================================  ===============
 rank                keep singular values ``s > tol * max(1,    _range_basis,
@@ -82,39 +84,38 @@ class SubspaceBasis:
     """Orthonormal spanning set of a subspace of R^n or C^n, n = ambient_dim.
 
     ``matrix`` has shape ``(ambient_dim, dim)``; its columns are the basis
-    vectors, orthonormal to within ``tol``.  Dimension zero is represented
-    by a matrix with zero columns.
+    vectors.  Dimension zero is represented by a matrix with zero columns.
     """
 
-    ambient_dim: int
     matrix: np.ndarray
-    tol: float
 
     def __post_init__(self):
         m = as_field(self.matrix)
-        if m.ndim != 2 or m.shape[0] != self.ambient_dim:
+        if m.ndim != 2:
             raise DimensionMismatchError(
-                f"basis matrix shape {m.shape} incompatible with ambient "
-                f"dimension {self.ambient_dim}"
-            )
-        if m.shape[1] > self.ambient_dim:
+                f"basis matrix must be 2-d, got shape {m.shape}")
+        if m.shape[1] > m.shape[0]:
             raise DimensionMismatchError(
                 f"{m.shape[1]} basis vectors exceed ambient dimension "
-                f"{self.ambient_dim}"
+                f"{m.shape[0]}"
             )
         object.__setattr__(self, "matrix", m)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
 
     @classmethod
-    def empty(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "SubspaceBasis":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0)), tol)
+    def empty(cls, ambient_dim: int) -> "SubspaceBasis":
+        return cls(np.zeros((ambient_dim, 0)))
 
     @classmethod
-    def full(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "SubspaceBasis":
-        return cls(ambient_dim, np.eye(ambient_dim), tol)
+    def full(cls, ambient_dim: int) -> "SubspaceBasis":
+        return cls(np.eye(ambient_dim))
 
 
 def _as_columns(vectors, ambient_dim: int | None) -> np.ndarray:
@@ -165,7 +166,7 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL, *,
     """
     cols = _as_columns(vectors, ambient_dim)
     left, kept = _range_basis(cols, tol)
-    return SubspaceBasis(cols.shape[0], left[:, :kept], tol)
+    return SubspaceBasis(left[:, :kept])
 
 
 def check_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
@@ -233,23 +234,22 @@ class Spectrum:
         sum, over the eigenspaces E of A, of span(P_E S).  Each eigenspace is
         one eigenvalue cluster, and the rank of the projected seed in it is
         cut by :func:`_range_basis`, in one stacked SVD per cluster size.
-        The columns come cluster by cluster in ascending order.  The result
-        P satisfies ||(I - P) A P|| <= ORBIT_CERT_FACTOR * tol * ||A||.
+        The kept left singular vectors are scattered into one block-sparse
+        n x r coefficient matrix, and the orbit is one product with the
+        eigenvectors; its columns come cluster by cluster in ascending
+        order.  The result P satisfies
+        ||(I - P) A P|| <= ORBIT_CERT_FACTOR * tol * ||A||.
         """
         ranks, stacks = self._cuts(seed)
-        n = len(self.values)
         offsets = np.cumsum(ranks) - ranks  # first column of each cluster
-        out = np.zeros((n, int(ranks.sum())),
-                       dtype=np.result_type(self.vectors, seed.matrix))
+        coef = np.zeros((len(self.values), int(ranks.sum())),
+                        dtype=np.result_type(self.vectors, seed.matrix))
         for members, left in stacks:
             # kept column j of cluster c: sum_t vectors[:, start + t] left[c, t, j]
             c, j = np.nonzero(np.arange(left.shape[-1]) < ranks[members, None])
-            first = self.starts[members[c]]
-            block = self.vectors[:, first] * left[c, 0, j]
-            for t in range(1, left.shape[1]):
-                block += self.vectors[:, first + t] * left[c, t, j]
-            out[:, offsets[members[c]] + j] = block
-        return SubspaceBasis(n, out, self.tol)
+            rows = self.starts[members[c], None] + np.arange(left.shape[1])
+            coef[rows, (offsets[members[c]] + j)[:, None]] = left[c, :, j]
+        return SubspaceBasis(self.vectors @ coef)
 
     def closure_values(self, seed: SubspaceBasis) -> np.ndarray:
         """Eigenvalues of A on orbit(seed), without forming the orbit.
@@ -294,7 +294,7 @@ def complement(whole: SubspaceBasis, part: SubspaceBasis,
                 f"part is not contained in whole: max residual {worst:.3e}"
             )
     q = np.linalg.qr(coords, mode="complete")[0]
-    return SubspaceBasis(whole.ambient_dim, whole.matrix @ q[:, part.dim:], tol)
+    return SubspaceBasis(whole.matrix @ q[:, part.dim:])
 
 
 def _excess_norm(a: SubspaceBasis, b: SubspaceBasis) -> float:
@@ -336,9 +336,7 @@ def direct_sum_basis(*parts: SubspaceBasis) -> SubspaceBasis:
     dims = {p.ambient_dim for p in parts}
     if len(dims) != 1:
         raise DimensionMismatchError(f"mixed ambient dimensions: {dims}")
-    matrix = np.hstack([p.matrix for p in parts])
-    tol = max(p.tol for p in parts)
-    return SubspaceBasis(parts[0].ambient_dim, matrix, tol)
+    return SubspaceBasis(np.hstack([p.matrix for p in parts]))
 
 
 def numeric_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:

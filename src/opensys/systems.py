@@ -103,23 +103,6 @@ def assemble_full(sys: BlockSystem) -> FullOperator:
     return FullOperator(omega, (d1, d2))
 
 
-def decoupled_parts(sys: BlockSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (block-diagonal part, pure-coupling part) of the full operator.
-
-    Returns diag(Omega1, Omega2) and [[0, Gamma], [Gamma^dag, 0]]; their sum
-    is exactly the assembled full operator (pure placement, no arithmetic).
-    """
-    d1, d2 = sys.d1, sys.d2
-    n = d1 + d2
-    omega_ring = np.zeros((n, n), dtype=sys.gamma.dtype)
-    omega_ring[:d1, :d1] = sys.omega1
-    omega_ring[d1:, d1:] = sys.omega2
-    gamma_ring = np.zeros_like(omega_ring)
-    gamma_ring[:d1, d1:] = sys.gamma
-    gamma_ring[d1:, :d1] = sys.gamma.conj().T
-    return omega_ring, gamma_ring
-
-
 def random_system(d1: int, d2: int, coupling_rank: int, seed: int,
                   tol: float = DEFAULT_TOL) -> BlockSystem:
     """Deterministic pseudo-random system with coupling of exact rank.

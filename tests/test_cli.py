@@ -145,6 +145,20 @@ def test_containment_failure_is_verification_error(sys_file, monkeypatch,
     assert "max residual 3.000e-02" in err
 
 
+@pytest.mark.parametrize("command", ["decompose", "verify-theorem"])
+def test_decomposition_failure_is_verification_error(sys_file, monkeypatch,
+                                                     capsys, command):
+    def fail(*args):
+        raise decomposition.DecompositionError(
+            "H2c from closure(H1)", "||leak||_F", 0.75, 0.5)
+
+    monkeypatch.setattr(decomposition, "_project_out_block", fail)
+    assert main([command, "--input", str(sys_file)]) == EXIT_VERIFICATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"verification failure in {command}: "
+                          "H2c from closure(H1): ||leak||_F = 7.500e-01")
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["decompose", "--input", str(tmp_path / "nope.json")]) \
         == EXIT_USAGE
@@ -161,3 +175,20 @@ def test_env_var_tolerance(tmp_path, monkeypatch, capsys):
     main(["gen-random", "--d1", "2", "--d2", "2", "--rank", "1",
           "--seed", "0", "--output", str(path)])
     assert load_system(str(path)).tol == 1e-9
+
+
+def _decompose_tol(path, capsys, *flags):
+    assert main(["decompose", "--input", str(path), *flags]) == EXIT_OK
+    return capsys.readouterr().out.split("tol=")[1].split()[0]
+
+
+def test_tolerance_precedence(tmp_path, monkeypatch, capsys):
+    """--tol, then OPENSYS_TOL, then the file's tol, for a file read back."""
+    path = tmp_path / "s.json"
+    main(["gen-random", "--d1", "2", "--d2", "3", "--rank", "1",
+          "--seed", "0", "--tol", "1e-10", "--output", str(path)])
+    monkeypatch.delenv("OPENSYS_TOL", raising=False)
+    assert _decompose_tol(path, capsys) == "1e-10"
+    monkeypatch.setenv("OPENSYS_TOL", "1e-6")
+    assert _decompose_tol(path, capsys) == "1e-06"
+    assert _decompose_tol(path, capsys, "--tol", "1e-8") == "1e-08"

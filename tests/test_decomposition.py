@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from opensys.decomposition import (
     DEFAULT_CLUSTER_TOL,
     DecompositionError,
-    _coupling_range,
+    _embed_hidden,
+    _embed_observable,
     _largest_cluster,
     _project_out_block,
     decompose,
@@ -21,6 +22,8 @@ from opensys.lattice import LatticeSpec, build_lattice_system
 from opensys.subspaces import (
     SubspaceBasis,
     check_hermitian,
+    direct_sum_basis,
+    numeric_rank,
     orbit,
     orthonormalize,
     projector_distance,
@@ -28,11 +31,11 @@ from opensys.subspaces import (
 from opensys.systems import (
     BlockSystem,
     assemble_full,
-    decoupled_parts,
     load_system,
     random_system,
     save_system,
 )
+from test_systems import decoupled_parts
 
 TOL = 1e-10
 
@@ -68,7 +71,17 @@ def complex_systems(draw):
     return random_system(d1, d2, rank, seed=draw(st.integers(0, 10_000)))
 
 
-def nested_core_route(dec, cluster_tol=DEFAULT_CLUSTER_TOL):
+def core_operators(sys, dec):
+    """Omega1c, Omega2c and Gamma_c: the (h1c, h1c), (h2c, h2c) and
+    (h1c, h2c) blocks of U^dag Omega U, U = decomposition_basis(sys, dec)."""
+    u = decomposition_basis(sys, dec)
+    t = u.conj().T @ assemble_full(sys).omega @ u
+    mid = dec.h1d.dim + dec.h1c.dim
+    h1c, h2c = slice(dec.h1d.dim, mid), slice(mid, mid + dec.h2c.dim)
+    return t[h1c, h1c], t[h2c, h2c], t[h1c, h2c]
+
+
+def nested_core_route(sys, dec, cluster_tol=DEFAULT_CLUSTER_TOL):
     """Largest ``cluster_tol`` eigenvalue cluster and reconstructibility of
     the core, from a :func:`decompose` of the core system itself.
 
@@ -77,7 +90,7 @@ def nested_core_route(dec, cluster_tol=DEFAULT_CLUSTER_TOL):
     """
     if dec.h1c.dim == 0:
         return 0, True  # empty core, vacuously
-    core = decompose(BlockSystem(dec.omega1c, dec.omega2c, dec.gamma_c, dec.tol))
+    core = decompose(BlockSystem(*core_operators(sys, dec), dec.tol))
     return _largest_cluster(core.spectrum.values, cluster_tol), core.reconstructible
 
 
@@ -89,8 +102,8 @@ def diag_closure_distance(sys, dec):
     n = sys.d1 + sys.d2
     ran_ring = orthonormalize(gamma_ring, sys.tol, ambient_dim=n)
     lo = dec.h1d.dim
-    core = SubspaceBasis(n, decomposition_basis(sys, dec)[
-        :, lo:lo + dec.h1c.dim + dec.h2c.dim], sys.tol)
+    core = SubspaceBasis(decomposition_basis(sys, dec)[
+        :, lo:lo + dec.h1c.dim + dec.h2c.dim])
     return projector_distance(orbit(omega_ring, ran_ring, sys.tol), core)
 
 
@@ -100,7 +113,7 @@ def assert_matches_nested_route(sys, dec=None):
     distance."""
     dec = decompose(sys) if dec is None else dec
     report = verify_theorem(sys, dec)
-    mult, reconstructible = nested_core_route(dec)
+    mult, reconstructible = nested_core_route(sys, dec)
     diag = diag_closure_distance(sys, dec)
     nested = dataclasses.replace(
         report, multiplicity_omega_c=mult, bound_satisfied=mult <= report.bound,
@@ -144,14 +157,11 @@ class TestDecompose:
         dec = decompose(coupled_plus_decoupled())
         assert dec.dims == {"h1d": 2, "h1c": 2, "h2c": 3, "h2d": 2}
 
-    def test_restricted_operators_hermitian(self):
-        dec = decompose(random_system(4, 6, 2, seed=8))
-        for m in (dec.omega1d, dec.omega1c, dec.omega2c, dec.omega2d):
-            assert np.array_equal(m, m.conj().T)
-
     def test_gamma_c_shape(self):
-        dec = decompose(random_system(4, 6, 2, seed=8))
-        assert dec.gamma_c.shape == (dec.h1c.dim, dec.h2c.dim)
+        sys = random_system(4, 6, 2, seed=8)
+        dec = decompose(sys)
+        gamma_c = core_operators(sys, dec)[2]
+        assert gamma_c.shape == (dec.h1c.dim, dec.h2c.dim)
 
     def test_coupling_ranges_inside_coupled_parts(self):
         sys = random_system(5, 7, 3, seed=17)
@@ -316,7 +326,8 @@ def test_lattice_matches_nested_route(box, cube):
 def _field_dtypes(sys, dec):
     return {m.dtype for m in (
         sys.omega1, sys.omega2, sys.gamma, dec.h1c.matrix, dec.h2c.matrix,
-        dec.h2d.matrix, dec.spectrum.vectors, dec.omega2c, dec.gamma_c)}
+        dec.h2d.matrix, dec.ran_gamma.matrix, dec.spectrum.vectors,
+        *core_operators(sys, dec))}
 
 
 def test_lattice_stays_real_random_stays_complex(tmp_path):
@@ -384,7 +395,7 @@ def test_trajectory_stays_in_invariant_closure():
     sys = random_system(3, 6, 2, seed=51)
     full = assemble_full(sys)
     n = full.dim
-    h1 = SubspaceBasis(n, np.eye(n, 3, dtype=complex), TOL)
+    h1 = SubspaceBasis(np.eye(n, 3, dtype=complex))
     closure = orbit(full.omega, h1, TOL)
     p = closure.matrix @ closure.matrix.conj().T
 
@@ -399,18 +410,45 @@ def test_trajectory_stays_in_invariant_closure():
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(real_systems(), complex_systems()))
 def test_coupling_range_matches_symmetrized_coupling(sys):
-    """Ran Gamma (+) Ran Gamma^dag from two d1 x d2 cuts is the cut of the
-    n x n [[0, Gamma], [Gamma^dag, 0]]."""
-    n = sys.d1 + sys.d2
-    direct = _coupling_range(sys)
-    oracle = orthonormalize(decoupled_parts(sys)[1], sys.tol, ambient_dim=n)
+    """Ran Gamma (+) Ran Gamma^dag from the two d1 x d2 cuts decompose
+    keeps is the cut of the n x n [[0, Gamma], [Gamma^dag, 0]]."""
+    d1, d2 = sys.d1, sys.d2
+    dec = decompose(sys)
+    direct = direct_sum_basis(_embed_observable(dec.ran_gamma, d1, d2),
+                              _embed_hidden(dec.ran_gamma_dag, d1, d2))
+    oracle = orthonormalize(decoupled_parts(sys)[1], sys.tol,
+                            ambient_dim=d1 + d2)
     assert direct.dim == oracle.dim
     assert projector_distance(direct, oracle) <= 1e-12
 
 
+@pytest.mark.parametrize("make", [
+    lambda: random_system(12, 20, 3, seed=7),
+    lambda: build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL)),
+], ids=["random-12-20-rank3", "lattice-box6-cube2"])
+def test_verify_theorem_cuts_no_gamma(make, monkeypatch):
+    """verify_theorem reuses decompose's cuts of Gamma and Gamma^dag: it
+    makes no SVD of a d1 x d2 or d2 x d1 matrix."""
+    sys = make()
+    dec = decompose(sys)
+    shapes = []
+
+    def recorded(a, *args, _svd=np.linalg.svd, **kwargs):
+        shapes.append(np.shape(a))
+        return _svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    report = verify_theorem(sys, dec)
+    monkeypatch.undo()
+
+    assert shapes  # the orbits' cluster cuts still run
+    assert not {(sys.d1, sys.d2), (sys.d2, sys.d1)} & set(shapes)
+    assert report.bound == min(2 * numeric_rank(sys.gamma, sys.tol),
+                               dec.h1c.dim, dec.h2c.dim)
+
+
 def test_leak_failure_names_stage_and_limit():
-    whole = SubspaceBasis.full(2, TOL)
-    side = SubspaceBasis(2, np.array([[1.0], [1.0]]) / np.sqrt(2), TOL)
+    whole = SubspaceBasis.full(2)
+    side = SubspaceBasis(np.array([[1.0], [1.0]]) / np.sqrt(2))
     with pytest.raises(DecompositionError) as info:
         _project_out_block(whole, side, slice(1, 2), slice(0, 1), TOL,
                            "H2c from closure(H1)")
@@ -427,9 +465,9 @@ def test_rank_proof_failure_names_condition():
     = 0.1, have ||leak||_F = 0.54: the full-rank proof needs < 1/2."""
     tol, d, leak = 1e-3, 30, 0.099
     excess = np.vstack([np.sqrt(1 - leak ** 2) * np.eye(d), leak * np.eye(d)])
-    closure = SubspaceBasis(2 * d, excess, tol)
+    closure = SubspaceBasis(excess)
     with pytest.raises(DecompositionError) as info:
-        _project_out_block(closure, SubspaceBasis.empty(2 * d, tol),
+        _project_out_block(closure, SubspaceBasis.empty(2 * d),
                            slice(0, d), slice(d, 2 * d), tol,
                            "H1c from closure(H2)")
     message = str(info.value)

@@ -1,10 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from opensys.lattice import (
     LatticeSpec,
-    _neighbors,
-    _sites,
     build_lattice_system,
     multiplicity_bound,
     surface_count,
@@ -13,6 +13,40 @@ from opensys.lattice import (
 from opensys.decomposition import decompose, verify_block_form, verify_theorem
 from opensys.subspaces import numeric_rank
 from opensys.systems import assemble_full
+
+
+def _sites(spec: LatticeSpec) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
+    axes = [range(spec.box)] * spec.dims
+    all_sites = list(itertools.product(*axes))
+    cube = {
+        s for s in all_sites
+        if all(spec.offset[j] <= s[j] < spec.offset[j] + spec.cube
+               for j in range(spec.dims))
+    }
+    return all_sites, cube
+
+
+def _neighbors(site: tuple[int, ...], dims: int):
+    for j in range(dims):
+        for step in (-1, 1):
+            yield tuple(site[k] + (step if k == j else 0) for k in range(dims))
+
+
+def site_loop_operator(spec: LatticeSpec) -> np.ndarray:
+    """The full box Laplacian built site by site through a dict of indices:
+    an oracle for the index arithmetic of :func:`build_lattice_system`."""
+    all_sites, cube = _sites(spec)
+    ordered = sorted(cube) + sorted(s for s in all_sites if s not in cube)
+    index = {s: i for i, s in enumerate(ordered)}
+    n = len(ordered)
+    omega = np.zeros((n, n))
+    for s, i in index.items():
+        omega[i, i] = -2.0 * spec.dims
+        for nb in _neighbors(s, spec.dims):
+            j = index.get(nb)
+            if j is not None:
+                omega[i, j] += 1.0
+    return omega
 
 
 def count_contact_sites(spec: LatticeSpec) -> int:
@@ -90,7 +124,6 @@ class TestBuilder:
     def test_gamma_links_only_nearest_exterior(self):
         spec = LatticeSpec.centered(5, 3)
         sys = build_lattice_system(spec)
-        import itertools
         cube_sites = sorted(
             s for s in itertools.product(range(5), repeat=3)
             if all(spec.offset[j] <= s[j] < spec.offset[j] + 3 for j in range(3))
@@ -103,6 +136,19 @@ class TestBuilder:
         for i, j in zip(rows, cols):
             dist = sum(abs(a - b) for a, b in zip(cube_sites[i], ext_sites[j]))
             assert dist == 1
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(box=9, cube=3, offset=(3,), dims=1),
+        LatticeSpec(box=7, cube=3, offset=(1, 3), dims=2),
+        LatticeSpec(box=24, cube=6, offset=(9, 9), dims=2),
+        LatticeSpec(box=6, cube=2, offset=(1, 3, 1), dims=3),
+        LatticeSpec.centered(10, 3, dims=3),
+    ], ids=["1d-box9-cube3", "2d-box7-cube3-at-1-3", "2d-box24-cube6-at-9-9",
+            "3d-box6-cube2-at-1-3-1", "3d-box10-cube3"])
+    def test_matches_site_loop(self, spec):
+        sys = build_lattice_system(spec)
+        assert sys.d1 == spec.cube ** spec.dims
+        assert np.array_equal(assemble_full(sys).omega, site_loop_operator(spec))
 
     def test_gamma_rows_nonzero_only_on_surface(self):
         # N=3: exactly one interior site, whose gamma row must vanish
@@ -136,6 +182,14 @@ class TestVerifyExample:
             assert rep.multiplicity_omega_c <= multiplicity_bound(2, dims=1)
             mults.append(rep.multiplicity_omega_c)
         assert max(mults) <= 4
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec.centered(6, 2, dims=3),
+        LatticeSpec(box=9, cube=3, offset=(2, 4), dims=2),
+    ], ids=["3d-box6-cube2", "2d-box9-cube3-at-2-4"])
+    def test_rank_gamma_is_numeric_rank(self, spec):
+        sys = build_lattice_system(spec)
+        assert verify_example(spec).rank_gamma == numeric_rank(sys.gamma, spec.tol)
 
     def test_report_serializes(self):
         rep = verify_example(LatticeSpec.centered(6, 2, dims=2))

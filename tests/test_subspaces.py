@@ -41,7 +41,7 @@ def orbit_block_closure(a, seed, tol=TOL):
         left, sing, _ = np.linalg.svd(image, full_matrices=False)
         fresh = left[:, sing > tol * scale]
         basis = np.hstack([basis, fresh])
-    return SubspaceBasis(n, basis, tol)
+    return SubspaceBasis(basis)
 
 
 def projector(basis):
@@ -126,7 +126,7 @@ class TestOrbit:
     def test_non_hermitian_rejected(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(SymmetryError):
-            orbit(a, SubspaceBasis.full(2, TOL), TOL)
+            orbit(a, SubspaceBasis.full(2), TOL)
 
     def test_matches_block_closure_route(self):
         rng = np.random.default_rng(11)
@@ -167,7 +167,7 @@ class TestOrbit:
 
 class TestComplement:
     def test_standard_basis(self):
-        whole = SubspaceBasis.full(3, TOL)
+        whole = SubspaceBasis.full(3)
         part = orthonormalize([unit(3, 0)], TOL)
         rest = complement(whole, part, TOL)
         expected = orthonormalize([unit(3, 1), unit(3, 2)], TOL)
@@ -198,7 +198,7 @@ class TestComplement:
         whole = orthonormalize(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), TOL)
         k = rng.integers(0, whole.dim + 1)
-        part = SubspaceBasis(n, whole.matrix[:, :k], TOL)
+        part = SubspaceBasis(whole.matrix[:, :k])
         rest = complement(whole, part, TOL)
         assert rest.dim == whole.dim - part.dim
         reunion = orthonormalize(
@@ -218,8 +218,8 @@ def test_one_rank_rule(seed, n, k, log_scale, data):
          @ rng.standard_normal((rank, k))) * 10.0 ** log_scale
     basis = orthonormalize(g, TOL)
     assert numeric_rank(g, TOL) == basis.dim
-    part = SubspaceBasis(n, basis.matrix[:, :data.draw(
-        st.integers(0, basis.dim))], TOL)
+    part = SubspaceBasis(basis.matrix[:, :data.draw(
+        st.integers(0, basis.dim))])
     whole = orthonormalize(np.hstack([
         part.matrix, rng.standard_normal((n, data.draw(st.integers(0, n))))]),
         TOL)
@@ -259,7 +259,7 @@ class TestProjectorDistance:
         b = orthonormalize([np.array([np.cos(angle), 0.0, np.sin(angle)]),
                             unit(3, 1)], TOL)
         assert abs(projector_distance(a, b) - np.sin(angle)) <= 1e-3 * angle
-        assert projector_distance(a, SubspaceBasis(3, a.matrix[:, :1], TOL)) \
+        assert projector_distance(a, SubspaceBasis(a.matrix[:, :1])) \
             == pytest.approx(1.0)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
@@ -282,8 +282,8 @@ class TestProjectorDistance:
             q = unitary(n)
             angles = scale * rng.uniform(0.5, 1.0, k)
             rotated = q[:, :k] * np.cos(angles) + q[:, k:2 * k] * np.sin(angles)
-            a = SubspaceBasis(n, q[:, :k] @ unitary(k), TOL)
-            b = SubspaceBasis(n, rotated @ unitary(k), TOL)
+            a = SubspaceBasis(q[:, :k] @ unitary(k))
+            b = SubspaceBasis(rotated @ unitary(k))
             ab, ba = residual_norm(a, b), residual_norm(b, a)
             # relative to the unit norm of the orthonormal bases
             assert abs(ab - ba) <= 1e-12
@@ -293,8 +293,8 @@ class TestProjectorDistance:
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            projector_distance(SubspaceBasis.full(2, TOL),
-                               SubspaceBasis.full(3, TOL))
+            projector_distance(SubspaceBasis.full(2),
+                               SubspaceBasis.full(3))
 
 
 class TestNumericRank:
@@ -316,12 +316,19 @@ class TestNumericRank:
 
 def test_direct_sum_requires_common_ambient():
     with pytest.raises(DimensionMismatchError):
-        direct_sum_basis(SubspaceBasis.full(2, TOL), SubspaceBasis.full(3, TOL))
+        direct_sum_basis(SubspaceBasis.full(2), SubspaceBasis.full(3))
 
 
 def test_basis_rejects_too_many_vectors():
     with pytest.raises(DimensionMismatchError):
-        SubspaceBasis(2, np.eye(3, dtype=complex), TOL)
+        SubspaceBasis(np.eye(2, 3, dtype=complex))
+
+
+def test_basis_must_be_a_matrix():
+    with pytest.raises(DimensionMismatchError):
+        SubspaceBasis(np.ones(3))
+    assert SubspaceBasis.empty(4).ambient_dim == 4
+    assert SubspaceBasis.full(3).dim == 3
 
 
 def per_cluster_orbit(spectrum, seed):
@@ -334,7 +341,7 @@ def per_cluster_orbit(spectrum, seed):
         left, kept = _range_basis(coords[lo:lo + size], spectrum.tol)
         pieces.append(spectrum.vectors[:, lo:lo + size] @ left[:, :kept])
         values.append(spectrum.values[lo:lo + kept])
-    return (SubspaceBasis(n, np.hstack([np.zeros((n, 0)), *pieces]), TOL),
+    return (SubspaceBasis(np.hstack([np.zeros((n, 0)), *pieces])),
             np.concatenate(values))
 
 
@@ -349,7 +356,7 @@ def assert_matches_per_cluster(spectrum, seed):
 def block_seeds(d1, d2, dtype):
     n = d1 + d2
     eye = np.eye(n, dtype=dtype)
-    return SubspaceBasis(n, eye[:, :d1], TOL), SubspaceBasis(n, eye[:, d1:], TOL)
+    return SubspaceBasis(eye[:, :d1]), SubspaceBasis(eye[:, d1:])
 
 
 class TestStackedClusterCuts:
@@ -434,8 +441,8 @@ def test_projector_distance_is_residual_spectral_norm(n, data, log_angle,
     angles = 10.0 ** log_angle * rng.uniform(0.5, 1.0, m)
     rotated = q[:, :k].copy()
     rotated[:, :m] = q[:, :m] * np.cos(angles) + q[:, k:k + m] * np.sin(angles)
-    a = SubspaceBasis(n, q[:, :k] @ unitary(k), TOL)
-    b = SubspaceBasis(n, rotated @ unitary(k), TOL)
+    a = SubspaceBasis(q[:, :k] @ unitary(k))
+    b = SubspaceBasis(rotated @ unitary(k))
     residual = a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix)
     expected = np.linalg.norm(residual, 2)
     assert abs(projector_distance(a, b) - expected) <= 1e-12 * expected

