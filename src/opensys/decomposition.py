@@ -10,6 +10,8 @@ where H2c is the part of H2 reachable from H1 through the full generator
 (the invariant closure of H1, minus H1 itself) and symmetrically for H1c.
 In the concatenated basis the full operator becomes block-diagonal with a
 single coupled core [[Omega1c, Gamma_c], [Gamma_c^dag, Omega2c]].
+:func:`verify_block_form` checks this on the five blocks that must vanish,
+each read straight from Omega1, Omega2 or Gamma.
 
 Two independent routes to the coupled subspaces are always computed and
 cross-checked: the definitional one (invariant closures of H1 and H2 under
@@ -83,11 +85,9 @@ class FourWayDecomposition:
     Omega the split was computed from, and ``route_distance`` the larger
     of the two routes' distances (H1c, H2c).
 
-    The restricted operators Omega1d, Omega1c, Omega2c, Omega2d and the
-    core coupling Gamma_c are not stored: they are the diagonal blocks and
-    the (h1c, h2c) block of ``U^dag Omega U`` with
-    ``U = decomposition_basis(sys, dec)``, the product
-    :func:`verify_block_form` forms.
+    The restricted operators are not stored: they are block products such
+    as Omega1c = h1c^dag Omega1 h1c, Omega2d = h2d^dag Omega2 h2d and the
+    core coupling Gamma_c = h1c^dag Gamma h2c.
     """
 
     h1d: SubspaceBasis
@@ -237,40 +237,25 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
     )
 
 
-def decomposition_basis(sys: BlockSystem, dec: FourWayDecomposition) -> np.ndarray:
-    """Unitary whose columns are the concatenated (h1d, h1c, h2c, h2d) basis."""
-    d1, d2 = sys.d1, sys.d2
-    cols = [
-        _embed_observable(dec.h1d, d1, d2).matrix,
-        _embed_observable(dec.h1c, d1, d2).matrix,
-        _embed_hidden(dec.h2c, d1, d2).matrix,
-        _embed_hidden(dec.h2d, d1, d2).matrix,
-    ]
-    return np.hstack(cols)
-
-
 def verify_block_form(sys: BlockSystem, dec: FourWayDecomposition) -> float:
-    """Max norm over the blocks required to vanish in the decomposed operator.
+    """Largest 2-norm of a block that must vanish in the decomposed operator.
 
-    Conjugates the full operator into the (h1d, h1c, h2c, h2d) basis and
-    measures every block outside the allowed pattern (the four diagonal
-    blocks and the core coupling pair).  Values <= c*tol*||Omega|| certify
-    the decomposition; large values flag a failure.
+    In the (h1d, h1c, h2c, h2d) basis Omega may hold only the four
+    diagonal blocks and the core coupling pair.  Of the other blocks, one
+    of each Hermitian pair is formed from the parts of Omega it lies in:
+    h1d^dag Omega1 h1c, h2c^dag Omega2 h2d, and h1d^dag Gamma h2c,
+    h1d^dag Gamma h2d, h1c^dag Gamma h2d; empty blocks are skipped, and
+    no n x n matrix is formed.  Values <= c*tol*||Omega|| certify the
+    decomposition; large values flag a failure.
     """
-    omega = assemble_full(sys).omega
-    u = decomposition_basis(sys, dec)
-    t = u.conj().T @ omega @ u
-    sizes = [dec.h1d.dim, dec.h1c.dim, dec.h2c.dim, dec.h2d.dim]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    allowed = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
-    worst = 0.0
-    for i in range(4):
-        for j in range(4):
-            if (i, j) in allowed or sizes[i] == 0 or sizes[j] == 0:
-                continue
-            block = t[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
-            worst = max(worst, float(np.linalg.norm(block, 2)))
-    return worst
+    h1d, h1c, h2c, h2d = (basis.matrix for basis in
+                          (dec.h1d, dec.h1c, dec.h2c, dec.h2d))
+    blocks = [(h1d, sys.omega1, h1c), (h2c, sys.omega2, h2d),
+              (h1d, sys.gamma, h2c), (h1d, sys.gamma, h2d),
+              (h1c, sys.gamma, h2d)]
+    return max((float(np.linalg.norm(left.conj().T @ (op @ right), 2))
+                for left, op, right in blocks
+                if left.shape[1] and right.shape[1]), default=0.0)
 
 
 def _largest_cluster(values: np.ndarray, cluster_tol: float) -> int:
@@ -291,8 +276,8 @@ def multiplicity(a: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> int
     return _largest_cluster(np.linalg.eigvalsh(a), cluster_tol)
 
 
-def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
-                   cluster_tol: float = DEFAULT_CLUSTER_TOL) -> TheoremReport:
+def verify_theorem(sys: BlockSystem,
+                   dec: FourWayDecomposition | None = None) -> TheoremReport:
     """Run the full reconstruction-theorem check suite on one system.
 
     ``dec`` must be ``decompose(sys)``; it is computed when omitted.
@@ -306,7 +291,7 @@ def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
     exactly when closure(H1c) = H1c + H2c and closure(H2c) = H1c + H2c.
     Being Omega-invariant, it has as many eigenvalues in each cluster of
     ``dec.spectrum`` as the rank of its coordinates there; clustered at
-    ``cluster_tol`` they give its multiplicity, tested against
+    DEFAULT_CLUSTER_TOL they give its multiplicity, tested against
     min(2*rank(Gamma), dim H1c, dim H2c), the rank being that of
     ``dec.ran_gamma``.
     """
@@ -334,7 +319,8 @@ def verify_theorem(sys: BlockSystem, dec: FourWayDecomposition | None = None,
     core_reconstructible = max(equalities[0][1], equalities[1][1]) <= \
         CONSISTENCY_FACTOR * tol
 
-    mult = _largest_cluster(dec.spectrum.closure_values(core), cluster_tol)
+    mult = _largest_cluster(dec.spectrum.closure_values(core),
+                            DEFAULT_CLUSTER_TOL)
     bound = min(2 * dec.ran_gamma.dim, dec.h1c.dim, dec.h2c.dim)
 
     return TheoremReport(

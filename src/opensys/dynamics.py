@@ -41,22 +41,17 @@ HIDDEN = "hidden"
 class ResponseKernel:
     """Spectral form of a delayed-response kernel.
 
-    ``side`` selects a1 (observable, eigvals of Omega2, modes Gamma U) or
-    a2 (hidden, eigvals of Omega1, modes Gamma^dag U).  The kernel at time
-    t is modes @ diag(exp(-i eigvals t)) @ modes^dag, exact in t.
+    a1 (observable side) has the eigvals of Omega2 and modes Gamma U; a2
+    (hidden side) those of Omega1 and modes Gamma^dag U.  The kernel at
+    time t is modes @ diag(exp(-i eigvals t)) @ modes^dag, exact in t.
     """
 
-    side: str
     eigvals: np.ndarray
     coupling_modes: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.coupling_modes.shape[0]
-
-    def at(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.eigvals * t)
-        return (self.coupling_modes * phases) @ self.coupling_modes.conj().T
 
     def on_grid(self, times: np.ndarray) -> np.ndarray:
         """Kernel stack of shape (len(times), dim, dim)."""
@@ -83,10 +78,6 @@ class Trajectory:
             raise ValueError("time grid must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-
-    @property
-    def space_dim(self) -> int:
-        return self.states.shape[1]
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
@@ -145,7 +136,7 @@ def make_kernel(sys: BlockSystem, side: str = OBSERVABLE) -> ResponseKernel:
         modes = sys.gamma.conj().T @ u
     else:
         raise ValueError(f"unknown kernel side {side!r}")
-    return ResponseKernel(side=side, eigvals=w, coupling_modes=modes)
+    return ResponseKernel(eigvals=w, coupling_modes=modes)
 
 
 def propagate_full(omega: FullOperator | np.ndarray, v0: np.ndarray,
@@ -354,35 +345,31 @@ def no_gain_check(kernel: ResponseKernel, trials: int, times: np.ndarray,
 
 # --- CSV export ------------------------------------------------------------
 
-def trajectory_to_csv(traj: Trajectory, path: str) -> None:
-    """Columns: time, then re/im interleaved per state component."""
+def _write_csv(path: str, times: np.ndarray, values: np.ndarray,
+               names: list[str]) -> None:
+    """Columns ``time``, then ``re_<name>`` and ``im_<name>`` for each
+    column of the complex (n_times, m) ``values``; floats are written by
+    ``repr``, one row at a time.
+    """
+    values = np.ascontiguousarray(values, dtype=complex)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["time"]
-        for i in range(traj.space_dim):
-            header += [f"re_{i}", f"im_{i}"]
-        writer.writerow(header)
-        for t, state in zip(traj.times, traj.states):
-            row = [repr(float(t))]
-            for z in state:
-                row += [repr(float(z.real)), repr(float(z.imag))]
-            writer.writerow(row)
+        writer.writerow(["time", *(f"{part}_{name}" for name in names
+                                   for part in ("re", "im"))])
+        # a complex row viewed as floats is its re, im pairs interleaved
+        writer.writerows([t, *row.view(np.float64).tolist()]
+                         for t, row in zip(times.tolist(), values))
+
+
+def trajectory_to_csv(traj: Trajectory, path: str) -> None:
+    """Columns: time, then ``re_i``, ``im_i`` per state component."""
+    _write_csv(path, traj.times, traj.states,
+               [str(i) for i in range(traj.states.shape[1])])
 
 
 def kernel_to_csv(kernel: ResponseKernel, times: np.ndarray, path: str) -> None:
-    """Columns: time, then re/im interleaved per kernel matrix entry (row-major)."""
+    """Columns: time, then ``re_i_j``, ``im_i_j`` per entry, row-major."""
     times = np.asarray(times, dtype=float)
-    stack = kernel.on_grid(times)
     d = kernel.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["time"]
-        for i in range(d):
-            for j in range(d):
-                header += [f"re_{i}{j}", f"im_{i}{j}"]
-        writer.writerow(header)
-        for t, mat in zip(times, stack):
-            row = [repr(float(t))]
-            for z in mat.reshape(-1):
-                row += [repr(float(z.real)), repr(float(z.imag))]
-            writer.writerow(row)
+    _write_csv(path, times, kernel.on_grid(times).reshape(len(times), d * d),
+               [f"{i}_{j}" for i in range(d) for j in range(d)])

@@ -158,8 +158,7 @@ class LatticeReport:
         }
 
 
-def verify_example(spec: LatticeSpec,
-                   cluster_tol: float = dc.DEFAULT_CLUSTER_TOL) -> LatticeReport:
+def verify_example(spec: LatticeSpec) -> LatticeReport:
     """Build the lattice system and check the example's dimension claims.
 
     Asserted facts: the coupling rank does not exceed the surface count,
@@ -172,7 +171,7 @@ def verify_example(spec: LatticeSpec,
         raise ValueError("verify_example requires an interior cube (margin >= 1)")
     sys = build_lattice_system(spec)
     dec = dc.decompose(sys)
-    theorem = dc.verify_theorem(sys, dec, cluster_tol=cluster_tol)
+    theorem = dc.verify_theorem(sys, dec)
     rank = dec.ran_gamma.dim
     surface = surface_count(spec.cube, spec.dims)
     bound = multiplicity_bound(spec.cube, spec.dims)

@@ -38,7 +38,9 @@ class BlockSystem:
     Hermiticity of the diagonal blocks is validated on construction and
     then enforced exactly by symmetrization, so downstream eigensolvers
     always receive exactly Hermitian input.  The three blocks share one
-    dtype: float64 when all are real, complex128 otherwise.
+    dtype: float64 when all are real, complex128 otherwise.  Each is a
+    copy the system owns, so writing to the caller's arrays leaves it
+    unchanged and a block never keeps a larger matrix alive.
     """
 
     omega1: np.ndarray
@@ -60,7 +62,7 @@ class BlockSystem:
         dtype = np.result_type(o1, o2, g)
         object.__setattr__(self, "omega1", o1.astype(dtype, copy=False))
         object.__setattr__(self, "omega2", o2.astype(dtype, copy=False))
-        object.__setattr__(self, "gamma", g.astype(dtype, copy=False))
+        object.__setattr__(self, "gamma", g.astype(dtype))
 
     @property
     def d1(self) -> int:

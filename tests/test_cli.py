@@ -6,7 +6,8 @@ import pytest
 from opensys import decomposition
 from opensys.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from opensys.subspaces import ContainmentError
-from opensys.systems import load_system
+from opensys.systems import load_system, save_system
+from test_decomposition import _with_h2c, coupled_plus_decoupled
 
 
 @pytest.fixture
@@ -157,6 +158,25 @@ def test_decomposition_failure_is_verification_error(sys_file, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"verification failure in {command}: "
                           "H2c from closure(H1): ||leak||_F = 7.500e-01")
+
+
+def test_verify_theorem_rotated_h2c_fails(tmp_path, monkeypatch, capsys):
+    """Negative control: one h2c column turned by 1e-6 toward h2d."""
+    path = tmp_path / "s.json"
+    save_system(coupled_plus_decoupled(), str(path))
+    decompose = decomposition.decompose
+
+    def rotated(sys):
+        dec = decompose(sys)
+        h2c = dec.h2c.matrix.copy()
+        h2c[:, 0] = np.cos(1e-6) * h2c[:, 0] \
+            + np.sin(1e-6) * dec.h2d.matrix[:, 0]
+        return _with_h2c(dec, h2c)
+
+    assert main(["verify-theorem", "--input", str(path)]) == EXIT_OK
+    monkeypatch.setattr(decomposition, "decompose", rotated)
+    assert main(["verify-theorem", "--input", str(path)]) == EXIT_VERIFICATION
+    assert "FAIL: max distance" in capsys.readouterr().out
 
 
 def test_missing_file_is_usage_error(tmp_path):

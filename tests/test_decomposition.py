@@ -13,13 +13,14 @@ from opensys.decomposition import (
     _largest_cluster,
     _project_out_block,
     decompose,
-    decomposition_basis,
     multiplicity,
     verify_block_form,
     verify_theorem,
 )
 from opensys.lattice import LatticeSpec, build_lattice_system
 from opensys.subspaces import (
+    ORBIT_CERT_FACTOR,
+    Spectrum,
     SubspaceBasis,
     check_hermitian,
     direct_sum_basis,
@@ -69,6 +70,51 @@ def complex_systems(draw):
     d1, d2 = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     rank = draw(st.integers(0, min(d1, d2)))
     return random_system(d1, d2, rank, seed=draw(st.integers(0, 10_000)))
+
+
+@st.composite
+def real_systems(draw):
+    """Small 1-d/2-d lattices and random real symmetric block systems."""
+    if draw(st.booleans()):
+        dims = draw(st.integers(1, 2))
+        box = draw(st.integers(2, 7 if dims == 1 else 5))
+        cube = draw(st.integers(1, box - 1))
+        offset = tuple(draw(st.integers(0, box - cube)) for _ in range(dims))
+        return build_lattice_system(LatticeSpec(box, cube, offset, dims, TOL))
+    d1, d2 = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    rank = draw(st.integers(0, min(d1, d2)))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    a1, a2 = rng.standard_normal((d1, d1)), rng.standard_normal((d2, d2))
+    gamma = rng.standard_normal((d1, rank)) @ rng.standard_normal((rank, d2))
+    return BlockSystem((a1 + a1.T) / 2, (a2 + a2.T) / 2, gamma, TOL)
+
+
+def decomposition_basis(sys, dec):
+    """Unitary whose columns are the concatenated (h1d, h1c, h2c, h2d) basis."""
+    d1, d2 = sys.d1, sys.d2
+    return np.hstack([_embed_observable(dec.h1d, d1, d2).matrix,
+                      _embed_observable(dec.h1c, d1, d2).matrix,
+                      _embed_hidden(dec.h2c, d1, d2).matrix,
+                      _embed_hidden(dec.h2d, d1, d2).matrix])
+
+
+def conjugated_block_form(sys, dec):
+    """Largest 2-norm of a block outside the allowed pattern (the four
+    diagonal blocks and the core coupling pair) of U^dag Omega U: an
+    oracle for :func:`verify_block_form`, which forms no n x n matrix."""
+    u = decomposition_basis(sys, dec)
+    t = u.conj().T @ assemble_full(sys).omega @ u
+    sizes = [dec.h1d.dim, dec.h1c.dim, dec.h2c.dim, dec.h2d.dim]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    allowed = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
+    worst = 0.0
+    for i in range(4):
+        for j in range(4):
+            if (i, j) in allowed or sizes[i] == 0 or sizes[j] == 0:
+                continue
+            block = t[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
+            worst = max(worst, float(np.linalg.norm(block, 2)))
+    return worst
 
 
 def core_operators(sys, dec):
@@ -139,6 +185,12 @@ def random_unitary(rng, d):
     return q
 
 
+def assert_block_form_matches_conjugation(sys, dec):
+    omega_norm = np.linalg.norm(assemble_full(sys).omega, 2)
+    gap = abs(verify_block_form(sys, dec) - conjugated_block_form(sys, dec))
+    assert gap <= 1e-14 * max(1.0, omega_norm)
+
+
 class TestDecompose:
     def test_zero_coupling_everything_decoupled(self):
         sys = random_system(3, 4, 0, seed=0)
@@ -198,6 +250,69 @@ class TestBlockForm:
         )
         omega_norm = np.linalg.norm(assemble_full(sys).omega, 2)
         assert verify_block_form(sys, bad) > 1e-3 * omega_norm
+        assert_block_form_matches_conjugation(sys, bad)
+
+    def test_all_blocks_empty_is_zero(self):
+        sys = BlockSystem(np.array([[0.0]]), np.array([[0.0]]),
+                          np.array([[1.0]]))
+        dec = decompose(sys)
+        assert dec.h1d.dim == dec.h2d.dim == 0
+        assert verify_block_form(sys, dec) == 0.0
+
+    def test_forms_no_full_operator(self, monkeypatch):
+        sys = coupled_plus_decoupled()
+        dec = decompose(sys)
+
+        def refuse(_sys):
+            raise AssertionError("verify_block_form assembled Omega")
+        monkeypatch.setattr("opensys.decomposition.assemble_full", refuse)
+        assert verify_block_form(sys, dec) < 1e-12
+
+    @pytest.mark.parametrize("part,dims", [
+        ("omega1", (2, 3, 2, 3)),
+        ("omega2", (2, 3, 2, 3)),
+        ("gamma", (2, 3, 4, 0)),  # only h1d^dag Gamma h2c is non-empty
+        ("gamma", (2, 0, 0, 4)),  # only h1d^dag Gamma h2d
+        ("gamma", (0, 3, 0, 4)),  # only h1c^dag Gamma h2d
+    ])
+    def test_each_block_is_read(self, part, dims):
+        """Random bases of dims (h1d, h1c, h2c, h2d) with one of Omega1,
+        Omega2 and Gamma nonzero: one forbidden block carries the norm."""
+        rng = np.random.default_rng(1)
+        a, b, c, e = dims
+        blocks = {"omega1": np.zeros((a + b, a + b)),
+                  "omega2": np.zeros((c + e, c + e)),
+                  "gamma": np.zeros((a + b, c + e))}
+        m = rng.standard_normal(blocks[part].shape)
+        blocks[part] = m if part == "gamma" else m + m.T
+        sys = BlockSystem(blocks["omega1"], blocks["omega2"], blocks["gamma"],
+                          TOL)
+        u1, u2 = random_unitary(rng, a + b), random_unitary(rng, c + e)
+        dec = dataclasses.replace(
+            decompose(sys), h1d=SubspaceBasis(u1[:, :a]),
+            h1c=SubspaceBasis(u1[:, a:]), h2c=SubspaceBasis(u2[:, :c]),
+            h2d=SubspaceBasis(u2[:, c:]))
+        assert verify_block_form(sys, dec) > 0.1
+        assert_block_form_matches_conjugation(sys, dec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(real_systems(), complex_systems()))
+    def test_matches_conjugation_property(self, sys):
+        assert_block_form_matches_conjugation(sys, decompose(sys))
+
+    def test_matches_conjugation_on_acceptance_systems(self):
+        # the 200 random systems of tests/test_acceptance.py
+        rng = np.random.default_rng(20240815)
+        for i in range(200):
+            d1, d2 = int(rng.integers(1, 13)), int(rng.integers(1, 21))
+            rank = int(rng.integers(0, min(d1, d2) + 1))
+            sys = random_system(d1, d2, rank, seed=1000 + i)
+            assert_block_form_matches_conjugation(sys, decompose(sys))
+
+    @pytest.mark.parametrize("box,cube", [(6, 2), (8, 3), (10, 3)])
+    def test_matches_conjugation_on_lattice(self, box, cube):
+        sys = build_lattice_system(LatticeSpec.centered(box, cube, 3, TOL))
+        assert_block_form_matches_conjugation(sys, decompose(sys))
 
 
 class TestMultiplicity:
@@ -340,23 +455,6 @@ def test_lattice_stays_real_random_stays_complex(tmp_path):
     assert _field_dtypes(sys, decompose(sys)) == {np.dtype(np.complex128)}
 
 
-@st.composite
-def real_systems(draw):
-    """Small 1-d/2-d lattices and random real symmetric block systems."""
-    if draw(st.booleans()):
-        dims = draw(st.integers(1, 2))
-        box = draw(st.integers(2, 7 if dims == 1 else 5))
-        cube = draw(st.integers(1, box - 1))
-        offset = tuple(draw(st.integers(0, box - cube)) for _ in range(dims))
-        return build_lattice_system(LatticeSpec(box, cube, offset, dims, TOL))
-    d1, d2 = draw(st.integers(1, 5)), draw(st.integers(1, 7))
-    rank = draw(st.integers(0, min(d1, d2)))
-    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
-    a1, a2 = rng.standard_normal((d1, d1)), rng.standard_normal((d2, d2))
-    gamma = rng.standard_normal((d1, rank)) @ rng.standard_normal((rank, d2))
-    return BlockSystem((a1 + a1.T) / 2, (a2 + a2.T) / 2, gamma, TOL)
-
-
 @settings(max_examples=40, deadline=None)
 @given(real_systems())
 def test_real_and_complex_copies_agree(sys):
@@ -387,6 +485,51 @@ def test_block_unitary_invariance(sys, seed):
     assert dec.dims == dec_r.dims
     assert report.multiplicity_omega_c == report_r.multiplicity_omega_c
     assert report.passed() == report_r.passed()
+
+
+def assert_orbit_certificates(sys, seed):
+    """||A P - P (P^dag A P)||_2 <= ORBIT_CERT_FACTOR * tol * max(1, ||A||_2)
+    for the orbits of H1, H2 and a random subspace under the full Omega."""
+    omega = assemble_full(sys).omega
+    n, spectrum = omega.shape[0], Spectrum(omega, sys.tol)
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, n + 1))
+    random_seed = np.linalg.qr(rng.standard_normal((n, k))
+                               + 1j * rng.standard_normal((n, k)))[0]
+    limit = ORBIT_CERT_FACTOR * sys.tol * max(1.0, np.linalg.norm(omega, 2))
+    for seed_matrix in (np.eye(n, sys.d1), np.eye(n, sys.d2, -sys.d1),
+                        random_seed):
+        p = spectrum.orbit(SubspaceBasis(seed_matrix)).matrix
+        ap = omega @ p
+        assert np.linalg.norm(ap - p @ (p.conj().T @ ap), 2) <= limit
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(real_systems(), complex_systems()), st.integers(0, 10_000))
+def test_orbit_certificate(sys, seed):
+    assert_orbit_certificates(sys, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_orbit_certificate_on_lattice(seed):
+    sys = build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL))
+    assert_orbit_certificates(sys, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(real_systems(), complex_systems()), st.floats(1.0, 1e4))
+def test_scaling_invariance(sys, scale):
+    """Scaling (Omega1, Omega2, Gamma) by c with c * ||Omega||_2 >= 1 keeps
+    the dims, the core multiplicity and the verdict."""
+    norm = np.linalg.norm(assemble_full(sys).omega, 2)
+    c = scale / norm if norm > 0 else scale
+    scaled = BlockSystem(c * sys.omega1, c * sys.omega2, c * sys.gamma,
+                         sys.tol)
+    dec, dec_s = decompose(sys), decompose(scaled)
+    report, report_s = verify_theorem(sys, dec), verify_theorem(scaled, dec_s)
+    assert dec.dims == dec_s.dims
+    assert report.multiplicity_omega_c == report_s.multiplicity_omega_c
+    assert report.passed() == report_s.passed()
 
 
 def test_trajectory_stays_in_invariant_closure():

@@ -114,29 +114,33 @@ class TestKernel:
     def test_value_at_zero_is_gamma_gamma_dag(self):
         sys = random_system(3, 5, 2, seed=5)
         k = make_kernel(sys, "observable")
-        assert np.linalg.norm(k.at(0.0) - sys.gamma @ sys.gamma.conj().T) < 1e-12
+        k0 = k.on_grid(np.array([0.0]))[0]
+        assert np.linalg.norm(k0 - sys.gamma @ sys.gamma.conj().T) < 1e-12
 
     def test_hidden_side_at_zero(self):
         sys = random_system(3, 5, 2, seed=5)
         k = make_kernel(sys, "hidden")
-        assert np.linalg.norm(k.at(0.0) - sys.gamma.conj().T @ sys.gamma) < 1e-12
+        k0 = k.on_grid(np.array([0.0]))[0]
+        assert np.linalg.norm(k0 - sys.gamma.conj().T @ sys.gamma) < 1e-12
 
     def test_scalar_kernel_analytic(self):
         sys = BlockSystem(np.array([[0.0]]), np.array([[1.0]]),
                           np.array([[1.0]]))
         k = make_kernel(sys)
         for t in (0.0, 0.5, 2.0):
-            assert abs(k.at(t)[0, 0] - np.exp(-1j * t)) < 1e-14
+            assert abs(k.on_grid(np.array([t]))[0, 0, 0]
+                       - np.exp(-1j * t)) < 1e-14
 
     def test_zero_coupling_kernel_vanishes(self):
         sys = random_system(2, 4, 0, seed=1)
         k = make_kernel(sys)
-        assert np.linalg.norm(k.at(3.7)) == 0.0
+        assert np.linalg.norm(k.on_grid(np.array([3.7]))[0]) == 0.0
 
     def test_time_symmetry(self):
         k = make_kernel(random_system(3, 6, 2, seed=9))
         for t in (0.3, 1.7, 5.0):
-            assert np.linalg.norm(k.at(t).conj().T - k.at(-t)) < 1e-13
+            assert np.linalg.norm(k.on_grid(np.array([t]))[0].conj().T
+                                  - k.on_grid(np.array([-t]))[0]) < 1e-13
 
     def test_unknown_side_rejected(self):
         with pytest.raises(ValueError):
@@ -350,6 +354,17 @@ class TestExport:
         assert float(rows[1][1]) == 1.0 and float(rows[1][2]) == 2.0
         assert float(rows[2][6 - 5]) == 0.0  # re_0 of second sample
 
+    def test_trajectory_csv_writes_each_float_by_repr(self, tmp_path):
+        traj = Trajectory(np.array([0.0, 0.1]),
+                          np.array([[complex(1e-300, -0.0)],
+                                    [complex(-0.0, 1 / 3)]]))
+        path = tmp_path / "t.csv"
+        trajectory_to_csv(traj, str(path))
+        assert path.read_bytes() == (
+            b"time,re_0,im_0\r\n"
+            b"0.0,1e-300,-0.0\r\n"
+            b"0.1,-0.0,0.3333333333333333\r\n")
+
     def test_kernel_csv(self, tmp_path):
         k = make_kernel(random_system(2, 3, 1, seed=4))
         path = tmp_path / "k.csv"
@@ -359,6 +374,27 @@ class TestExport:
         assert rows[0][0] == "time"
         assert len(rows) == 6  # header + 5 grid points
         assert len(rows[1]) == 1 + 2 * 4  # time + re/im per 2x2 entry
+        assert rows[0] == ["time", "re_0_0", "im_0_0", "re_0_1", "im_0_1",
+                           "re_1_0", "im_1_0", "re_1_1", "im_1_1"]
+        stack = k.on_grid(make_grid(1.0, 4))
+        assert [float(x) for x in rows[3][3:5]] == [stack[2, 0, 1].real,
+                                                    stack[2, 0, 1].imag]
+
+    def test_kernel_csv_header_names_unique(self, tmp_path):
+        """With d >= 11, re_{i}{j} wrote re_110 for both (1, 10) and (11, 0)."""
+        k = make_kernel(random_system(12, 3, 2, seed=4))
+        assert k.dim == 12
+        path = tmp_path / "k.csv"
+        grid = make_grid(1.0, 500)  # rows enough for several write blocks
+        kernel_to_csv(k, grid, str(path))
+        with open(path) as fh:
+            header, *rows = csv.reader(fh)
+        assert len(header) == 1 + 2 * 12 * 12
+        assert len(set(header)) == len(header)
+        assert len(rows) == len(grid)
+        last = k.on_grid(grid[-1:])[0].reshape(-1)
+        expected = np.stack([last.real, last.imag], axis=1).reshape(-1)
+        assert rows[-1] == [repr(float(x)) for x in [grid[-1], *expected]]
 
 
 def test_grid_validation():

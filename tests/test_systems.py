@@ -120,6 +120,30 @@ class TestRandomSystem:
         assert np.array_equal(sys.omega2, sys.omega2.conj().T)
 
 
+@pytest.mark.parametrize("layout", ["separate", "slices"])
+def test_system_owns_its_blocks(layout):
+    """Overwriting the arrays a system was built from leaves it unchanged."""
+    rng = np.random.default_rng(3)
+    omega = rng.standard_normal((5, 5))
+    omega = omega + omega.T
+    if layout == "separate":
+        sources = [omega[:2, :2].copy(), omega[2:, 2:].copy(),
+                   np.ascontiguousarray(omega[:2, 2:])]
+    else:
+        sources = [omega[:2, :2], omega[2:, 2:], omega[:2, 2:]]
+    sys = BlockSystem(*sources)
+    before = [m.copy() for m in (sys.omega1, sys.omega2, sys.gamma)]
+    for m in (omega, *sources):
+        m[...] = 7.0
+    for kept, m in zip(before, (sys.omega1, sys.omega2, sys.gamma)):
+        assert np.array_equal(kept, m)
+
+
+def test_lattice_gamma_keeps_no_full_operator():
+    sys = build_lattice_system(LatticeSpec.centered(6, 2, 3))
+    assert sys.gamma.base is None
+
+
 def test_non_hermitian_block_rejected():
     with pytest.raises(SymmetryError):
         BlockSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2),
