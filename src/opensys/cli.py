@@ -19,7 +19,7 @@ import numpy as np
 from . import decomposition as dc
 from . import dynamics as dyn
 from . import lattice as lat
-from .subspaces import DEFAULT_TOL, ContainmentError
+from .subspaces import DEFAULT_TOL
 from .systems import (
     assemble_full,
     load_system,
@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    except (ContainmentError, dc.DecompositionError) as exc:
+    except dc.DecompositionError as exc:
         # a failed certificate mid-pipeline, not bad input
         print(f"verification failure in {args.command}: {exc}",
               file=_sys.stderr)

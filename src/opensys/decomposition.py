@@ -8,25 +8,29 @@ decoupled:
 
 where H2c is the part of H2 reachable from H1 through the full generator
 (the invariant closure of H1, minus H1 itself) and symmetrically for H1c.
+Equivalently H2d, the largest Omega-invariant subspace orthogonal to H1,
+is made of the eigen-directions that the cluster cuts of closure(H1)
+drop, and H2c is its complement in H2; :func:`decompose` takes this form.
 In the concatenated basis the full operator becomes block-diagonal with a
 single coupled core [[Omega1c, Gamma_c], [Gamma_c^dag, Omega2c]].
 :func:`verify_block_form` checks this on the five blocks that must vanish,
 each read straight from Omega1, Omega2 or Gamma.
 
 Two independent routes to the coupled subspaces are always computed and
-cross-checked: the definitional one (invariant closures of H1 and H2 under
-the full operator) and the fast one (closures of the coupling ranges under
-the diagonal blocks alone).  Their agreement is the strongest internal
-correctness certificate available.
+cross-checked: the definitional one (the cuts of the invariant closures of
+H1 and H2 under the full operator) and the fast one (closures of the
+coupling ranges under the diagonal blocks alone).  Their agreement is the
+strongest internal correctness certificate available.
 
 Each operator is factored once per certificate.  :func:`decompose` runs
-one ``eigh`` each of Omega, Omega1 and Omega2 and keeps the spectrum of
-Omega, the rank cuts of Gamma and Gamma^dag and the distance between the
-two routes in its result.  :func:`verify_theorem` factors nothing and
-cuts no Gamma: the core H1c + H2c is
-Omega-invariant, so it is reconstructible exactly when closure(H1c) and
-closure(H2c) both equal it, and in each eigenvalue cluster of Omega it
-holds as many eigenvalues as its coordinates there have rank.
+one ``eigh`` each of Omega, Omega1 and Omega2 and two complete QRs, one
+per block, and keeps the spectrum of Omega, the rank cuts of Gamma and
+Gamma^dag and the distance between the two routes in its result.
+:func:`verify_theorem` factors nothing and cuts no Gamma: the core
+H1c + H2c is Omega-invariant, so it is reconstructible exactly when
+closure(H1c) and closure(H2c) both equal it, and in each eigenvalue
+cluster of Omega it holds as many eigenvalues as its coordinates there
+have rank.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .subspaces import (
     SubspaceBasis,
     _eigen_clusters,
     check_hermitian,
-    complement,
     direct_sum_basis,
     orbit,
     orthonormalize,
@@ -154,30 +157,29 @@ class TheoremReport:
         }
 
 
-def _embed_observable(basis: SubspaceBasis, d1: int, d2: int) -> SubspaceBasis:
+def _embed_observable(basis: SubspaceBasis, d2: int) -> SubspaceBasis:
     return SubspaceBasis(np.vstack([basis.matrix, np.zeros((d2, basis.dim))]))
 
 
-def _embed_hidden(basis: SubspaceBasis, d1: int, d2: int) -> SubspaceBasis:
+def _embed_hidden(basis: SubspaceBasis, d1: int) -> SubspaceBasis:
     return SubspaceBasis(np.vstack([np.zeros((d1, basis.dim)), basis.matrix]))
 
 
-def _project_out_block(closure: SubspaceBasis, side_basis: SubspaceBasis,
-                       take: slice, other: slice, tol: float,
-                       stage: str) -> tuple[SubspaceBasis, SubspaceBasis]:
-    """Closure-minus-side in the coordinates of the other block, and its
-    orthogonal complement there.
+def _split_block(decoupled: SubspaceBasis, take: slice, other: slice,
+                 tol: float, stage: str) -> tuple[SubspaceBasis, SubspaceBasis]:
+    """A decoupled part in the coordinates of its block, and its orthogonal
+    complement there: the coupled part.
 
-    The complement E = [rows; leak] has orthonormal columns, and each
-    column's leak onto the original side must vanish to within
-    CONSISTENCY_FACTOR * tol.  Then rows^dag rows = I - leak^dag leak, so
-    with ||leak||_F < 1/2 every singular value of the rows exceeds
-    sqrt(3)/2: they have full column rank.  The leading columns of their
-    complete Householder QR are then an orthonormal basis of the same
-    dimension as E, and the trailing columns one of its complement.
+    ``decoupled`` is the invariant subspace orthogonal to the other block,
+    E = [rows; leak] with orthonormal columns; each column's leak onto the
+    other block must vanish to within CONSISTENCY_FACTOR * tol.  Then
+    rows^dag rows = I - leak^dag leak, so with ||leak||_F < 1/2 every
+    singular value of the rows exceeds sqrt(3)/2: they have full column
+    rank.  The leading columns of their complete Householder QR are then
+    an orthonormal basis of the same dimension as E, and the trailing
+    columns one of its complement in the block.
     """
-    excess = complement(closure, side_basis, tol)
-    leak = excess.matrix[other]
+    leak = decoupled.matrix[other]
     worst = np.max(np.linalg.norm(leak, axis=0), initial=0.0)
     limit = CONSISTENCY_FACTOR * tol
     if worst > limit:
@@ -189,32 +191,31 @@ def _project_out_block(closure: SubspaceBasis, side_basis: SubspaceBasis,
         raise DecompositionError(
             stage, "||leak||_F, below which the kept rows have full rank",
             leak_norm, 0.5)
-    rows = excess.matrix[take]
-    q = np.linalg.qr(rows, mode="complete")[0]
-    return SubspaceBasis(q[:, :excess.dim]), SubspaceBasis(q[:, excess.dim:])
+    q = np.linalg.qr(decoupled.matrix[take], mode="complete")[0]
+    return SubspaceBasis(q[:, :decoupled.dim]), SubspaceBasis(q[:, decoupled.dim:])
 
 
 def decompose(sys: BlockSystem) -> FourWayDecomposition:
     """Compute the four-way split.
 
-    The coupled hidden part is defined as the invariant closure of H1
-    under the full operator, minus H1, and symmetrically for the coupled
-    observable part.  The equivalent fast route (closures of Ran(Gamma)
-    and Ran(Gamma^dag) under the diagonal blocks) is computed as well and
-    the two are required to agree to within CONSISTENCY_FACTOR * tol.
+    The decoupled hidden part H2d is the largest Omega-invariant subspace
+    orthogonal to H1: the eigen-directions that the cluster cuts of
+    closure(H1) drop (:meth:`Spectrum.orbit_complement`).  The coupled
+    hidden part H2c is its complement in H2, and symmetrically for H1d
+    and H1c.  The equivalent fast route (closures of Ran(Gamma) and
+    Ran(Gamma^dag) under the diagonal blocks) is computed as well and the
+    two are required to agree to within CONSISTENCY_FACTOR * tol.
     """
     d1, d2, tol = sys.d1, sys.d2, sys.tol
+    n = d1 + d2
     spectrum = Spectrum(assemble_full(sys).omega, tol)
 
-    h1_full = _embed_observable(SubspaceBasis.full(d1), d1, d2)
-    h2_full = _embed_hidden(SubspaceBasis.full(d2), d1, d2)
-
-    closure_h1 = spectrum.orbit(h1_full)
-    closure_h2 = spectrum.orbit(h2_full)
-    h2c, h2d = _project_out_block(closure_h1, h1_full, slice(d1, d1 + d2),
-                                  slice(0, d1), tol, "H2c from closure(H1)")
-    h1c, h1d = _project_out_block(closure_h2, h2_full, slice(0, d1),
-                                  slice(d1, d1 + d2), tol, "H1c from closure(H2)")
+    h1_full = SubspaceBasis(np.eye(n, d1))
+    h2_full = SubspaceBasis(np.eye(n, d2, -d1))
+    h2d, h2c = _split_block(spectrum.orbit_complement(h1_full), slice(d1, n),
+                            slice(0, d1), tol, "H2c from closure(H1)")
+    h1d, h1c = _split_block(spectrum.orbit_complement(h2_full), slice(0, d1),
+                            slice(d1, n), tol, "H1c from closure(H2)")
     # independent fast route through the coupling ranges
     ran_gamma = orthonormalize(sys.gamma, tol, ambient_dim=d1)
     ran_gamma_dag = orthonormalize(sys.gamma.conj().T, tol, ambient_dim=d2)
@@ -298,14 +299,14 @@ def verify_theorem(sys: BlockSystem,
     if dec is None:
         dec = decompose(sys)
     d1, d2, tol = sys.d1, sys.d2, sys.tol
-    h1c_full = _embed_observable(dec.h1c, d1, d2)
-    h2c_full = _embed_hidden(dec.h2c, d1, d2)
+    h1c_full = _embed_observable(dec.h1c, d2)
+    h2c_full = _embed_hidden(dec.h2c, d1)
     core = direct_sum_basis(h1c_full, h2c_full)
     # Ran [[0, Gamma], [Gamma^dag, 0]] = Ran(Gamma) (+) Ran(Gamma^dag): the
     # matrix's singular values are Gamma's, each twice, so decompose's cuts
     # of Gamma and Gamma^dag are its cut
-    coupling = direct_sum_basis(_embed_observable(dec.ran_gamma, d1, d2),
-                                _embed_hidden(dec.ran_gamma_dag, d1, d2))
+    coupling = direct_sum_basis(_embed_observable(dec.ran_gamma, d2),
+                                _embed_hidden(dec.ran_gamma_dag, d1))
     subspaces = [
         ("h1c+h2c", core),
         ("closure(h1c)", dec.spectrum.orbit(h1c_full)),

@@ -56,8 +56,10 @@ class ResponseKernel:
     def on_grid(self, times: np.ndarray) -> np.ndarray:
         """Kernel stack of shape (len(times), dim, dim)."""
         phases = np.exp(-1j * np.outer(times, self.eigvals))
+        # optimize: one product of the phases with the dim x dim x modes
+        # outer products, not a naive loop over all four indices
         return np.einsum("am,tm,bm->tab", self.coupling_modes, phases,
-                         self.coupling_modes.conj())
+                         self.coupling_modes.conj(), optimize=True)
 
 
 @dataclass(frozen=True)

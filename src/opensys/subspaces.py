@@ -18,22 +18,29 @@ cluster_tol         ``t = 1e-8`` (DEFAULT_CLUSTER_TOL)         multiplicities
 Hermitian           ``||A - A^dag||_F <= tol * max(1,          check_hermitian
                     ||A||_F)``
 containment         residuals ``<= 10 * tol``                  complement
-ORBIT_CERT_FACTOR   ``||(I - P) A P|| <= 10 * tol * ||A||``    Spectrum.orbit
+ORBIT_CERT_FACTOR   ``||(I - P) A P|| <= 10 * tol * ||A||``    Spectrum orbits
 CONSISTENCY_FACTOR  route, leak and theorem distances          decomposition
                     ``<= 100 * tol``; block residual           and cli
                     ``<= 100 * tol * ||Omega||``
-leak rank proof     ``||leak||_F < 1/2``: kept rows have full   decomposition
+leak rank proof     ``||leak||_F < 1/2``: the rows of a        decomposition
+                    decoupled part in its block have full
                     column rank, so a QR needs no cut
 ==================  =========================================  ===============
 
+The decomposition uses every row but containment: it reads its parts
+off the cluster cuts and calls no :func:`complement`.
+
 The central operation is :func:`orbit`, the smallest invariant subspace
-of a Hermitian matrix containing a given seed subspace.  It is computed
-from one eigendecomposition, a :class:`Spectrum`, which several orbits
-under the same matrix share; the rank cuts of all its clusters of one size
-take one stacked SVD.  :func:`complement` makes no rank decision: it
-takes the trailing columns of a Householder QR, and its dimension is
-fixed by the inputs.  :func:`projector_distance` takes the top eigenvalue
-of a k x k Gram matrix, not an SVD.
+of a Hermitian matrix containing a given seed subspace, and its
+orthogonal complement, the largest invariant subspace orthogonal to the
+seed.  Both are read off one eigendecomposition, a :class:`Spectrum`,
+which several orbits under the same matrix share: the rank cuts of all
+its clusters of one size take one stacked SVD, the orbit keeps the left
+singular vectors each cut keeps, and its complement those it drops.
+:func:`complement` makes no rank decision: it takes the trailing columns
+of a Householder QR, and its dimension is fixed by the inputs.
+:func:`projector_distance` takes the top eigenvalue of a k x k Gram
+matrix, not an SVD.
 """
 
 from __future__ import annotations
@@ -205,12 +212,17 @@ class Spectrum:
         self.values, self.vectors = np.linalg.eigh(a)
         self.starts, self.sizes = _eigen_clusters(self.values, tol)
 
-    def _cuts(self, seed: SubspaceBasis):
+    def _cuts(self, seed: SubspaceBasis) -> tuple[np.ndarray, np.ndarray]:
         """Rank cut of the seed's eigen-coordinates in every cluster.
 
         Clusters of one size share one stacked :func:`_range_basis` call.
-        Returns the rank kept in each cluster and, per size, the clusters
-        of that size with their left singular vectors.
+        The coordinates are padded with zero columns up to the largest
+        cluster size.  That adds only zero singular values, so the cut is
+        unchanged, and every cluster's left factor is complete (square).
+        Returns the block-diagonal n x n matrix of these factors, cluster
+        ``i`` in rows and columns ``starts[i]`` onwards, and the mask of
+        its columns that the cuts keep: the leading ``rank`` of each
+        cluster.
         """
         n = len(self.values)
         if seed.ambient_dim != n:
@@ -218,14 +230,17 @@ class Spectrum:
                 f"seed ambient {seed.ambient_dim} != matrix dimension {n}"
             )
         coords = self.vectors.conj().T @ seed.matrix  # seed in the eigenbasis
+        pad = max(int(np.max(self.sizes, initial=0)) - seed.dim, 0)
+        coords = np.hstack([coords, np.zeros((n, pad), dtype=coords.dtype)])
+        factors = np.zeros((n, n), dtype=coords.dtype)
         ranks = np.zeros(len(self.sizes), dtype=int)
-        stacks = []
         for size in np.unique(self.sizes):
             members = np.flatnonzero(self.sizes == size)
             rows = self.starts[members, None] + np.arange(size)
             left, ranks[members] = _range_basis(coords[rows], self.tol)
-            stacks.append((members, left))
-        return ranks, stacks
+            factors[rows[:, :, None], rows[:, None, :]] = left
+        position = np.arange(n) - np.repeat(self.starts, self.sizes)
+        return factors, position < np.repeat(ranks, self.sizes)
 
     def orbit(self, seed: SubspaceBasis) -> SubspaceBasis:
         """Smallest invariant subspace containing span(seed).
@@ -234,22 +249,25 @@ class Spectrum:
         sum, over the eigenspaces E of A, of span(P_E S).  Each eigenspace is
         one eigenvalue cluster, and the rank of the projected seed in it is
         cut by :func:`_range_basis`, in one stacked SVD per cluster size.
-        The kept left singular vectors are scattered into one block-sparse
-        n x r coefficient matrix, and the orbit is one product with the
-        eigenvectors; its columns come cluster by cluster in ascending
-        order.  The result P satisfies
+        The orbit is the product of the eigenvectors with the left singular
+        vectors the cuts keep, which are block-sparse; its columns come
+        cluster by cluster in ascending order.  The result P satisfies
         ||(I - P) A P|| <= ORBIT_CERT_FACTOR * tol * ||A||.
         """
-        ranks, stacks = self._cuts(seed)
-        offsets = np.cumsum(ranks) - ranks  # first column of each cluster
-        coef = np.zeros((len(self.values), int(ranks.sum())),
-                        dtype=np.result_type(self.vectors, seed.matrix))
-        for members, left in stacks:
-            # kept column j of cluster c: sum_t vectors[:, start + t] left[c, t, j]
-            c, j = np.nonzero(np.arange(left.shape[-1]) < ranks[members, None])
-            rows = self.starts[members[c], None] + np.arange(left.shape[1])
-            coef[rows, (offsets[members[c]] + j)[:, None]] = left[c, :, j]
-        return SubspaceBasis(self.vectors @ coef)
+        factors, kept = self._cuts(seed)
+        return SubspaceBasis(self.vectors @ factors[:, kept])
+
+    def orbit_complement(self, seed: SubspaceBasis) -> SubspaceBasis:
+        """Largest invariant subspace orthogonal to span(seed).
+
+        The orthogonal complement of :meth:`orbit`: the same product with
+        the left singular vectors the cuts drop.  A column's component in
+        span(seed) is its dropped singular value, at most
+        ``tol * max(1, s_max)`` of its cluster.  It satisfies the same
+        certificate as the orbit.
+        """
+        factors, kept = self._cuts(seed)
+        return SubspaceBasis(self.vectors @ factors[:, ~kept])
 
     def closure_values(self, seed: SubspaceBasis) -> np.ndarray:
         """Eigenvalues of A on orbit(seed), without forming the orbit.
@@ -257,9 +275,7 @@ class Spectrum:
         In each cluster, as many of its eigenvalues as the rank that
         :meth:`orbit` keeps there; ascending.
         """
-        ranks, _ = self._cuts(seed)
-        position = np.arange(len(self.values)) - np.repeat(self.starts, self.sizes)
-        return self.values[position < np.repeat(ranks, self.sizes)]
+        return self.values[self._cuts(seed)[1]]
 
 
 def orbit(a: np.ndarray, seed: SubspaceBasis, tol: float = DEFAULT_TOL) -> SubspaceBasis:

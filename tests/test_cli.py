@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from opensys import decomposition
+from opensys import decomposition, subspaces
 from opensys.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from opensys.subspaces import ContainmentError
 from opensys.systems import load_system, save_system
 from test_decomposition import _with_h2c, coupled_plus_decoupled
 
@@ -133,17 +132,15 @@ def test_string_matrix_is_usage_error(tmp_path, sys_file):
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify-theorem"])
-def test_containment_failure_is_verification_error(sys_file, monkeypatch,
-                                                   capsys, command):
-    def fail(whole, part, tol):
-        raise ContainmentError("part is not contained in whole: "
-                               "max residual 3.000e-02")
+def test_pipeline_never_calls_complement(sys_file, monkeypatch, command):
+    """decompose reads its parts off the spectrum cuts: no command calls
+    complement, so none can raise ContainmentError."""
+    def fail(*args):
+        raise AssertionError("complement called")
 
-    monkeypatch.setattr(decomposition, "complement", fail)
-    assert main([command, "--input", str(sys_file)]) == EXIT_VERIFICATION
-    err = capsys.readouterr().err
-    assert f"verification failure in {command}" in err
-    assert "max residual 3.000e-02" in err
+    monkeypatch.setattr(subspaces, "complement", fail)
+    assert not hasattr(decomposition, "complement")
+    assert main([command, "--input", str(sys_file)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify-theorem"])
@@ -153,7 +150,7 @@ def test_decomposition_failure_is_verification_error(sys_file, monkeypatch,
         raise decomposition.DecompositionError(
             "H2c from closure(H1)", "||leak||_F", 0.75, 0.5)
 
-    monkeypatch.setattr(decomposition, "_project_out_block", fail)
+    monkeypatch.setattr(decomposition, "_split_block", fail)
     assert main([command, "--input", str(sys_file)]) == EXIT_VERIFICATION
     err = capsys.readouterr().err
     assert err.startswith(f"verification failure in {command}: "

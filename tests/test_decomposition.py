@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from opensys.decomposition import (
     DEFAULT_CLUSTER_TOL,
@@ -11,7 +11,7 @@ from opensys.decomposition import (
     _embed_hidden,
     _embed_observable,
     _largest_cluster,
-    _project_out_block,
+    _split_block,
     decompose,
     multiplicity,
     verify_block_form,
@@ -23,6 +23,7 @@ from opensys.subspaces import (
     Spectrum,
     SubspaceBasis,
     check_hermitian,
+    complement,
     direct_sum_basis,
     numeric_rank,
     orbit,
@@ -36,6 +37,7 @@ from opensys.systems import (
     random_system,
     save_system,
 )
+from test_subspaces import degenerate_hermitian
 from test_systems import decoupled_parts
 
 TOL = 1e-10
@@ -92,10 +94,10 @@ def real_systems(draw):
 def decomposition_basis(sys, dec):
     """Unitary whose columns are the concatenated (h1d, h1c, h2c, h2d) basis."""
     d1, d2 = sys.d1, sys.d2
-    return np.hstack([_embed_observable(dec.h1d, d1, d2).matrix,
-                      _embed_observable(dec.h1c, d1, d2).matrix,
-                      _embed_hidden(dec.h2c, d1, d2).matrix,
-                      _embed_hidden(dec.h2d, d1, d2).matrix])
+    return np.hstack([_embed_observable(dec.h1d, d2).matrix,
+                      _embed_observable(dec.h1c, d2).matrix,
+                      _embed_hidden(dec.h2c, d1).matrix,
+                      _embed_hidden(dec.h2d, d1).matrix])
 
 
 def conjugated_block_form(sys, dec):
@@ -115,6 +117,37 @@ def conjugated_block_form(sys, dec):
             block = t[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
             worst = max(worst, float(np.linalg.norm(block, 2)))
     return worst
+
+
+def project_out_block(closure, side, take, other, tol):
+    """Closure-minus-side through :func:`complement`, in the coordinates of
+    the other block (``take``), and its orthogonal complement there."""
+    excess = complement(closure, side, tol)
+    assert np.linalg.norm(excess.matrix[other]) < 0.5  # the QR's rank proof
+    q = np.linalg.qr(excess.matrix[take], mode="complete")[0]
+    return SubspaceBasis(q[:, :excess.dim]), SubspaceBasis(q[:, excess.dim:])
+
+
+def definitional_parts(sys):
+    """h1d, h1c, h2c, h2d by the definitional route: H2c is closure(H1)
+    minus H1 and H2d its complement in H2, and symmetrically.  An oracle
+    for :func:`decompose`, which reads the decoupled parts off the cuts."""
+    d1, n = sys.d1, sys.d1 + sys.d2
+    spectrum = Spectrum(assemble_full(sys).omega, sys.tol)
+    h1, h2 = SubspaceBasis(np.eye(n, d1)), SubspaceBasis(np.eye(n, n - d1, -d1))
+    h2c, h2d = project_out_block(spectrum.orbit(h1), h1, slice(d1, n),
+                                 slice(0, d1), sys.tol)
+    h1c, h1d = project_out_block(spectrum.orbit(h2), h2, slice(0, d1),
+                                 slice(d1, n), sys.tol)
+    return {"h1d": h1d, "h1c": h1c, "h2c": h2c, "h2d": h2d}
+
+
+def assert_matches_definitional_route(sys, dec=None):
+    dec = decompose(sys) if dec is None else dec
+    for name, oracle in definitional_parts(sys).items():
+        part = getattr(dec, name)
+        assert part.dim == oracle.dim, name
+        assert projector_distance(part, oracle) <= 1e-12, name
 
 
 def core_operators(sys, dec):
@@ -222,6 +255,37 @@ class TestDecompose:
             cols = cols / np.linalg.norm(cols, axis=0)
             residual = cols - basis.matrix @ (basis.matrix.conj().T @ cols)
             assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8
+
+
+class TestDefinitionalRoute:
+    """The parts read off the cuts equal closure-minus-side, with equal dims."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(real_systems(), complex_systems()))
+    def test_systems(self, sys):
+        assert_matches_definitional_route(sys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6),
+           st.integers(0, 10_000), st.data())
+    def test_degenerate_spectra(self, multiplicities, seed, data):
+        omega = degenerate_hermitian(multiplicities, np.random.default_rng(seed))
+        n = omega.shape[0]
+        assume(n > 1)  # both blocks nonempty
+        d1 = data.draw(st.integers(1, n - 1))
+        assert_matches_definitional_route(BlockSystem(
+            omega[:d1, :d1], omega[d1:, d1:], omega[:d1, d1:], TOL))
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec.centered(6, 2, 3, TOL),
+        LatticeSpec.centered(8, 3, 3, TOL),
+        LatticeSpec.centered(10, 3, 3, TOL),
+        LatticeSpec.centered(22, 6, 2, TOL),
+        LatticeSpec(24, 6, (9, 9), 2, TOL),
+    ], ids=["3d-box6-cube2", "3d-box8-cube3", "3d-box10-cube3",
+            "2d-box22-cube6", "2d-box24-cube6-at-9-9"])
+    def test_lattices(self, spec):
+        assert_matches_definitional_route(build_lattice_system(spec))
 
 
 class TestBlockForm:
@@ -432,6 +496,20 @@ def test_one_eigendecomposition_per_operator(make, monkeypatch):
     assert sorted(inputs) == sorted(expected)
 
 
+def test_two_complete_qrs(monkeypatch):
+    """decompose splits each block with one complete QR of its decoupled
+    part's rows, and takes no complement."""
+    sys = build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL))
+    modes = []
+
+    def counted(a, mode="reduced", _qr=np.linalg.qr):
+        modes.append(mode)
+        return _qr(a, mode=mode)
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    decompose(sys)
+    assert modes == ["complete", "complete"]
+
+
 @pytest.mark.parametrize("box,cube", [(6, 2), (8, 3)])
 def test_lattice_matches_nested_route(box, cube):
     sys = build_lattice_system(LatticeSpec.centered(box, cube, 3, TOL))
@@ -489,7 +567,8 @@ def test_block_unitary_invariance(sys, seed):
 
 def assert_orbit_certificates(sys, seed):
     """||A P - P (P^dag A P)||_2 <= ORBIT_CERT_FACTOR * tol * max(1, ||A||_2)
-    for the orbits of H1, H2 and a random subspace under the full Omega."""
+    for the orbits of H1, H2 and a random subspace under the full Omega,
+    and for their complements."""
     omega = assemble_full(sys).omega
     n, spectrum = omega.shape[0], Spectrum(omega, sys.tol)
     rng = np.random.default_rng(seed)
@@ -499,9 +578,10 @@ def assert_orbit_certificates(sys, seed):
     limit = ORBIT_CERT_FACTOR * sys.tol * max(1.0, np.linalg.norm(omega, 2))
     for seed_matrix in (np.eye(n, sys.d1), np.eye(n, sys.d2, -sys.d1),
                         random_seed):
-        p = spectrum.orbit(SubspaceBasis(seed_matrix)).matrix
-        ap = omega @ p
-        assert np.linalg.norm(ap - p @ (p.conj().T @ ap), 2) <= limit
+        for subspace in (spectrum.orbit, spectrum.orbit_complement):
+            p = subspace(SubspaceBasis(seed_matrix)).matrix
+            ap = omega @ p
+            assert np.linalg.norm(ap - p @ (p.conj().T @ ap), 2) <= limit
 
 
 @settings(max_examples=40, deadline=None)
@@ -557,8 +637,8 @@ def test_coupling_range_matches_symmetrized_coupling(sys):
     keeps is the cut of the n x n [[0, Gamma], [Gamma^dag, 0]]."""
     d1, d2 = sys.d1, sys.d2
     dec = decompose(sys)
-    direct = direct_sum_basis(_embed_observable(dec.ran_gamma, d1, d2),
-                              _embed_hidden(dec.ran_gamma_dag, d1, d2))
+    direct = direct_sum_basis(_embed_observable(dec.ran_gamma, d2),
+                              _embed_hidden(dec.ran_gamma_dag, d1))
     oracle = orthonormalize(decoupled_parts(sys)[1], sys.tol,
                             ambient_dim=d1 + d2)
     assert direct.dim == oracle.dim
@@ -590,11 +670,10 @@ def test_verify_theorem_cuts_no_gamma(make, monkeypatch):
 
 
 def test_leak_failure_names_stage_and_limit():
-    whole = SubspaceBasis.full(2)
-    side = SubspaceBasis(np.array([[1.0], [1.0]]) / np.sqrt(2))
+    decoupled = SubspaceBasis(np.array([[1.0], [-1.0]]) / np.sqrt(2))
     with pytest.raises(DecompositionError) as info:
-        _project_out_block(whole, side, slice(1, 2), slice(0, 1), TOL,
-                           "H2c from closure(H1)")
+        _split_block(decoupled, slice(1, 2), slice(0, 1), TOL,
+                     "H2c from closure(H1)")
     message = str(info.value)
     assert message.startswith("H2c from closure(H1): ")
     assert "leak onto the other block = 7.071e-01" in message
@@ -607,12 +686,11 @@ def test_rank_proof_failure_names_condition():
     """Thirty columns each leaking 0.099, under the column limit 100 * tol
     = 0.1, have ||leak||_F = 0.54: the full-rank proof needs < 1/2."""
     tol, d, leak = 1e-3, 30, 0.099
-    excess = np.vstack([np.sqrt(1 - leak ** 2) * np.eye(d), leak * np.eye(d)])
-    closure = SubspaceBasis(excess)
+    decoupled = SubspaceBasis(np.vstack([np.sqrt(1 - leak ** 2) * np.eye(d),
+                                         leak * np.eye(d)]))
     with pytest.raises(DecompositionError) as info:
-        _project_out_block(closure, SubspaceBasis.empty(2 * d),
-                           slice(0, d), slice(d, 2 * d), tol,
-                           "H1c from closure(H2)")
+        _split_block(decoupled, slice(0, d), slice(d, 2 * d), tol,
+                     "H1c from closure(H2)")
     message = str(info.value)
     assert message.startswith("H1c from closure(H2): ||leak||_F")
     assert f"= {leak * np.sqrt(d):.3e}" in message

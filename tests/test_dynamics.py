@@ -22,6 +22,7 @@ from opensys.dynamics import (
 from opensys.lattice import LatticeSpec, build_lattice_system
 from opensys.subspaces import DimensionMismatchError
 from opensys.systems import BlockSystem, assemble_full, random_system
+from test_acceptance import REDUCTION_SUP_TOL
 
 
 def swap_system():
@@ -146,6 +147,19 @@ class TestKernel:
         with pytest.raises(ValueError):
             make_kernel(random_system(2, 2, 1, seed=0), "sideways")
 
+    def test_stack_matches_per_time_products(self):
+        """The d=27 kernel of the 3-d box 5, cube 3 lattice on 2001 times
+        equals M diag(e^{-i w t}) M^dag taken one time at a time."""
+        sys = build_lattice_system(LatticeSpec.centered(5, 3, dims=3))
+        k = make_kernel(sys)
+        times = make_grid(10.0, 2000)
+        stack = k.on_grid(times)
+        modes = k.coupling_modes
+        loop = np.array([(modes * np.exp(-1j * k.eigvals * t)) @ modes.conj().T
+                         for t in times])
+        assert stack.shape == (2001, 27, 27)
+        assert _relative_gap(stack, loop) <= 1e-13
+
 
 class TestPropagateFull:
     def test_eigenvector_phase_evolution(self):
@@ -261,6 +275,29 @@ class TestPropagateReduced:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         reduction_discrepancy(sys, np.ones(3) / np.sqrt(3), 2.0, 50)
         assert sorted(calls) == [(5, 5), (8, 8)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_perturbed_hidden_block_exceeds_reduction_limit(self, seed):
+        """Negative control for the criterion-5 limit: a kernel built from
+        Omega2 + 1e-3 I, 1000 steps on [0, 10], misses the true full
+        propagation by more than REDUCTION_SUP_TOL; the true kernel does
+        not."""
+        sys = random_system(4, 8, 2, seed=seed)
+        shifted = BlockSystem(sys.omega1, sys.omega2 + 1e-3 * np.eye(8),
+                              sys.gamma, sys.tol)
+        rng = np.random.default_rng(seed)
+        v1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        v1 /= np.linalg.norm(v1)
+        grid = make_grid(10.0, 1000)
+        full = propagate_full(assemble_full(sys), np.concatenate(
+            [v1, np.zeros(8)]), ForcingSignal.zero(), grid).states[:, :4]
+
+        def gap(kernel_sys):
+            red = propagate_reduced(sys, v1, ForcingSignal.zero(OBSERVABLE),
+                                    grid, make_kernel(kernel_sys))
+            return np.max(np.linalg.norm(red.states - full, axis=1))
+
+        assert gap(sys) <= REDUCTION_SUP_TOL < gap(shifted)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -392,7 +429,7 @@ class TestExport:
         assert len(header) == 1 + 2 * 12 * 12
         assert len(set(header)) == len(header)
         assert len(rows) == len(grid)
-        last = k.on_grid(grid[-1:])[0].reshape(-1)
+        last = k.on_grid(grid)[-1].reshape(-1)
         expected = np.stack([last.real, last.imag], axis=1).reshape(-1)
         assert rows[-1] == [repr(float(x)) for x in [grid[-1], *expected]]
 

@@ -332,25 +332,52 @@ def test_basis_must_be_a_matrix():
 
 
 def per_cluster_orbit(spectrum, seed):
-    """Orbit by one :func:`_range_basis` cut per cluster, in a loop: an
-    oracle for the stacked cuts of :meth:`Spectrum.orbit`."""
+    """Orbit and its complement by one full SVD per cluster, in a loop: an
+    oracle for the stacked, padded cuts of :meth:`Spectrum.orbit` and
+    :meth:`Spectrum.orbit_complement`."""
     n = len(spectrum.values)
     coords = spectrum.vectors.conj().T @ seed.matrix
-    pieces, values = [], []
+    kept, dropped, values = [], [], []
     for lo, size in zip(spectrum.starts, spectrum.sizes):
-        left, kept = _range_basis(coords[lo:lo + size], spectrum.tol)
-        pieces.append(spectrum.vectors[:, lo:lo + size] @ left[:, :kept])
-        values.append(spectrum.values[lo:lo + kept])
-    return (SubspaceBasis(np.hstack([np.zeros((n, 0)), *pieces])),
+        block = coords[lo:lo + size]
+        rank = _range_basis(block, spectrum.tol)[1]
+        left = np.linalg.svd(block)[0] if block.shape[1] else np.eye(size)
+        kept.append(spectrum.vectors[:, lo:lo + size] @ left[:, :rank])
+        dropped.append(spectrum.vectors[:, lo:lo + size] @ left[:, rank:])
+        values.append(spectrum.values[lo:lo + rank])
+    return (SubspaceBasis(np.hstack([np.zeros((n, 0)), *kept])),
+            SubspaceBasis(np.hstack([np.zeros((n, 0)), *dropped])),
             np.concatenate(values))
 
 
 def assert_matches_per_cluster(spectrum, seed):
-    oracle, oracle_values = per_cluster_orbit(spectrum, seed)
+    """The orbit and its complement match the per-cluster oracle; they are
+    orthogonal, their dims sum to n, and no column of the complement has a
+    seed component above the cut, tol * max(1, s_max) = tol for an
+    orthonormal seed."""
+    oracle, oracle_rest, oracle_values = per_cluster_orbit(spectrum, seed)
     result = spectrum.orbit(seed)
+    rest = spectrum.orbit_complement(seed)
     assert result.dim == oracle.dim
     assert projector_distance(result, oracle) <= 1e-12
     assert np.array_equal(spectrum.closure_values(seed), oracle_values)
+    assert rest.dim == oracle_rest.dim == len(spectrum.values) - result.dim
+    assert projector_distance(rest, oracle_rest) <= 1e-12
+    assert np.max(np.abs(result.matrix.conj().T @ rest.matrix),
+                  initial=0.0) <= 1e-12
+    assert np.max(np.linalg.norm(seed.matrix.conj().T @ rest.matrix, axis=0),
+                  initial=0.0) <= spectrum.tol
+
+
+def degenerate_hermitian(multiplicities, rng):
+    """Random Hermitian matrix whose eigenvalues repeat ``multiplicities``
+    times each, so its clusters have several sizes."""
+    values = np.repeat(rng.standard_normal(len(multiplicities)),
+                       multiplicities)
+    n = len(values)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q = np.linalg.qr(g)[0]
+    return (q * values) @ q.conj().T
 
 
 def block_seeds(d1, d2, dtype):
@@ -385,20 +412,16 @@ class TestStackedClusterCuts:
     def test_degenerate_spectra(self, multiplicities, seed, k):
         """Hermitian matrices with clusters of several sizes."""
         rng = np.random.default_rng(seed)
-        values = np.repeat(rng.standard_normal(len(multiplicities)),
-                           multiplicities)
-        n = len(values)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q = np.linalg.qr(g)[0]
-        spectrum = Spectrum((q * values) @ q.conj().T, TOL)
+        spectrum = Spectrum(degenerate_hermitian(multiplicities, rng), TOL)
+        n = len(spectrum.values)
         seed_basis = orthonormalize(
             rng.standard_normal((n, min(k, n))), TOL, ambient_dim=n)
         assert_matches_per_cluster(spectrum, seed_basis)
 
 
 def test_svd_counts(monkeypatch):
-    """Spectrum.orbit makes one SVD per distinct cluster size; complement
-    and projector_distance make none."""
+    """Spectrum.orbit and Spectrum.orbit_complement make one SVD per
+    distinct cluster size; complement and projector_distance make none."""
     inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # norm's svd
     sys = build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL))
     spectrum = Spectrum(assemble_full(sys).omega, TOL)
@@ -413,6 +436,9 @@ def test_svd_counts(monkeypatch):
 
     closure = spectrum.orbit(h1)
     assert 0 < len(calls) <= len(np.unique(spectrum.sizes)) == 4
+    calls.clear()
+    assert spectrum.orbit_complement(h1).dim == len(spectrum.values) - closure.dim
+    assert 0 < len(calls) <= 4
     calls.clear()
     rest = complement(closure, h1, TOL)
     assert rest.dim == closure.dim - h1.dim
