@@ -132,11 +132,17 @@ def cmd_verify_theorem(args) -> int:
     print(f"dims: {report.dims}  tol = {sys.tol:g}")
     if args.output:
         write_json_atomic(report.to_dict(), args.output)
-    limit = args.distance_tol
-    if not report.passed(limit):
-        print(f"FAIL: max distance {report.max_distance:.3e} "
-              f"(limit {limit if limit is not None else dc.CONSISTENCY_FACTOR * sys.tol:g}) "
-              f"or bound/reconstructibility violated")
+    if not report.passed(args.distance_tol):
+        name, worst = max(report.orbit_equalities, key=lambda pair: pair[1])
+        limit = report.distance_limit(args.distance_tol)
+        reasons = [f"max distance {worst:.3e} "
+                   f"{'>' if worst > limit else '<='} limit {limit:g} ({name})"]
+        if not report.bound_satisfied:
+            reasons.append(f"multiplicity {report.multiplicity_omega_c} > "
+                           f"bound {report.bound}")
+        if not report.reconstructible_core:
+            reasons.append("core not reconstructible")
+        print("FAIL: " + "; ".join(reasons))
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -250,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.add_argument("--distance-tol", type=float, default=None,
-                   help="override the projector-distance pass limit")
+                   help="override the distance pass limit (100 * tol)")
     _add_tol(p)
     p.set_defaults(func=cmd_verify_theorem)
 

@@ -31,12 +31,19 @@ H1c + H2c is Omega-invariant, so it is reconstructible exactly when
 closure(H1c) and closure(H2c) both equal it, and in each eigenvalue
 cluster of Omega it holds as many eigenvalues as its coordinates there
 have rank.
+
+Every distance is ||P_A - P_B|| = ||B_perp^dag A||, taken against a
+complement of B that is already exact: h1d and h2d, the trailing columns
+of the QRs, for the route distances; the eigen-directions a closure's
+cut drops for the theorem distances.  Both functions work in the
+eigenbasis of Omega, where H1 and H2 are the conjugate transposes of the
+first d1 and last d2 rows of its eigenvectors; no closure is formed in
+n-space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -44,12 +51,11 @@ from .subspaces import (
     DEFAULT_TOL,
     Spectrum,
     SubspaceBasis,
+    _complement_distance,
     _eigen_clusters,
     check_hermitian,
-    direct_sum_basis,
     orbit,
     orthonormalize,
-    projector_distance,
 )
 from .systems import BlockSystem, assemble_full
 
@@ -137,10 +143,13 @@ class TheoremReport:
     def max_distance(self) -> float:
         return max((d for _, d in self.orbit_equalities), default=0.0)
 
-    def passed(self, distance_tol: float | None = None) -> bool:
-        limit = distance_tol if distance_tol is not None else \
+    def distance_limit(self, distance_tol: float | None = None) -> float:
+        """``distance_tol``, or by default CONSISTENCY_FACTOR * tol."""
+        return distance_tol if distance_tol is not None else \
             CONSISTENCY_FACTOR * self.tol
-        return (self.max_distance <= limit
+
+    def passed(self, distance_tol: float | None = None) -> bool:
+        return (self.max_distance <= self.distance_limit(distance_tol)
                 and self.bound_satisfied
                 and self.reconstructible_core)
 
@@ -155,14 +164,6 @@ class TheoremReport:
             "dims": self.dims,
             "tol": self.tol,
         }
-
-
-def _embed_observable(basis: SubspaceBasis, d2: int) -> SubspaceBasis:
-    return SubspaceBasis(np.vstack([basis.matrix, np.zeros((d2, basis.dim))]))
-
-
-def _embed_hidden(basis: SubspaceBasis, d1: int) -> SubspaceBasis:
-    return SubspaceBasis(np.vstack([np.zeros((d1, basis.dim)), basis.matrix]))
 
 
 def _split_block(decoupled: SubspaceBasis, take: slice, other: slice,
@@ -200,29 +201,35 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
 
     The decoupled hidden part H2d is the largest Omega-invariant subspace
     orthogonal to H1: the eigen-directions that the cluster cuts of
-    closure(H1) drop (:meth:`Spectrum.orbit_complement`).  The coupled
-    hidden part H2c is its complement in H2, and symmetrically for H1d
-    and H1c.  The equivalent fast route (closures of Ran(Gamma) and
-    Ran(Gamma^dag) under the diagonal blocks) is computed as well and the
-    two are required to agree to within CONSISTENCY_FACTOR * tol.
+    closure(H1) drop (:meth:`Spectrum.cut` of H1's eigen-coordinates).
+    The coupled hidden part H2c is its complement in H2, and symmetrically
+    for H1d and H1c.  The equivalent fast route (closures of Ran(Gamma)
+    and Ran(Gamma^dag) under the diagonal blocks) is computed as well and
+    the two are required to agree to within CONSISTENCY_FACTOR * tol,
+    each distance taken against h1d or h2d, the exact complement of h1c
+    or h2c in its block.
     """
     d1, d2, tol = sys.d1, sys.d2, sys.tol
-    n = d1 + d2
     spectrum = Spectrum(assemble_full(sys).omega, tol)
-
-    h1_full = SubspaceBasis(np.eye(n, d1))
-    h2_full = SubspaceBasis(np.eye(n, d2, -d1))
-    h2d, h2c = _split_block(spectrum.orbit_complement(h1_full), slice(d1, n),
-                            slice(0, d1), tol, "H2c from closure(H1)")
-    h1d, h1c = _split_block(spectrum.orbit_complement(h2_full), slice(0, d1),
-                            slice(d1, n), tol, "H1c from closure(H2)")
-    # independent fast route through the coupling ranges
+    vectors = spectrum.vectors
+    # H1 and H2 in the eigenbasis of Omega are V^dag [I; 0] and V^dag [0; I];
+    # each decoupled part is the eigenvectors times the factors its cut drops
+    factors, kept = spectrum.cut(vectors[:d1].conj().T)
+    h2d, h2c = _split_block(SubspaceBasis(vectors @ factors[:, ~kept]),
+                            slice(d1, None), slice(0, d1), tol,
+                            "H2c from closure(H1)")
+    factors, kept = spectrum.cut(vectors[d1:].conj().T)
+    h1d, h1c = _split_block(SubspaceBasis(vectors @ factors[:, ~kept]),
+                            slice(0, d1), slice(d1, None), tol,
+                            "H1c from closure(H2)")
+    # independent fast route through the coupling ranges, compared through
+    # the complements of h1c and h2c that the QRs above made exactly
     ran_gamma = orthonormalize(sys.gamma, tol, ambient_dim=d1)
     ran_gamma_dag = orthonormalize(sys.gamma.conj().T, tol, ambient_dim=d2)
-    h1c_fast = orbit(sys.omega1, ran_gamma, tol)
-    h2c_fast = orbit(sys.omega2, ran_gamma_dag, tol)
-    dist1 = projector_distance(h1c, h1c_fast)
-    dist2 = projector_distance(h2c, h2c_fast)
+    dist1 = _complement_distance(orbit(sys.omega1, ran_gamma, tol).matrix,
+                                 h1d.matrix)
+    dist2 = _complement_distance(orbit(sys.omega2, ran_gamma_dag, tol).matrix,
+                                 h2d.matrix)
     route_distance = max(dist1, dist2)
     if route_distance > CONSISTENCY_FACTOR * tol:
         raise DecompositionError(
@@ -283,9 +290,13 @@ def verify_theorem(sys: BlockSystem,
 
     ``dec`` must be ``decompose(sys)``; it is computed when omitted.
     Nothing is factored here: every closure and eigenvalue comes from
-    ``dec.spectrum``.  Compares, by projector distance, the four
-    characterizations of the coupled core: H1c + H2c and the invariant
-    closures of H1c, of H2c and of the range of the symmetrized coupling.
+    ``dec.spectrum``.  Compares the four characterizations of the coupled
+    core: H1c + H2c and the invariant closures of H1c, of H2c and of the
+    range of the symmetrized coupling.  All four are taken in the
+    eigenbasis of Omega, where a closure is the factors its cut keeps and
+    the factors it drops are its exact complement; each pair is compared
+    by the complement product ||B_perp^dag A||, the closure B always the
+    second of the pair, so the core's complement is never needed.
     The proof-chain entry (the closure of that range under diag(Omega1,
     Omega2) is H1c + H2c) is ``dec.route_distance``, exact because both
     sides are block-diagonal in H1 + H2.  The core is reconstructible
@@ -298,30 +309,38 @@ def verify_theorem(sys: BlockSystem,
     """
     if dec is None:
         dec = decompose(sys)
-    d1, d2, tol = sys.d1, sys.d2, sys.tol
-    h1c_full = _embed_observable(dec.h1c, d2)
-    h2c_full = _embed_hidden(dec.h2c, d1)
-    core = direct_sum_basis(h1c_full, h2c_full)
+    d1, tol, spectrum = sys.d1, sys.tol, dec.spectrum
+    top, bottom = spectrum.vectors[:d1].conj().T, spectrum.vectors[d1:].conj().T
+    # in the eigenbasis of Omega, where [x; y] has coordinates
+    # V[:d1]^dag x + V[d1:]^dag y
+    core = np.hstack([top @ dec.h1c.matrix, bottom @ dec.h2c.matrix])
     # Ran [[0, Gamma], [Gamma^dag, 0]] = Ran(Gamma) (+) Ran(Gamma^dag): the
     # matrix's singular values are Gamma's, each twice, so decompose's cuts
     # of Gamma and Gamma^dag are its cut
-    coupling = direct_sum_basis(_embed_observable(dec.ran_gamma, d2),
-                                _embed_hidden(dec.ran_gamma_dag, d1))
-    subspaces = [
-        ("h1c+h2c", core),
-        ("closure(h1c)", dec.spectrum.orbit(h1c_full)),
-        ("closure(h2c)", dec.spectrum.orbit(h2c_full)),
-        ("closure(ran coupling)", dec.spectrum.orbit(coupling)),
-    ]
-    equalities = [(f"{a} vs {b}", projector_distance(sa, sb))
-                  for (a, sa), (b, sb) in combinations(subspaces, 2)]
+    coupling = np.hstack([top @ dec.ran_gamma.matrix,
+                          bottom @ dec.ran_gamma_dag.matrix])
+    names = ["h1c+h2c", "closure(h1c)", "closure(h2c)",
+             "closure(ran coupling)"]
+    seeds = [core, core[:, :dec.h1c.dim], core[:, dec.h1c.dim:], coupling]
+    # Each distance d(i, j), i < j, takes subspace i against the exact
+    # complement of closure j, the factors its cut drops.  Cutting from
+    # the last seed back holds one n x n factor matrix at a time.
+    dropped, distance = {}, {}
+    for i in reversed(range(len(seeds))):
+        factors, kept = spectrum.cut(seeds[i])
+        first = core if i == 0 else factors[:, kept]
+        for j in dropped:
+            distance[i, j] = _complement_distance(first, dropped[j])
+        dropped[i] = factors[:, ~kept]
+    equalities = [(f"{names[i]} vs {names[j]}", d)
+                  for (i, j), d in sorted(distance.items())]
     equalities.append(("diag closure vs h1c+h2c", dec.route_distance))
-    # the first two: h1c+h2c vs closure(h1c), h1c+h2c vs closure(h2c)
-    core_reconstructible = max(equalities[0][1], equalities[1][1]) <= \
+    core_reconstructible = max(distance[0, 1], distance[0, 2]) <= \
         CONSISTENCY_FACTOR * tol
 
-    mult = _largest_cluster(dec.spectrum.closure_values(core),
-                            DEFAULT_CLUSTER_TOL)
+    # the last cut is the core's; being invariant, the core holds the
+    # eigenvalues that its cut keeps
+    mult = _largest_cluster(spectrum.values[kept], DEFAULT_CLUSTER_TOL)
     bound = min(2 * dec.ran_gamma.dim, dec.h1c.dim, dec.h2c.dim)
 
     return TheoremReport(

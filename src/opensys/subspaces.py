@@ -19,8 +19,10 @@ Hermitian           ``||A - A^dag||_F <= tol * max(1,          check_hermitian
                     ||A||_F)``
 containment         residuals ``<= 10 * tol``                  complement
 ORBIT_CERT_FACTOR   ``||(I - P) A P|| <= 10 * tol * ||A||``    Spectrum orbits
-CONSISTENCY_FACTOR  route, leak and theorem distances          decomposition
-                    ``<= 100 * tol``; block residual           and cli
+CONSISTENCY_FACTOR  route and theorem distances                decomposition
+                    ``||B_perp^dag A|| <= 100 * tol`` (1 when  and cli
+                    dims differ), B_perp an exact complement;
+                    leak ``<= 100 * tol``; block residual
                     ``<= 100 * tol * ||Omega||``
 leak rank proof     ``||leak||_F < 1/2``: the rows of a        decomposition
                     decoupled part in its block have full
@@ -30,17 +32,26 @@ leak rank proof     ``||leak||_F < 1/2``: the rows of a        decomposition
 The decomposition uses every row but containment: it reads its parts
 off the cluster cuts and calls no :func:`complement`.
 
-The central operation is :func:`orbit`, the smallest invariant subspace
-of a Hermitian matrix containing a given seed subspace, and its
+The central operation is :meth:`Spectrum.cut`, which takes a seed
+subspace in the eigenbasis of a Hermitian matrix and returns both its
+orbit, the smallest invariant subspace containing it, and the orbit's
 orthogonal complement, the largest invariant subspace orthogonal to the
 seed.  Both are read off one eigendecomposition, a :class:`Spectrum`,
-which several orbits under the same matrix share: the rank cuts of all
-its clusters of one size take one stacked SVD, the orbit keeps the left
+which several cuts under the same matrix share: the rank cuts of all its
+clusters of one size take one stacked SVD, the orbit is the left
 singular vectors each cut keeps, and its complement those it drops.
+:func:`orbit` returns the orbit in the standard basis.
 :func:`complement` makes no rank decision: it takes the trailing columns
 of a Householder QR, and its dimension is fixed by the inputs.
-:func:`projector_distance` takes the top eigenvalue of a k x k Gram
-matrix, not an SVD.
+
+Every distance the package certifies is ``||P_A - P_B|| = ||B_perp^dag
+A||`` for subspaces of equal dimension (:func:`_complement_distance`),
+with B_perp a complement that is exact by construction: the trailing
+columns of a complete QR, or the factors a cut drops.  The norm of that
+(n - k) x k product is the top eigenvalue of its smaller Gram matrix
+(:func:`_spectral_norm`), not an SVD.  :func:`projector_distance` needs
+no complement: it takes the norm of the n x k residual (I - P_B) A, and
+is the oracle of the complement form.
 """
 
 from __future__ import annotations
@@ -203,7 +214,10 @@ class Spectrum:
 
     Every invariant subspace computed from the same operator reuses it.
     Cluster ``i`` holds the eigenvalues ``starts[i]`` to
-    ``starts[i] + sizes[i] - 1``, in ascending order.
+    ``starts[i] + sizes[i] - 1``, in ascending order.  The eigenvectors V
+    are unitary, so distances between subspaces are the same between
+    their eigen-coordinates V^dag S, in which every invariant subspace is
+    block-diagonal by cluster.
     """
 
     def __init__(self, a: np.ndarray, tol: float = DEFAULT_TOL):
@@ -212,25 +226,28 @@ class Spectrum:
         self.values, self.vectors = np.linalg.eigh(a)
         self.starts, self.sizes = _eigen_clusters(self.values, tol)
 
-    def _cuts(self, seed: SubspaceBasis) -> tuple[np.ndarray, np.ndarray]:
-        """Rank cut of the seed's eigen-coordinates in every cluster.
+    def cut(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rank cut, in every cluster, of a seed given by its eigen-coordinates.
 
-        Clusters of one size share one stacked :func:`_range_basis` call.
-        The coordinates are padded with zero columns up to the largest
-        cluster size.  That adds only zero singular values, so the cut is
+        ``coords`` is the n x k matrix V^dag S of a seed S in the basis of
+        the eigenvectors V; H1 and H2 of a block operator are the
+        conjugate transposes of V's first d1 and last d2 rows.  Clusters of
+        one size share one stacked :func:`_range_basis` call.  The
+        coordinates are padded with zero columns up to the largest cluster
+        size.  That adds only zero singular values, so the cut is
         unchanged, and every cluster's left factor is complete (square).
-        Returns the block-diagonal n x n matrix of these factors, cluster
-        ``i`` in rows and columns ``starts[i]`` onwards, and the mask of
-        its columns that the cuts keep: the leading ``rank`` of each
-        cluster.
+        Returns the block-diagonal n x n matrix F of these factors, cluster
+        ``i`` in rows and columns ``starts[i]`` onwards, and the mask of its
+        columns that the cuts keep: the leading ``rank`` of each cluster.
+        In eigen-coordinates the invariant closure of S is ``F[:, kept]``,
+        and ``F[:, ~kept]``, the largest invariant subspace orthogonal to S,
+        is its exact complement: a column's component in span(S) is its
+        dropped singular value, at most ``tol * max(1, s_max)`` of its
+        cluster.  The eigenvalues of A on the closure are
+        ``values[kept]``.
         """
         n = len(self.values)
-        if seed.ambient_dim != n:
-            raise DimensionMismatchError(
-                f"seed ambient {seed.ambient_dim} != matrix dimension {n}"
-            )
-        coords = self.vectors.conj().T @ seed.matrix  # seed in the eigenbasis
-        pad = max(int(np.max(self.sizes, initial=0)) - seed.dim, 0)
+        pad = max(int(np.max(self.sizes, initial=0)) - coords.shape[1], 0)
         coords = np.hstack([coords, np.zeros((n, pad), dtype=coords.dtype)])
         factors = np.zeros((n, n), dtype=coords.dtype)
         ranks = np.zeros(len(self.sizes), dtype=int)
@@ -248,34 +265,18 @@ class Spectrum:
         In finite dimension the invariant closure of a seed S is the direct
         sum, over the eigenspaces E of A, of span(P_E S).  Each eigenspace is
         one eigenvalue cluster, and the rank of the projected seed in it is
-        cut by :func:`_range_basis`, in one stacked SVD per cluster size.
-        The orbit is the product of the eigenvectors with the left singular
-        vectors the cuts keep, which are block-sparse; its columns come
-        cluster by cluster in ascending order.  The result P satisfies
+        cut by :meth:`cut`.  The orbit is the product of the eigenvectors
+        with the left singular vectors the cuts keep, which are
+        block-sparse; its columns come cluster by cluster in ascending
+        order.  The result P satisfies
         ||(I - P) A P|| <= ORBIT_CERT_FACTOR * tol * ||A||.
         """
-        factors, kept = self._cuts(seed)
+        if seed.ambient_dim != len(self.values):
+            raise DimensionMismatchError(
+                f"seed ambient {seed.ambient_dim} != matrix dimension "
+                f"{len(self.values)}")
+        factors, kept = self.cut(self.vectors.conj().T @ seed.matrix)
         return SubspaceBasis(self.vectors @ factors[:, kept])
-
-    def orbit_complement(self, seed: SubspaceBasis) -> SubspaceBasis:
-        """Largest invariant subspace orthogonal to span(seed).
-
-        The orthogonal complement of :meth:`orbit`: the same product with
-        the left singular vectors the cuts drop.  A column's component in
-        span(seed) is its dropped singular value, at most
-        ``tol * max(1, s_max)`` of its cluster.  It satisfies the same
-        certificate as the orbit.
-        """
-        factors, kept = self._cuts(seed)
-        return SubspaceBasis(self.vectors @ factors[:, ~kept])
-
-    def closure_values(self, seed: SubspaceBasis) -> np.ndarray:
-        """Eigenvalues of A on orbit(seed), without forming the orbit.
-
-        In each cluster, as many of its eigenvalues as the rank that
-        :meth:`orbit` keeps there; ascending.
-        """
-        return self.values[self._cuts(seed)[1]]
 
 
 def orbit(a: np.ndarray, seed: SubspaceBasis, tol: float = DEFAULT_TOL) -> SubspaceBasis:
@@ -313,21 +314,27 @@ def complement(whole: SubspaceBasis, part: SubspaceBasis,
     return SubspaceBasis(whole.matrix @ q[:, part.dim:])
 
 
-def _excess_norm(a: SubspaceBasis, b: SubspaceBasis) -> float:
-    """||(I - P_b) A|| in the spectral norm, from the n x k bases.
+def _spectral_norm(m: np.ndarray) -> float:
+    """Spectral norm of ``m``: the square root of the top eigenvalue of the
+    smaller of its Gram matrices, m^dag m or m m^dag.
 
-    The square root of the top eigenvalue of the k x k Gram matrix R^dag R
-    of the residual R = A - B (B^dag A).  The Gram is formed from R
-    itself, not as I - C^dag C, so a residual of norm 1e-12 keeps its
-    digits.
+    The Gram is formed from ``m`` itself, so when ``m`` is a residual or a
+    complement product of norm 1e-12 its norm keeps its digits, which a
+    Gram formed as I - C^dag C would round away.
     """
-    k = a.dim
-    if k == 0:
+    if m.size == 0:
         return 0.0
-    residual = a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix)
-    top = scipy.linalg.eigh(residual.conj().T @ residual, eigvals_only=True,
+    gram = m.conj().T @ m if m.shape[0] >= m.shape[1] else m @ m.conj().T
+    k = gram.shape[0]
+    top = scipy.linalg.eigh(gram, eigvals_only=True,
                             subset_by_index=[k - 1, k - 1])
     return float(np.sqrt(max(top[0], 0.0)))
+
+
+def _excess_norm(a: SubspaceBasis, b: SubspaceBasis) -> float:
+    """||(I - P_b) A|| in the spectral norm: that of the n x k residual
+    A - B (B^dag A), from its k x k Gram matrix."""
+    return _spectral_norm(a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix))
 
 
 def projector_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
@@ -336,9 +343,11 @@ def projector_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
     When the dimensions differ it is exactly 1.  When they agree it is the
     sine of the largest principal angle, which ||(I - P_b) A|| and
     ||(I - P_a) B|| both equal in exact arithmetic, so one residual is
-    taken, its norm from the top eigenvalue of its k x k Gram matrix
-    (:func:`_excess_norm`).  The residual keeps angles far below 1e-8,
-    which sqrt(1 - cos^2) of the principal cosines would round to zero.
+    taken (:func:`_excess_norm`).  The residual keeps angles far below
+    1e-8, which sqrt(1 - cos^2) of the principal cosines would round to
+    zero.  The package's own distances take :func:`_complement_distance`,
+    which needs a complement of ``b``; this form, which needs none, is
+    its oracle.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
@@ -347,12 +356,19 @@ def projector_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
     return _excess_norm(a, b) if a.dim == b.dim else 1.0
 
 
-def direct_sum_basis(*parts: SubspaceBasis) -> SubspaceBasis:
-    """Concatenate bases of mutually orthogonal subspaces of one ambient space."""
-    dims = {p.ambient_dim for p in parts}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"mixed ambient dimensions: {dims}")
-    return SubspaceBasis(np.hstack([p.matrix for p in parts]))
+def _complement_distance(a: np.ndarray, b_perp: np.ndarray) -> float:
+    """||P_A - P_B|| from orthonormal bases of A and of B's orthogonal
+    complement, both n-row matrices.
+
+    When dim A = dim B, that is when A and B_perp have n columns between
+    them, it is ||B_perp^dag A|| (Golub & Van Loan, *Matrix
+    Computations*, Thm 2.5.1), an (n - k) x k product whose norm is taken
+    by :func:`_spectral_norm`.  Otherwise it is exactly 1.  B_perp must be
+    exact by construction (the trailing columns of a complete QR, or the
+    factors a cut drops): the distance is only as good as its complement.
+    """
+    same_dim = a.shape[1] + b_perp.shape[1] == a.shape[0]
+    return _spectral_norm(b_perp.conj().T @ a) if same_dim else 1.0
 
 
 def numeric_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:

@@ -172,8 +172,30 @@ def test_verify_theorem_rotated_h2c_fails(tmp_path, monkeypatch, capsys):
 
     assert main(["verify-theorem", "--input", str(path)]) == EXIT_OK
     monkeypatch.setattr(decomposition, "decompose", rotated)
+    capsys.readouterr()
     assert main(["verify-theorem", "--input", str(path)]) == EXIT_VERIFICATION
-    assert "FAIL: max distance" in capsys.readouterr().out
+    fail = capsys.readouterr().out.splitlines()[-1]
+    assert fail.startswith("FAIL: max distance 1.000e+00 > limit 1e-08 ")
+    assert "(h1c+h2c vs closure(h2c))" in fail
+    assert fail.endswith("; core not reconstructible")
+
+
+def test_verify_theorem_fail_names_bound(tmp_path, monkeypatch, capsys):
+    """A multiplicity over its bound is named, with the distance limit
+    passed on the command line."""
+    path = tmp_path / "s.json"
+    save_system(coupled_plus_decoupled(), str(path))
+    over_bound = decomposition.TheoremReport(
+        orbit_equalities=[("a vs b", 2e-12), ("c vs d", 3e-12)],
+        multiplicity_omega_c=3, bound=2, bound_satisfied=False,
+        reconstructible_core=True, dims={}, tol=1e-10)
+    monkeypatch.setattr(decomposition, "verify_theorem",
+                        lambda sys: over_bound)
+    assert main(["verify-theorem", "--input", str(path),
+                 "--distance-tol", "1e-11"]) == EXIT_VERIFICATION
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "FAIL: max distance 3.000e-12 <= limit 1e-11 (c vs d); "
+        "multiplicity 3 > bound 2")
 
 
 def test_missing_file_is_usage_error(tmp_path):

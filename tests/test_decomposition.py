@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,8 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from opensys.decomposition import (
     DEFAULT_CLUSTER_TOL,
     DecompositionError,
-    _embed_hidden,
-    _embed_observable,
     _largest_cluster,
     _split_block,
     decompose,
@@ -24,7 +24,6 @@ from opensys.subspaces import (
     SubspaceBasis,
     check_hermitian,
     complement,
-    direct_sum_basis,
     numeric_rank,
     orbit,
     orthonormalize,
@@ -37,7 +36,7 @@ from opensys.systems import (
     random_system,
     save_system,
 )
-from test_subspaces import degenerate_hermitian
+from test_subspaces import degenerate_hermitian, orbit_complement
 from test_systems import decoupled_parts
 
 TOL = 1e-10
@@ -91,13 +90,28 @@ def real_systems(draw):
     return BlockSystem((a1 + a1.T) / 2, (a2 + a2.T) / 2, gamma, TOL)
 
 
+def embed_observable(basis, d2):
+    """An observable-space basis as n-vectors [x; 0]."""
+    return SubspaceBasis(np.vstack([basis.matrix, np.zeros((d2, basis.dim))]))
+
+
+def embed_hidden(basis, d1):
+    """A hidden-space basis as n-vectors [0; y]."""
+    return SubspaceBasis(np.vstack([np.zeros((d1, basis.dim)), basis.matrix]))
+
+
+def direct_sum(*parts):
+    """Concatenated bases of mutually orthogonal subspaces."""
+    return SubspaceBasis(np.hstack([p.matrix for p in parts]))
+
+
 def decomposition_basis(sys, dec):
     """Unitary whose columns are the concatenated (h1d, h1c, h2c, h2d) basis."""
     d1, d2 = sys.d1, sys.d2
-    return np.hstack([_embed_observable(dec.h1d, d2).matrix,
-                      _embed_observable(dec.h1c, d2).matrix,
-                      _embed_hidden(dec.h2c, d1).matrix,
-                      _embed_hidden(dec.h2d, d1).matrix])
+    return np.hstack([embed_observable(dec.h1d, d2).matrix,
+                      embed_observable(dec.h1c, d2).matrix,
+                      embed_hidden(dec.h2c, d1).matrix,
+                      embed_hidden(dec.h2d, d1).matrix])
 
 
 def conjugated_block_form(sys, dec):
@@ -206,6 +220,55 @@ def assert_matches_nested_route(sys, dec=None):
     assert report.reconstructible_core == reconstructible
     assert report.passed() == nested.passed()
     return report
+
+
+def embedded_equalities(sys, dec):
+    """The six theorem distances by the embedded route: n x k bases of
+    H1c + H2c and of the three closures, compared by
+    :func:`projector_distance`.  An oracle for :func:`verify_theorem`,
+    which takes each from an exact complement in the eigenbasis of Omega."""
+    d1, d2 = sys.d1, sys.d2
+    h1c, h2c = embed_observable(dec.h1c, d2), embed_hidden(dec.h2c, d1)
+    coupling = direct_sum(embed_observable(dec.ran_gamma, d2),
+                          embed_hidden(dec.ran_gamma_dag, d1))
+    subspaces = [
+        ("h1c+h2c", direct_sum(h1c, h2c)),
+        ("closure(h1c)", dec.spectrum.orbit(h1c)),
+        ("closure(h2c)", dec.spectrum.orbit(h2c)),
+        ("closure(ran coupling)", dec.spectrum.orbit(coupling)),
+    ]
+    return [(f"{a} vs {b}", projector_distance(sa, sb))
+            for (a, sa), (b, sb) in combinations(subspaces, 2)]
+
+
+def embedded_route_distance(sys, dec):
+    """The larger projector distance between h1c, h2c and the fast route's
+    closures: an oracle for ``dec.route_distance``, which takes h1d and
+    h2d as the complements of h1c and h2c."""
+    return max(
+        projector_distance(dec.h1c, orbit(sys.omega1, dec.ran_gamma, sys.tol)),
+        projector_distance(dec.h2c,
+                           orbit(sys.omega2, dec.ran_gamma_dag, sys.tol)))
+
+
+def assert_matches_embedded_route(sys, dec):
+    """verify_theorem's equalities have the embedded route's names and
+    order, and each distance is within 1e-14 absolute of it."""
+    report = verify_theorem(sys, dec)
+    *equalities, last = report.orbit_equalities
+    oracle = embedded_equalities(sys, dec)
+    assert [name for name, _ in equalities] == [name for name, _ in oracle]
+    for (name, value), (_, expected) in zip(equalities, oracle):
+        assert abs(value - expected) <= 1e-14, name
+    assert last == ("diag closure vs h1c+h2c", dec.route_distance)
+    return report
+
+
+def assert_matches_embedded_routes(sys):
+    """The theorem and route distances both match the embedded route."""
+    dec = decompose(sys)
+    assert abs(dec.route_distance - embedded_route_distance(sys, dec)) <= 1e-14
+    return assert_matches_embedded_route(sys, dec)
 
 
 def _with_h2c(dec, matrix):
@@ -430,7 +493,7 @@ class TestTheorem:
         dec = decompose(sys)
         h2c = dec.h2c.matrix.copy()
         h2c[:, 0] = np.cos(1e-6) * h2c[:, 0] + np.sin(1e-6) * dec.h2d.matrix[:, 0]
-        report = verify_theorem(sys, _with_h2c(dec, h2c))
+        report = assert_matches_embedded_route(sys, _with_h2c(dec, h2c))
         assert not report.passed()
         assert report.max_distance >= 1e-7
 
@@ -438,7 +501,7 @@ class TestTheorem:
         sys = coupled_plus_decoupled()
         dec = decompose(sys)
         h2c = np.hstack([dec.h2c.matrix, dec.h2d.matrix[:, :1]])
-        report = verify_theorem(sys, _with_h2c(dec, h2c))
+        report = assert_matches_embedded_route(sys, _with_h2c(dec, h2c))
         assert not report.reconstructible_core
         assert not report.passed()
 
@@ -448,6 +511,44 @@ class TestTheorem:
         report = assert_matches_nested_route(sys)
         assert report.max_distance <= 1e-8
         assert report.bound_satisfied
+
+
+class TestEmbeddedRoute:
+    """The complement products in the eigenbasis give the distances of
+    the embedded route, with the same names in the same order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(real_systems(), complex_systems()))
+    def test_systems(self, sys):
+        assert_matches_embedded_routes(sys)
+
+    @pytest.mark.parametrize("box,cube", [(6, 2), (8, 3), (10, 3)])
+    def test_lattices(self, box, cube):
+        sys = build_lattice_system(LatticeSpec.centered(box, cube, 3, TOL))
+        assert assert_matches_embedded_routes(sys).passed()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_system(12, 20, 3, seed=7),
+    lambda: build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL)),
+], ids=["random-12-20-rank3", "lattice-box6-cube2"])
+def test_verify_theorem_forms_no_orbit(make, monkeypatch):
+    """verify_theorem takes every distance in the eigenbasis of Omega: it
+    forms no orbit in n-space and calls no projector_distance."""
+    sys = make()
+    dec = decompose(sys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_theorem formed an orbit or a "
+                             "projector distance")
+    monkeypatch.setattr(Spectrum, "orbit", refuse)
+    monkeypatch.setattr("opensys.subspaces.projector_distance", refuse)
+    monkeypatch.setattr("opensys.decomposition.projector_distance", refuse,
+                        raising=False)
+    report = verify_theorem(sys, dec)
+    monkeypatch.undo()
+    assert report.passed()
+    assert_matches_embedded_route(sys, dec)
 
 
 class TestReconstructible:
@@ -578,7 +679,8 @@ def assert_orbit_certificates(sys, seed):
     limit = ORBIT_CERT_FACTOR * sys.tol * max(1.0, np.linalg.norm(omega, 2))
     for seed_matrix in (np.eye(n, sys.d1), np.eye(n, sys.d2, -sys.d1),
                         random_seed):
-        for subspace in (spectrum.orbit, spectrum.orbit_complement):
+        for subspace in (spectrum.orbit,
+                         functools.partial(orbit_complement, spectrum)):
             p = subspace(SubspaceBasis(seed_matrix)).matrix
             ap = omega @ p
             assert np.linalg.norm(ap - p @ (p.conj().T @ ap), 2) <= limit
@@ -637,8 +739,8 @@ def test_coupling_range_matches_symmetrized_coupling(sys):
     keeps is the cut of the n x n [[0, Gamma], [Gamma^dag, 0]]."""
     d1, d2 = sys.d1, sys.d2
     dec = decompose(sys)
-    direct = direct_sum_basis(_embed_observable(dec.ran_gamma, d2),
-                              _embed_hidden(dec.ran_gamma_dag, d1))
+    direct = direct_sum(embed_observable(dec.ran_gamma, d2),
+                        embed_hidden(dec.ran_gamma_dag, d1))
     oracle = orthonormalize(decoupled_parts(sys)[1], sys.tol,
                             ambient_dim=d1 + d2)
     assert direct.dim == oracle.dim
@@ -663,7 +765,7 @@ def test_verify_theorem_cuts_no_gamma(make, monkeypatch):
     report = verify_theorem(sys, dec)
     monkeypatch.undo()
 
-    assert shapes  # the orbits' cluster cuts still run
+    assert shapes  # the closures' cluster cuts still run
     assert not {(sys.d1, sys.d2), (sys.d2, sys.d1)} & set(shapes)
     assert report.bound == min(2 * numeric_rank(sys.gamma, sys.tol),
                                dec.h1c.dim, dec.h2c.dim)

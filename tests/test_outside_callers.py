@@ -42,6 +42,7 @@ def test_workload_round_passes_its_checks(name, workloads, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["reduction_convergence.py", "--levels", "2"],
     ["lattice_multiplicity_scan.py", "--dims", "1", "--boxes", "6", "10"],
+    ["code_lines.py"],
 ])
 def test_script_runs(argv):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),

@@ -9,9 +9,9 @@ from opensys.subspaces import (
     Spectrum,
     SubspaceBasis,
     SymmetryError,
+    _complement_distance,
     _range_basis,
     complement,
-    direct_sum_basis,
     numeric_rank,
     orbit,
     orthonormalize,
@@ -314,11 +314,6 @@ class TestNumericRank:
         assert numeric_rank(np.zeros((0, 3)), TOL) == 0
 
 
-def test_direct_sum_requires_common_ambient():
-    with pytest.raises(DimensionMismatchError):
-        direct_sum_basis(SubspaceBasis.full(2), SubspaceBasis.full(3))
-
-
 def test_basis_rejects_too_many_vectors():
     with pytest.raises(DimensionMismatchError):
         SubspaceBasis(np.eye(2, 3, dtype=complex))
@@ -331,10 +326,26 @@ def test_basis_must_be_a_matrix():
     assert SubspaceBasis.full(3).dim == 3
 
 
+def eigen_coords(spectrum, seed):
+    return spectrum.vectors.conj().T @ seed.matrix
+
+
+def orbit_complement(spectrum, seed):
+    """Largest invariant subspace orthogonal to span(seed): the
+    eigenvectors times the factors that :meth:`Spectrum.cut` drops."""
+    factors, kept = spectrum.cut(eigen_coords(spectrum, seed))
+    return SubspaceBasis(spectrum.vectors @ factors[:, ~kept])
+
+
+def closure_values(spectrum, seed):
+    """Eigenvalues on orbit(seed): those the cut keeps, cluster by cluster."""
+    return spectrum.values[spectrum.cut(eigen_coords(spectrum, seed))[1]]
+
+
 def per_cluster_orbit(spectrum, seed):
     """Orbit and its complement by one full SVD per cluster, in a loop: an
-    oracle for the stacked, padded cuts of :meth:`Spectrum.orbit` and
-    :meth:`Spectrum.orbit_complement`."""
+    oracle for the stacked, padded cuts of :meth:`Spectrum.cut`, through
+    :meth:`Spectrum.orbit` and :func:`orbit_complement`."""
     n = len(spectrum.values)
     coords = spectrum.vectors.conj().T @ seed.matrix
     kept, dropped, values = [], [], []
@@ -357,10 +368,10 @@ def assert_matches_per_cluster(spectrum, seed):
     orthonormal seed."""
     oracle, oracle_rest, oracle_values = per_cluster_orbit(spectrum, seed)
     result = spectrum.orbit(seed)
-    rest = spectrum.orbit_complement(seed)
+    rest = orbit_complement(spectrum, seed)
     assert result.dim == oracle.dim
     assert projector_distance(result, oracle) <= 1e-12
-    assert np.array_equal(spectrum.closure_values(seed), oracle_values)
+    assert np.array_equal(closure_values(spectrum, seed), oracle_values)
     assert rest.dim == oracle_rest.dim == len(spectrum.values) - result.dim
     assert projector_distance(rest, oracle_rest) <= 1e-12
     assert np.max(np.abs(result.matrix.conj().T @ rest.matrix),
@@ -420,8 +431,9 @@ class TestStackedClusterCuts:
 
 
 def test_svd_counts(monkeypatch):
-    """Spectrum.orbit and Spectrum.orbit_complement make one SVD per
-    distinct cluster size; complement and projector_distance make none."""
+    """A cut, through Spectrum.orbit or orbit_complement, makes one SVD per
+    distinct cluster size; complement, projector_distance and
+    _complement_distance make none."""
     inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # norm's svd
     sys = build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL))
     spectrum = Spectrum(assemble_full(sys).omega, TOL)
@@ -437,12 +449,14 @@ def test_svd_counts(monkeypatch):
     closure = spectrum.orbit(h1)
     assert 0 < len(calls) <= len(np.unique(spectrum.sizes)) == 4
     calls.clear()
-    assert spectrum.orbit_complement(h1).dim == len(spectrum.values) - closure.dim
+    outside = orbit_complement(spectrum, h1)
+    assert outside.dim == len(spectrum.values) - closure.dim
     assert 0 < len(calls) <= 4
     calls.clear()
     rest = complement(closure, h1, TOL)
     assert rest.dim == closure.dim - h1.dim
     assert projector_distance(rest, complement(closure, h1, TOL)) < 1e-12
+    assert _complement_distance(closure.matrix, outside.matrix) < 1e-12
     assert calls == []
 
 
@@ -472,3 +486,49 @@ def test_projector_distance_is_residual_spectral_norm(n, data, log_angle,
     residual = a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix)
     expected = np.linalg.norm(residual, 2)
     assert abs(projector_distance(a, b) - expected) <= 1e-12 * expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24), st.data(), st.floats(-12.0, 0.0), st.booleans(),
+       st.integers(0, 10_000))
+def test_complement_distance_matches_projector_distance(n, data, log_angle,
+                                                        real, seed):
+    """||B_perp^dag A||, with B_perp the trailing columns of a complete QR
+    of B, against its oracle projector_distance(A, B): equal dimensions
+    from 0 to n at angles from 1 down to 1e-12, and unequal dimensions,
+    which give exactly 1.
+
+    The norm of the product is taken from its Gram matrix, so it equals
+    the product's SVD norm to 1e-12 relative.  The two routes round the
+    bases differently, by a few eps each, so they agree to 1e-12 relative
+    above an absolute floor of 1e-14."""
+    k = data.draw(st.integers(0, n))
+    k_b = data.draw(st.one_of(st.just(k), st.integers(0, n)))
+    rng = np.random.default_rng(seed)
+
+    def unitary(d):
+        g = rng.standard_normal((d, d))
+        if not real:
+            g = g + 1j * rng.standard_normal((d, d))
+        return np.linalg.qr(g)[0]
+
+    q = unitary(n)
+    m = min(k, n - k)  # directions rotated out of span(a)
+    angles = 10.0 ** log_angle * rng.uniform(0.5, 1.0, m)
+    rotated = q[:, :k].copy()
+    rotated[:, :m] = q[:, :m] * np.cos(angles) + q[:, k:k + m] * np.sin(angles)
+    a = SubspaceBasis(q[:, :k] @ unitary(k))
+    b = SubspaceBasis(rotated @ unitary(k) if k_b == k else unitary(n)[:, :k_b])
+    b_perp = np.linalg.qr(b.matrix, mode="complete")[0][:, k_b:]
+    distance = _complement_distance(a.matrix, b_perp)
+    oracle = projector_distance(a, b)
+    if k_b != k:
+        assert distance == oracle == 1.0
+        return
+    product = b_perp.conj().T @ a.matrix
+    svd_norm = np.linalg.norm(product, 2) if product.size else 0.0
+    assert abs(distance - svd_norm) <= 1e-12 * svd_norm
+    assert abs(distance - oracle) <= 1e-12 * oracle + 1e-14
+    if m:
+        sine = np.sin(np.max(angles))
+        assert abs(distance - sine) <= 1e-3 * sine
