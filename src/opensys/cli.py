@@ -10,7 +10,6 @@ gen-* commands, which read no file, 1e-10).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys as _sys
 
@@ -318,15 +317,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
     except dc.DecompositionError as exc:
         # a failed certificate mid-pipeline, not bad input
         print(f"verification failure in {args.command}: {exc}",
               file=_sys.stderr)
         return EXIT_VERIFICATION
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
 

@@ -8,10 +8,11 @@ frequency operator is assembled as
     Omega = [[Omega1, Gamma  ],
              [Gamma^dag, Omega2]]
 
-Systems serialize to compact one-line JSON with every scalar written as
-an [re, im] pair of decimal doubles; the round trip is bit-exact.  A
-matrix whose imaginary parts are all +0.0 decodes as real (float64), any
-other as complex128, so a real system reads back real.
+Systems serialize to compact one-line JSON.  Each matrix is one flat
+list of decimal doubles, its row-major entries as they lie in memory: a
+real matrix gives one number an entry, a complex one its re, im pair in
+place.  The length gives the dtype back, so the round trip is bit-exact
+and dtype-exact.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ from .subspaces import (
 class BlockSystem:
     """Conservative system (Omega1, Omega2, Gamma) with rank tolerance.
 
-    Hermiticity of the diagonal blocks is validated on construction and
-    then enforced exactly by symmetrization, so downstream eigensolvers
-    always receive exactly Hermitian input.  The three blocks share one
+    The tolerance must be positive and finite and every entry finite: a
+    NaN would pass every later comparison.  Hermiticity of the diagonal
+    blocks is validated on construction and then enforced exactly by
+    symmetrization, so downstream eigensolvers always receive exactly
+    Hermitian input.  The three blocks share one
     dtype: float64 when all are real, complex128 otherwise.  Each is a
     copy the system owns, so writing to the caller's arrays leaves it
     unchanged and a block never keeps a larger matrix alive.
@@ -49,8 +52,11 @@ class BlockSystem:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        for name in ("omega1", "omega2", "gamma"):
+            if not np.isfinite(as_field(getattr(self, name))).all():
+                raise ValueError(f"{name} has an entry that is not finite")
         o1 = check_hermitian(self.omega1, self.tol, "omega1")
         o2 = check_hermitian(self.omega2, self.tol, "omega2")
         g = as_field(self.gamma)
@@ -138,34 +144,32 @@ def random_system(d1: int, d2: int, coupling_rank: int, seed: int,
 # --- serialization ---------------------------------------------------------
 
 def encode_matrix(m: np.ndarray) -> list:
-    """Row-major nested lists with each entry as an [re, im] pair."""
-    m = as_field(m)
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+    """The row-major entries of ``m`` as one flat list of floats.
+
+    A float64 matrix gives one number an entry; a complex128 one gives
+    each entry's re, im pair in place.
+    """
+    return as_field(m).ravel().view(np.float64).tolist()
 
 
 def decode_matrix(data: list, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`encode_matrix`; ``shape`` disambiguates empty axes.
+    """Inverse of :func:`encode_matrix`; the length gives the dtype.
 
-    Returns float64 when every imaginary part is +0.0 (a -0.0 would be
-    lost), complex128 otherwise.
+    ``rows * cols`` numbers decode as float64, ``2 * rows * cols`` as
+    complex128.  Nested lists are read in row-major order, so the older
+    layout of one [re, im] pair an entry decodes as complex128.
     """
-    pairs = np.asarray(data)
-    expected = (*shape, 2)
-    if pairs.dtype.kind not in "iuf":
-        raise ValueError(f"matrix entries must be numbers, got {pairs.dtype}")
-    if pairs.shape != expected and not (
-            pairs.size == 0 and pairs.shape == expected[:pairs.ndim]):
-        raise ValueError(
-            f"matrix of [re, im] pairs has shape {pairs.shape}, "
-            f"expected {expected}"
-        )
-    pairs = pairs.astype(np.float64, copy=False).reshape(expected)
-    re, im = pairs[..., 0], pairs[..., 1]
-    if not im.any() and not np.signbit(im).any():
-        return np.ascontiguousarray(re)
-    out = np.empty(shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
+    flat = np.asarray(data)
+    if flat.dtype.kind not in "iuf":
+        raise ValueError(f"matrix entries must be numbers, got {flat.dtype}")
+    flat = flat.astype(np.float64, copy=False).ravel()
+    count = shape[0] * shape[1]
+    if flat.size == count:
+        return flat.reshape(shape)
+    if flat.size == 2 * count:
+        return flat.view(np.complex128).reshape(shape)
+    raise ValueError(f"{shape[0]}x{shape[1]} matrix has {flat.size} numbers, "
+                     f"expected {count} (real) or {2 * count} (complex)")
 
 
 def system_to_dict(sys: BlockSystem) -> dict:

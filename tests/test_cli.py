@@ -99,6 +99,17 @@ def test_lattice_file_is_compact(tmp_path):
     assert path.stat().st_size < 600_000  # 1.26 MB when indented
 
 
+def test_lattice_file_holds_one_number_an_entry(tmp_path):
+    path = tmp_path / "lat.json"
+    assert main(["gen-lattice", "--box", "5", "--cube", "2",
+                 "--output", str(path)]) == EXIT_OK
+    data = json.loads(path.read_text())
+    d1, d2 = data["d1"], data["d2"]
+    assert (d1, d2) == (8, 117)
+    assert [len(data[name]) for name in ("omega1", "omega2", "gamma")] == \
+        [d1 * d1, d2 * d2, d1 * d2]
+
+
 def test_lattice_then_verify(tmp_path):
     path = tmp_path / "lat.json"
     main(["gen-lattice", "--dims", "2", "--box", "5", "--cube", "2",
@@ -117,7 +128,7 @@ def test_malformed_input_is_usage_error(tmp_path):
 
 def test_non_hermitian_input_is_usage_error(tmp_path, sys_file):
     data = json.loads(sys_file.read_text())
-    data["omega1"][0][1] = [5.0, 0.0]
+    data["omega1"][2] = 5.0  # the real part of entry (0, 1) of the 4x4 block
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["decompose", "--input", str(bad)]) == EXIT_USAGE
@@ -201,6 +212,36 @@ def test_verify_theorem_fail_names_bound(tmp_path, monkeypatch, capsys):
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["decompose", "--input", str(tmp_path / "nope.json")]) \
         == EXIT_USAGE
+
+
+def test_directory_input_is_usage_error(tmp_path, capsys):
+    assert main(["decompose", "--input", str(tmp_path)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_directory_output_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["gen-random", "--d1", "2", "--d2", "3", "--rank", "1",
+                 "--output", str(out)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert list(out.iterdir()) == []
+
+
+def test_non_finite_tolerance_is_usage_error(sys_file, capsys):
+    assert main(["decompose", "--input", str(sys_file),
+                 "--tol", "nan"]) == EXIT_USAGE
+    assert "tol must be positive and finite, got nan" in capsys.readouterr().err
+
+
+def test_non_finite_entry_is_usage_error(tmp_path, sys_file, capsys):
+    data = json.loads(sys_file.read_text())
+    data["gamma"][0] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify-theorem", "--input", str(bad)]) == EXIT_USAGE
+    assert "gamma has an entry that is not finite" in capsys.readouterr().err
 
 
 def test_bad_flags_are_usage_error():

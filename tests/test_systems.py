@@ -190,20 +190,26 @@ def test_encoding_matches_per_entry_pairs():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     m[0, 0] = complex(-0.0, 5e-324)
-    per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    per_entry = [x for z in m.ravel() for x in (float(z.real), float(z.imag))]
     assert json.dumps(encode_matrix(m)) == json.dumps(per_entry)
     decoded = decode_matrix(json.loads(json.dumps(per_entry)), m.shape)
-    assert np.array_equal(decoded.view(float), m.view(float))
+    assert decoded.dtype == np.complex128
+    assert decoded.tobytes() == m.tobytes()  # -0.0 and 5e-324 bit-exact
     assert np.signbit(decoded[0, 0].real)
+    real = m.real
+    assert json.dumps(encode_matrix(real)) == \
+        json.dumps([float(x) for x in real.ravel()])
 
 
 def test_decode_rejects_wrong_shape():
     data = encode_matrix(np.arange(6.0).reshape(2, 3))
     assert decode_matrix(data, (2, 3)).shape == (2, 3)
-    with pytest.raises(ValueError):
-        decode_matrix(data, (3, 2))  # same six pairs, other shape
-    with pytest.raises(ValueError):
-        decode_matrix([[[1.0, 0.0, 0.0]]], (1, 1))
+    for count in (5, 7):
+        with pytest.raises(ValueError, match=f"2x3 matrix has {count} numbers, "
+                                             r"expected 6 \(real\) or 12"):
+            decode_matrix([0.0] * count, (2, 3))
+    with pytest.raises(ValueError, match="has 3 numbers"):
+        decode_matrix([1.0, 0.0, 0.0], (1, 1))
 
 
 def test_decode_rejects_non_numbers():
@@ -247,11 +253,75 @@ def test_real_system_roundtrip_bit_exact_float64(tmp_path):
 
 
 def test_negative_zero_imaginary_part_decodes_complex():
-    data = [[[1.0, 0.0], [2.0, -0.0]]]
+    m = np.array([[complex(1.0, 0.0), complex(2.0, -0.0)]])
+    data = json.loads(json.dumps(encode_matrix(m)))
+    assert len(data) == 4
     decoded = decode_matrix(data, (1, 2))
     assert decoded.dtype == np.complex128
-    assert np.signbit(decoded[0, 1].imag)
-    assert decode_matrix([[[1.0, 0.0], [2.0, 0.0]]], (1, 2)).dtype == np.float64
+    assert decoded.tobytes() == m.tobytes()
+    assert np.signbit(decoded[0, 1].imag) and not np.signbit(decoded[0, 0].imag)
+    zero = np.zeros((1, 2), dtype=complex)
+    assert decode_matrix(encode_matrix(zero), (1, 2)).dtype == np.complex128
+
+
+def test_pair_layout_loads_value_exact_as_complex(tmp_path):
+    """A file of one [re, im] pair an entry, the earlier layout, still loads."""
+    data = {"d1": 1, "d2": 2, "tol": 1e-10,
+            "omega1": [[[0.5, 0.0]]],
+            "omega2": [[[1.0, 0.0], [0.25, -0.5]],
+                       [[0.25, 0.5], [-2.0, 0.0]]],
+            "gamma": [[[3.0, 0.0], [-0.0, 5e-324]]]}
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(data))
+    sys = load_system(str(path))
+    assert {m.dtype for m in (sys.omega1, sys.omega2, sys.gamma)} == \
+        {np.dtype(np.complex128)}
+    assert np.array_equal(sys.omega1, [[0.5]])
+    assert np.array_equal(sys.omega2, [[1.0, 0.25 - 0.5j], [0.25 + 0.5j, -2.0]])
+    assert sys.gamma.tobytes() == \
+        np.array([[3.0, complex(-0.0, 5e-324)]]).tobytes()
+
+
+def _imaginary_zero_system():
+    sys = random_system(3, 4, 2, seed=8)
+    return BlockSystem(sys.omega1.real + 0j, sys.omega2.real + 0j,
+                       sys.gamma.real + 0j)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_system(3, 5, 2, seed=33),
+    lambda: build_lattice_system(LatticeSpec.centered(6, 2, 3)),
+    lambda: BlockSystem(np.zeros((0, 0)), np.eye(2), np.zeros((0, 2))),
+    _imaginary_zero_system,
+], ids=["random", "lattice", "empty-block", "imag-zero"])
+def test_roundtrip_bit_and_dtype_exact(make, tmp_path):
+    sys = make()
+    path = tmp_path / "sys.json"
+    save_system(sys, str(path))
+    loaded = load_system(str(path))
+    for name in ("omega1", "omega2", "gamma"):
+        before, after = getattr(sys, name), getattr(loaded, name)
+        assert after.dtype == before.dtype
+        assert after.shape == before.shape
+        assert after.tobytes() == before.tobytes()
+    assert loaded.tol == sys.tol
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        BlockSystem(np.eye(2), np.eye(2), np.zeros((2, 2)), tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["omega1", "omega2", "gamma"])
+def test_entry_must_be_finite(name, bad):
+    blocks = {"omega1": np.eye(2), "omega2": np.eye(2),
+              "gamma": np.zeros((2, 2))}
+    blocks[name][1, 1] = bad
+    with pytest.raises(ValueError, match=f"{name} has an entry that is not "
+                                         "finite"):
+        BlockSystem(**blocks)
 
 
 def test_json_writer_compact_one_line(tmp_path):
