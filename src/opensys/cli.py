@@ -121,6 +121,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
+    if args.distance_tol is not None and not 0 < args.distance_tol < np.inf:
+        raise ValueError("--distance-tol must be positive and finite, "
+                         f"got {args.distance_tol}")
     sys = _load(args.input, args.tol)
     report = dc.verify_theorem(sys)
     for name, dist in report.orbit_equalities:

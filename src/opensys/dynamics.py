@@ -17,9 +17,13 @@ second order, against the exact full propagator as its accuracy oracle.
 The history is zero before t = 0, so the convolution's upper limit of
 infinity truncates to [0, t] exactly.  As a1 is an exact sum of d2
 exponentials, the memory sum obeys a one-step modal recursion (the exact
-case of Lubich & Schaedle's fast convolution, SIAM J. Sci. Comput. 2002)
-in O(steps d1 d2) time and O(steps d1) memory; the no-gain form of a
-signal p(t) u separates in the same modes.
+case of Lubich & Schaedle's fast convolution, SIAM J. Sci. Comput. 2002).
+It is taken L = min(128 // d1, 2^16 // (d1 (d1 + 2 d2))) steps at a time
+(at least 1): one triangular solve, once, gives each block's L states as
+one product with the state at its start, so a run costs
+O(steps d1 (d1 + d2)) flops in steps / L Python-level iterations and
+O(steps d1) memory.  The no-gain form of a signal p(t) u separates in the
+same modes, and is summed over the signal's support only.
 """
 
 from __future__ import annotations
@@ -28,13 +32,20 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .subspaces import DimensionMismatchError, check_hermitian
 from .systems import BlockSystem, FullOperator, assemble_full
 
 OBSERVABLE = "observable"
 HIDDEN = "hidden"
+
+#: Bounds on one block of reduced steps: rows of its triangular system,
+#: and complex entries of the matrices it streams through.
+_BLOCK_ROWS = 128
+_BLOCK_ENTRIES = 2 ** 16
+#: LAPACK triangular solve, fetched once; tests count its calls.
+_trtrs = get_lapack_funcs("trtrs", dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -113,8 +124,10 @@ class ForcingSignal:
 
 def make_grid(t_max: float, steps: int) -> np.ndarray:
     """Uniform grid of ``steps`` intervals on [0, t_max] (steps+1 points)."""
-    if t_max <= 0 or steps < 2:
-        raise ValueError(f"need t_max > 0 and steps >= 2, got {t_max}, {steps}")
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
     return np.linspace(0.0, t_max, steps + 1)
 
 
@@ -174,6 +187,12 @@ def propagate_full(omega: FullOperator | np.ndarray, v0: np.ndarray,
     return Trajectory(times, states)
 
 
+def _block_length(d1: int, d2: int) -> int:
+    """Steps in one block of ``propagate_reduced``."""
+    return max(1, min(_BLOCK_ROWS // d1,
+                      _BLOCK_ENTRIES // (d1 * (d1 + 2 * d2))))
+
+
 def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
                       f1: ForcingSignal, times: np.ndarray,
                       kernel: ResponseKernel | None = None) -> Trajectory:
@@ -185,8 +204,25 @@ def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
     trajectory is O(h^2).  The quadrature is carried by the modal history
     R_n = sum_k w_k E^(n-k) M^dag v_k (E = diag(exp(-i w h)), w_0 = 1/2,
     w_k = 1): R_{n+1} = E R_n + M^dag v_{n+1}, and the memory at t_n is
-    h M (R_n - M^dag v_n / 2).  Each step v_{n+1} = A v_n + B R_n + c_n is
-    solved before the loop: O(steps d1 d2) time, O(steps d1) memory.
+    h M (R_n - M^dag v_n / 2).  Each step is v_{n+1} = A v_n + B R_n + c_n.
+
+    The steps are taken L at a time (the block convolution of Hairer,
+    Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 1985, on the exact
+    modal recursion).  From (v_0, R_0) a block's states obey
+    v_1 = A v_0 + B R_0 + c_0 and, for j >= 1,
+    v_{j+1} = (A + K_0) v_j + sum_{k=1}^{j-1} K_{j-k} v_k + B E^j R_0 + c_j
+    with K_m = B E^m M^dag: one unit lower block-Toeplitz triangular
+    system of L d1 rows.  It is built once and solved once, by one LAPACK
+    ``trtrs``, for the map from (v_0, R_0) to the block's L states and for
+    the forcing of every block; a block is then one product with that map,
+    and R_L = E^L R_0 + sum_k E^(L-k) M^dag v_k carries the history
+    exactly to the next block.  L = 128 // d1, lowered so that the two
+    matrices a block streams through, L d1 (d1 + 2 d2) entries, stay
+    within 2^16 complex entries (1 MiB, which a core's L2 cache holds),
+    and at least 1; a one-step block needs no solve.  Cost:
+    O(steps d1 (d1 + d2)) time in steps / L blocks, plus
+    O((L d1)^2 (d1 + d2)) for the solve (O(steps L d1^2) more with
+    forcing), and O(steps d1) memory.
 
     Valid in the regime the reduced equation is derived in: hidden initial
     state zero and no hidden forcing.  ``kernel`` must be
@@ -199,31 +235,85 @@ def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
     times = np.asarray(times, dtype=float)
     h = _uniform_step(times)
     nt = len(times)
-    f = f1.sampled(nt, d1)
 
     if kernel is None:
         kernel = make_kernel(sys, OBSERVABLE)
     modes = kernel.coupling_modes  # M, so a1(t) = M diag(e^{-i w t}) M^dag
-    # complex once here, not a real-to-complex cast of real modes every step
+    # complex once here, not a real-to-complex cast of real modes every block
     modes_dag = modes.conj().T.astype(complex)
-    decay = np.exp(-1j * kernel.eigvals * h)  # E
+    d2 = len(kernel.eigvals)
+    block = _block_length(d1, d2)  # L
+    powers = np.exp(-1j * h * np.outer(np.arange(block + 1),
+                                       kernel.eigvals))  # E^m, m = 0..L
     k0 = modes @ modes_dag
     eye = np.eye(d1, dtype=complex)
 
     # (I + (h/2) i Omega1 + (h^2/4) K0) v_{n+1} = known terms
     lu = lu_factor(eye + (h / 2) * 1j * sys.omega1 + (h * h / 4) * k0)
     step_v = lu_solve(lu, eye - (h / 2) * 1j * sys.omega1 + (h * h / 4) * k0)
-    step_hist = lu_solve(lu, (-h * h / 2) * modes * (1 + decay))
-    forced = lu_solve(lu, (h / 2) * (f[:-1] + f[1:]).T).T
+    step_hist = lu_solve(lu, (-h * h / 2) * modes * (1 + powers[1]))
+    hist_in = step_hist * powers[:block, None, :]  # B E^j, j = 0..L-1
+
+    # right-hand sides: the block-start state (v_0, R_0), then the forcing
+    # c_n of each block, zero-padded to whole blocks
+    starts = range(0, nt - 1, block)
+    forced_cols = len(starts) if f1.samples is not None else 0
+    rhs = np.zeros((block * d1, d1 + d2 + forced_cols), dtype=complex,
+                   order="F")
+    rhs[:d1, :d1] = step_v
+    rhs[:, d1:d1 + d2] = hist_in.reshape(block * d1, d2)
+    if forced_cols:
+        f = f1.sampled(nt, d1)
+        forced = np.zeros((forced_cols * block, d1), dtype=complex)
+        forced[:nt - 1] = lu_solve(lu, (h / 2) * (f[:-1] + f[1:]).T).T
+        rhs[:, d1 + d2:] = forced.reshape(forced_cols, block * d1).T
+    sol = rhs
+    if block > 1:  # a one-step block's system is the identity
+        lower = -(hist_in[:block - 1] @ modes_dag)  # -K_m, m = 0..L-2
+        lower[0] -= step_v
+        diagonals = np.concatenate([eye[None], lower,
+                                    np.zeros((1, d1, d1), dtype=complex)])
+        offset = np.subtract.outer(np.arange(block), np.arange(block))
+        # row block i, column block k holds diagonals[i - k]; built as its
+        # transpose in C order, which is the system in Fortran order
+        tri = diagonals[np.where(offset >= 0, offset, block).T]
+        tri = tri.transpose(0, 3, 1, 2).reshape(block * d1, block * d1).T
+        sol, info = _trtrs(tri, rhs, lower=1, unitdiag=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
+    prop = sol[:, :d1 + d2]  # the L states from (v_0, R_0)
+    # column block k holds E^(L-1-k) M^dag
+    hist_out = (powers[block - 1::-1].T[:, :, None]
+                * modes_dag[:, None, :]).reshape(d2, block * d1)
 
     states = np.empty((nt, d1), dtype=complex)
     states[0] = v
-    hist = 0.5 * (modes_dag @ v)
-    for n in range(nt - 1):
-        v = step_v @ v + step_hist @ hist + forced[n]
-        hist = decay * hist + modes_dag @ v
-        states[n + 1] = v
+    state = np.concatenate([v, 0.5 * (modes_dag @ v)])  # (v_0, R_0)
+    for b, start in enumerate(starts):
+        n = min(block, nt - 1 - start)
+        rows = n * d1  # a short last block takes the leading rows
+        x = prop[:rows] @ state
+        if forced_cols:
+            x += sol[:rows, d1 + d2 + b]
+        states[start + 1:start + 1 + n] = x.reshape(n, d1)
+        state[:d1] = x[-d1:]
+        state[d1:] = (powers[n] * state[d1:]
+                      + hist_out[:, (block - n) * d1:] @ x)
     return Trajectory(times, states)
+
+
+def _observable_full(sys: BlockSystem, v1_0: np.ndarray,
+                     times: np.ndarray) -> np.ndarray:
+    """Observable part of the exact full propagation from (v1_0, 0).
+
+    With U1 the first d1 rows of the eigenvectors of Omega,
+    v1(t) = U1 exp(-i w t) U1^dag v1_0: the first d1 columns of
+    ``propagate_full``'s states, without forming the other d2.
+    """
+    w, u = np.linalg.eigh(assemble_full(sys).omega)
+    u1 = u[:sys.d1]
+    return (np.exp(-1j * np.outer(times - times[0], w))
+            * (u1.conj().T @ v1_0)) @ u1.T
 
 
 def reduction_discrepancy(sys: BlockSystem, v1_0: np.ndarray, t_max: float,
@@ -232,15 +322,13 @@ def reduction_discrepancy(sys: BlockSystem, v1_0: np.ndarray, t_max: float,
 
     Runs the reduced propagator at ``steps`` and ``2 * steps`` (hidden
     initial state zero, no forcing), with one kernel shared by both runs,
-    against one full propagation on the fine grid; reports both gaps and
-    the empirical convergence order log2(coarse / fine), near 2 for a
+    against the exact full propagation on the fine grid; reports both gaps
+    and the empirical convergence order log2(coarse / fine), near 2 for a
     second-order reduced stepper.
     """
     v1_0 = np.asarray(v1_0, dtype=complex)
-    v_full = np.concatenate([v1_0, np.zeros(sys.d2, dtype=complex)])
     fine_grid = make_grid(t_max, 2 * steps)
-    full = propagate_full(assemble_full(sys), v_full, ForcingSignal.zero(),
-                          fine_grid).states[:, :sys.d1]
+    full = _observable_full(sys, v1_0, fine_grid)
     kernel = make_kernel(sys, OBSERVABLE)
 
     def gap(stride: int) -> float:
@@ -298,9 +386,15 @@ def no_gain_check(kernel: ResponseKernel, trials: int, times: np.ndarray,
     derivatives estimated by second differences of the sampled integrand.
 
     For a signal p(t) u the integrand is separable in the kernel modes,
-    g[i, j] = p_i p_{i-j} r_j with r_j = sum_m |(M^dag u)_m|^2 cos(w_m tau_j),
-    and is formed a block of rows at a time, so no nt x nt array is held.
+    g[i, j] = p_i p_{i-j} r_j with r_j = sum_m |(M^dag u)_m|^2 cos(w_m tau_j).
+    With [a, b] the index support of p, every nonzero of g and of both its
+    second differences lies in rows a-2 .. b+2 and columns 0 .. (b-a)+2,
+    clipped to the grid, so g is formed on that window only, a few rows
+    at a time (at most 2 MB of integrand); outside it the sum adds zeros
+    and the maxima see none.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     times = np.asarray(times, dtype=float)
     h = _uniform_step(times)
     span = times[-1] - times[0]
@@ -311,7 +405,6 @@ def no_gain_check(kernel: ResponseKernel, trials: int, times: np.ndarray,
 
     weights = np.full(nt, h)
     weights[0] = weights[-1] = h / 2
-    rows_per_block = max(1, 2 ** 18 // nt)  # 2 MB of integrand per block
 
     values = np.zeros(trials)
     bound = 0.0
@@ -323,18 +416,25 @@ def no_gain_check(kernel: ResponseKernel, trials: int, times: np.ndarray,
         u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         u /= np.linalg.norm(u)
         profile = _bump_profile(times, lo, hi)
-        r = cos_modes @ np.abs(kernel.coupling_modes.conj().T @ u) ** 2
+        support = np.flatnonzero(profile)
+        if support.size == 0:
+            continue
+        a, b = support[0], support[-1]
+        top, end = max(a - 2, 0), min(b + 3, nt)
+        cols = np.arange(min(b - a + 3, nt))
+        r = (cos_modes @ np.abs(kernel.coupling_modes.conj().T @ u) ** 2)[cols]
         # a negative shift i - j indexes round into the zero half
         padded = np.concatenate([profile, np.zeros(nt)])
+        rows_per_block = max(1, 2 ** 18 // len(cols))  # 2 MB of integrand
 
         value = curv_t = curv_tau = 0.0
-        for start in range(0, nt, rows_per_block):
-            stop = min(start + rows_per_block, nt)
+        for start in range(top, end, rows_per_block):
+            stop = min(start + rows_per_block, end)
             # two extra rows give the t second differences of rows start..stop
-            rows = np.arange(start, min(stop + 2, nt))
-            g = profile[rows, None] * padded[rows[:, None] - np.arange(nt)] * r
+            rows = np.arange(start, min(stop + 2, end))
+            g = profile[rows, None] * padded[rows[:, None] - cols] * r
             block = g[:stop - start]
-            value += float(weights[start:stop] @ block @ weights)
+            value += float(weights[start:stop] @ block @ weights[cols])
             curv_t = max(curv_t, np.abs(np.diff(g, 2, axis=0)).max(initial=0))
             curv_tau = max(curv_tau,
                            np.abs(np.diff(block, 2, axis=1)).max(initial=0))

@@ -235,6 +235,36 @@ def test_non_finite_tolerance_is_usage_error(sys_file, capsys):
     assert "tol must be positive and finite, got nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+def test_bad_distance_tol_is_usage_error(sys_file, capsys, value):
+    assert main(["verify-theorem", "--input", str(sys_file),
+                 "--distance-tol", value]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert f"--distance-tol must be positive and finite, got {float(value)}" \
+        in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["compare", "no-gain", "simulate-reduced"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_t_max_is_usage_error(sys_file, tmp_path, capsys, command,
+                                         value):
+    argv = [command, "--input", str(sys_file), "--t-max", value]
+    if command == "simulate-reduced":
+        argv += ["--output", str(tmp_path / "red.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert f"t_max must be positive and finite, got {value}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_no_gain_trials_below_one_is_usage_error(sys_file, capsys, trials):
+    assert main(["no-gain", "--input", str(sys_file), "--steps", "50",
+                 "--trials", trials]) == EXIT_USAGE
+    assert f"trials must be at least 1, got {trials}" \
+        in capsys.readouterr().err
+
+
 def test_non_finite_entry_is_usage_error(tmp_path, sys_file, capsys):
     data = json.loads(sys_file.read_text())
     data["gamma"][0] = float("nan")

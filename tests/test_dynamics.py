@@ -1,15 +1,19 @@
 import csv
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from opensys import dynamics
 from opensys.dynamics import (
     OBSERVABLE,
     ForcingSignal,
     Trajectory,
+    _block_length,
     _bump_profile,
+    _observable_full,
     kernel_to_csv,
     make_grid,
     make_kernel,
@@ -90,6 +94,36 @@ def _shifted(signal):
     for j in range(nt):
         out[j:, j] = signal[: nt - j]
     return out
+
+
+def _row_block_no_gain(kernel, trials, times, seed):
+    """No-gain values and bound with g formed on every row and column, a
+    block of rows at a time."""
+    h = times[1] - times[0]
+    span = times[-1] - times[0]
+    nt = len(times)
+    cos_modes = np.cos(np.outer(times - times[0], kernel.eigvals))
+    weights = np.full(nt, h)
+    weights[0] = weights[-1] = h / 2
+    rows_per_block = max(1, 2 ** 18 // nt)
+    values, bound = [], 0.0
+    for lo, hi, u in _trial_draws(times, kernel.dim, trials, seed):
+        profile = _bump_profile(times, lo, hi)
+        r = cos_modes @ np.abs(kernel.coupling_modes.conj().T @ u) ** 2
+        padded = np.concatenate([profile, np.zeros(nt)])
+        value = curv_t = curv_tau = 0.0
+        for start in range(0, nt, rows_per_block):
+            stop = min(start + rows_per_block, nt)
+            rows = np.arange(start, min(stop + 2, nt))
+            g = profile[rows, None] * padded[rows[:, None] - np.arange(nt)] * r
+            block = g[:stop - start]
+            value += float(weights[start:stop] @ block @ weights)
+            curv_t = max(curv_t, np.abs(np.diff(g, 2, axis=0)).max(initial=0))
+            curv_tau = max(curv_tau,
+                           np.abs(np.diff(block, 2, axis=1)).max(initial=0))
+        values.append(value)
+        bound = max(bound, span ** 2 / 12 * (curv_t + curv_tau))
+    return np.array(values), float(bound)
 
 
 def _stacked_no_gain(kernel, trials, times, seed):
@@ -262,6 +296,62 @@ class TestPropagateReduced:
         reference = _quadratic_reduced(sys, v1, f1, grid)
         assert _relative_gap(red.states, reference) <= 1e-12
 
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("d1, d2", [(1, 3), (4, 6), (8, 12), (8, 300),
+                                        (130, 4)])
+    def test_blocks_match_quadratic_reference(self, d1, d2, forced):
+        """Step counts on both sides of the block length L, and one that is
+        no multiple of it; (8, 300) has L below 128 // d1, (130, 4) has L = 1."""
+        sys = random_system(d1, d2, min(2, d1), seed=d1 + d2)
+        block = _block_length(d1, d2)
+        assert (block == 1) == (d1 > 128)
+        assert (block < 128 // d1) == (d2 == 300)
+        rng = np.random.default_rng(d1)
+        v1 = rng.standard_normal(d1) + 1j * rng.standard_normal(d1)
+        for steps in sorted({1, max(block - 1, 1), block, block + 1,
+                             2 * block + 3}):
+            grid = np.linspace(0.0, 0.05 * steps, steps + 1)
+            f1 = ForcingSignal.zero("observable")
+            if forced:
+                rates = np.arange(1, d1 + 1)
+                f1 = ForcingSignal(np.sin(np.outer(grid, rates))
+                                   + 1j * np.cos(np.outer(grid, rates / 2)),
+                                   "observable")
+            red = propagate_reduced(sys, v1, f1, grid)
+            reference = _quadratic_reduced(sys, v1, f1, grid)
+            assert _relative_gap(red.states, reference) <= 1e-12, steps
+
+    @pytest.mark.parametrize("steps", [999, 1000, 32000])
+    def test_triangular_solves_per_call(self, monkeypatch, steps):
+        """No more triangular solves than blocks (the blocked stepping
+        takes one a call): a loop that solves every step, or one that
+        solves none, fails."""
+        calls = []
+
+        def counted(*args, _trtrs=dynamics._trtrs, **kwargs):
+            calls.append(1)
+            return _trtrs(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_trtrs", counted)
+        sys = random_system(4, 8, 2, seed=3)
+        propagate_reduced(sys, np.ones(4) / 2, ForcingSignal.zero(OBSERVABLE),
+                          make_grid(10.0, steps))
+        assert 1 <= len(calls) <= math.ceil(steps / _block_length(4, 8))
+
+    @pytest.mark.parametrize("which", ["random", "lattice"])
+    def test_observable_reference_matches_full(self, which, request):
+        if which == "lattice":
+            sys, grid = request.getfixturevalue("lattice"), make_grid(2.5, 1000)
+        else:
+            sys, grid = random_system(4, 8, 2, seed=21), make_grid(10.0, 2000)
+        rng = np.random.default_rng(5)
+        v1 = rng.standard_normal(sys.d1) + 1j * rng.standard_normal(sys.d1)
+        v1 /= np.linalg.norm(v1)
+        full = propagate_full(assemble_full(sys), np.concatenate(
+            [v1, np.zeros(sys.d2)]), ForcingSignal.zero(), grid)
+        observed = _observable_full(sys, v1, grid)
+        assert np.max(np.abs(observed - full.states[:, :sys.d1])) <= 1e-13
+
     def test_one_eigh_per_operator_in_discrepancy(self, monkeypatch):
         """The coarse and the fine reduced run share one kernel: eigh runs
         once on Omega (full propagation) and once on Omega2 (the kernel)."""
@@ -342,6 +432,45 @@ class TestNoGain:
         values, bound = _stacked_no_gain(kernel, 6, grid, seed=7)
         assert _relative_gap(res.values, values) <= 1e-12
         assert abs(res.quad_error_bound - bound) <= 1e-12 * bound
+
+    @pytest.mark.parametrize("which", ["random", "lattice"])
+    def test_support_window_matches_row_blocks(self, which, request):
+        """Forming g on the bump's support window only gives the same bound
+        bit for bit and the same values up to summation order, also where
+        the bump is cut off by t = 0 or t_max."""
+        if which == "lattice":
+            kernel = make_kernel(request.getfixturevalue("lattice"))
+        else:
+            kernel = make_kernel(random_system(4, 8, 2, seed=1))
+        grid = make_grid(10.0, 1000)
+        draws = list(_trial_draws(grid, kernel.dim, 16, seed=38))
+        assert any(lo < grid[0] for lo, _, _ in draws)
+        assert any(hi > grid[-1] for _, hi, _ in draws)
+        res = no_gain_check(kernel, 16, grid, seed=38)
+        values, bound = _row_block_no_gain(kernel, 16, grid, seed=38)
+        assert res.quad_error_bound == bound
+        assert np.all(np.abs(res.values - values) <= 1e-12 * np.abs(values))
+
+    def test_bump_between_grid_points_gives_zero(self):
+        """On a 3-point grid some bumps hold no grid point: their value is 0
+        and they add nothing to the bound, as on every row and column."""
+        kernel = make_kernel(random_system(4, 8, 2, seed=1))
+        grid = make_grid(10.0, 2)
+        empty = [not _bump_profile(grid, lo, hi).any()
+                 for lo, hi, _ in _trial_draws(grid, kernel.dim, 8, seed=0)]
+        res = no_gain_check(kernel, 8, grid, seed=0)
+        values, bound = _row_block_no_gain(kernel, 8, grid, seed=0)
+        assert any(empty) and not all(empty)
+        assert np.array_equal(res.values == 0.0, np.array(empty))
+        assert res.quad_error_bound == bound
+        assert np.array_equal(res.values, values)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_must_be_positive(self, trials):
+        k = make_kernel(random_system(2, 4, 1, seed=2))
+        with pytest.raises(ValueError, match=f"trials must be at least 1, "
+                                             f"got {trials}"):
+            no_gain_check(k, trials, make_grid(10.0, 100), seed=0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_spectral_closed_form(self, seed):
@@ -439,3 +568,7 @@ def test_grid_validation():
         make_grid(-1.0, 100)
     with pytest.raises(ValueError):
         make_grid(1.0, 1)
+    for t_max in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="t_max must be positive and "
+                                             f"finite, got {t_max}"):
+            make_grid(t_max, 100)
