@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opensys import decomposition, subspaces
+from opensys import decomposition, dynamics, subspaces
 from opensys.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from opensys.systems import load_system, save_system
 from test_decomposition import _with_h2c, coupled_plus_decoupled
@@ -73,6 +73,53 @@ def test_simulate_and_compare(sys_file, tmp_path, capsys):
     result = json.loads(out.read_text())
     assert 1.5 <= result["order"] <= 2.5
     assert "convergence order" in capsys.readouterr().out
+
+
+@pytest.fixture
+def empty_observable_file(tmp_path):
+    path = tmp_path / "d1_0.json"
+    assert main(["gen-random", "--d1", "0", "--d2", "3", "--rank", "0",
+                 "--output", str(path)]) == EXIT_OK
+    return path
+
+
+def test_compare_empty_observable(empty_observable_file, tmp_path, capsys):
+    """d1 = 0 observes nothing: zero gaps and order, not a traceback."""
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--input", str(empty_observable_file),
+                 "--steps", "100", "--output", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "sup-norm full-vs-reduced: 0.000e+00 at 100 steps, 0.000e+00 at "
+        "200 steps\nempirical convergence order: 0.00\n")
+    result = json.loads(out.read_text())
+    assert result["sup_diff_coarse"] == result["sup_diff_fine"] == 0.0
+
+
+def test_simulate_reduced_empty_observable(empty_observable_file, tmp_path):
+    out = tmp_path / "red.csv"
+    assert main(["simulate-reduced", "--input", str(empty_observable_file),
+                 "--output", str(out), "--steps", "10"]) == EXIT_OK
+    assert out.read_text().splitlines() == ["time"] + [
+        repr(t) for t in np.linspace(0.0, 10.0, 11).tolist()]
+
+
+def test_simulate_full_takes_resolved_tolerance(sys_file, tmp_path,
+                                                monkeypatch):
+    seen = []
+    real = dynamics.propagate_full
+
+    def spy(*args, **kwargs):
+        seen.append(args[4] if len(args) > 4 else kwargs["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "propagate_full", spy)
+    out = str(tmp_path / "full.csv")
+    args = ["simulate-full", "--input", str(sys_file), "--output", out,
+            "--steps", "20"]
+    assert main(args + ["--tol", "1e-8"]) == EXIT_OK
+    monkeypatch.setenv("OPENSYS_TOL", "1e-9")
+    assert main(args) == EXIT_OK
+    assert seen == [1e-8, 1e-9]
 
 
 def test_no_gain(sys_file):
