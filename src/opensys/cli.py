@@ -165,8 +165,7 @@ def cmd_simulate_full(args) -> int:
     v1 = _initial_observable(sys, args.seed)
     v0 = np.concatenate([v1, np.zeros(sys.d2, dtype=complex)])
     grid = dyn.make_grid(args.t_max, args.steps)
-    traj = dyn.propagate_full(full, v0, dyn.ForcingSignal.zero(), grid,
-                              sys.tol)
+    traj = dyn.propagate_full(full, v0, dyn.ForcingSignal.zero(), grid)
     dyn.trajectory_to_csv(traj, args.output)
     drift = float(np.max(np.abs(traj.norms() - traj.norms()[0])))
     print(f"propagated full system (d={full.dim}), norm drift {drift:.3e} "

@@ -25,11 +25,11 @@ O(steps d1 (d1 + d2)) flops in steps / L Python-level iterations and
 O(steps d1) memory.  The exact reference that ``reduction_discrepancy``
 checks it against takes one ``eigh`` of Omega and keeps only the d1
 observable rows of its eigenvectors; its phases factor over the uniform
-grid into sqrt(steps) coarse and sqrt(steps) fine rows, so it costs
-O(sqrt(steps) n) exponentials and one O(steps n d1) product, in
-O(steps d1 + sqrt(steps) n d1) memory: no (steps, n) array.  The no-gain
-form of a signal p(t) u separates in the same modes, and is summed over
-the signal's support only.
+grid into about sqrt(steps d1) coarse and sqrt(steps / d1) fine rows, so
+it costs O(sqrt(steps d1) n) exponentials and one O(steps n d1) product,
+in O(steps d1 + sqrt(steps d1) n) memory besides the eigenvectors: no
+(steps, n) array.  The no-gain form of a signal p(t) u separates in the
+same modes, and is summed over the signal's support only.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from .subspaces import DEFAULT_TOL, DimensionMismatchError, check_hermitian
+from .subspaces import DimensionMismatchError, check_hermitian
 from .systems import BlockSystem, FullOperator, assemble_full
 
 OBSERVABLE = "observable"
@@ -162,17 +162,15 @@ def make_kernel(sys: BlockSystem, side: str = OBSERVABLE) -> ResponseKernel:
 
 
 def propagate_full(omega: FullOperator | np.ndarray, v0: np.ndarray,
-                   forcing: ForcingSignal, times: np.ndarray,
-                   tol: float = DEFAULT_TOL) -> Trajectory:
+                   forcing: ForcingSignal, times: np.ndarray) -> Trajectory:
     """Propagate dV/dt = -i Omega V + F spectrally on a uniform grid.
 
     The homogeneous part is exact; the Duhamel integral for the forcing is
     a cumulative trapezoid in the eigenbasis.  With zero forcing the result
-    is exact up to eigensolver accuracy.  ``omega`` must be Hermitian to
-    the relative tolerance ``tol``.
+    is exact up to eigensolver accuracy.
     """
     mat = omega.omega if isinstance(omega, FullOperator) else np.asarray(omega)
-    mat = check_hermitian(mat, tol, "full generator")
+    mat = check_hermitian(mat, 1e-10, "full generator")
     n = mat.shape[0]
     v0 = np.asarray(v0, dtype=complex)
     if v0.shape != (n,):
@@ -321,17 +319,20 @@ def _observable_full(sys: BlockSystem, v1_0: np.ndarray,
     v1(t) = U1 exp(-i w t) U1^dag v1_0: the first d1 columns of
     ``propagate_full``'s states, without forming the other d2.
 
-    On the uniform grid t_k = (j B + m) h, with B = ceil(sqrt(nt)), the
-    phases factor as exp(-i w j B h) exp(-i w m h).  So the trajectory is
-    one product of the (J, n) coarse phases with the (n, B d1) matrix
-    G[:, (m, i)] = exp(-i w m h) (U1^dag v1_0) U1[i]: O(sqrt(nt) n)
-    exponentials and O(nt d1 + sqrt(nt) n d1) memory, where a (nt, n)
-    phase table would take nt n of each.
+    On the uniform grid t_k = (j B + m) h the phases factor as
+    exp(-i w j B h) exp(-i w m h).  So the trajectory is one product of
+    the (J, n) coarse phases with the (n, B d1) matrix
+    G[:, (m, i)] = exp(-i w m h) (U1^dag v1_0) U1[i].  B = ceil(sqrt(nt /
+    d1)) balances the two at about n sqrt(nt d1) entries each, well below
+    one (nt, n) phase table unless d1 nears nt: O(sqrt(nt d1) n)
+    exponentials and O(nt d1 + sqrt(nt d1) n) memory besides the
+    eigenvectors.
     """
     w, u = np.linalg.eigh(assemble_full(sys).omega)
     d1, n, nt = sys.d1, len(w), len(times)
     h = _uniform_step(times)
-    block = math.isqrt(nt - 1) + 1  # B >= sqrt(nt), so J <= B
+    # the least B with B^2 max(d1, 1) >= nt, so J <= B max(d1, 1)
+    block = math.isqrt(-(-nt // max(d1, 1)) - 1) + 1
     count = -(-nt // block)  # J
     u1 = u[:d1]
     fine = (np.exp(-1j * h * np.outer(np.arange(block), w))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opensys import decomposition, dynamics, subspaces
+from opensys import decomposition, subspaces
 from opensys.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from opensys.systems import load_system, save_system
 from test_decomposition import _with_h2c, coupled_plus_decoupled
@@ -101,25 +101,6 @@ def test_simulate_reduced_empty_observable(empty_observable_file, tmp_path):
                  "--output", str(out), "--steps", "10"]) == EXIT_OK
     assert out.read_text().splitlines() == ["time"] + [
         repr(t) for t in np.linspace(0.0, 10.0, 11).tolist()]
-
-
-def test_simulate_full_takes_resolved_tolerance(sys_file, tmp_path,
-                                                monkeypatch):
-    seen = []
-    real = dynamics.propagate_full
-
-    def spy(*args, **kwargs):
-        seen.append(args[4] if len(args) > 4 else kwargs["tol"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "propagate_full", spy)
-    out = str(tmp_path / "full.csv")
-    args = ["simulate-full", "--input", str(sys_file), "--output", out,
-            "--steps", "20"]
-    assert main(args + ["--tol", "1e-8"]) == EXIT_OK
-    monkeypatch.setenv("OPENSYS_TOL", "1e-9")
-    assert main(args) == EXIT_OK
-    assert seen == [1e-8, 1e-9]
 
 
 def test_no_gain(sys_file):
