@@ -18,9 +18,11 @@ The history is zero before t = 0, so the convolution's upper limit of
 infinity truncates to [0, t] exactly.  As a1 is an exact sum of d2
 exponentials, the memory sum obeys a one-step modal recursion (the exact
 case of Lubich & Schaedle's fast convolution, SIAM J. Sci. Comput. 2002).
-It is taken L = min(128 // d1, 2^16 // (d1 (d1 + 2 d2))) steps at a time
-(at least 1): one triangular solve, once, gives each block's L states as
-one product with the state at its start, so a run costs
+With the history, the state (v, R) obeys one linear time-invariant
+recurrence, so it is taken L = min(128 // d1, 2^16 // (d1 (d1 + 2 d2)))
+steps at a time (at least 1): the rows of the first L powers of the
+one-step matrix give each block's L states as one product with the state
+at its start, and no block system is solved, so a run costs
 O(steps d1 (d1 + d2)) flops in steps / L Python-level iterations and
 O(steps d1) memory.  The exact reference that ``reduction_discrepancy``
 checks it against takes one ``eigh`` of Omega and keeps only the d1
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from .subspaces import DimensionMismatchError, check_hermitian
 from .systems import BlockSystem, FullOperator, assemble_full
@@ -47,12 +49,10 @@ from .systems import BlockSystem, FullOperator, assemble_full
 OBSERVABLE = "observable"
 HIDDEN = "hidden"
 
-#: Bounds on one block of reduced steps: rows of its triangular system,
-#: and complex entries of the matrices it streams through.
+#: Bounds on one block of reduced steps: rows of its state map, and
+#: complex entries of the matrices it streams through.
 _BLOCK_ROWS = 128
 _BLOCK_ENTRIES = 2 ** 16
-#: LAPACK triangular solve, fetched once; tests count its calls.
-_trtrs = get_lapack_funcs("trtrs", dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,9 @@ class Trajectory:
 class ForcingSignal:
     """Forcing sampled on the propagation grid, or the zero signal.
 
-    ``samples`` is (n_times, dim) or None for no forcing; ``target`` names
-    which equation the signal drives (full, observable, or hidden side).
+    ``samples`` is (n_times, dim) or None for no forcing.  ``target`` is a
+    label only: no code reads it, and which equation the signal drives is
+    set by the propagator it is passed to.
     """
 
     samples: np.ndarray | None
@@ -213,22 +214,28 @@ def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
     w_k = 1): R_{n+1} = E R_n + M^dag v_{n+1}, and the memory at t_n is
     h M (R_n - M^dag v_n / 2).  Each step is v_{n+1} = A v_n + B R_n + c_n.
 
-    The steps are taken L at a time (the block convolution of Hairer,
-    Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 1985, on the exact
-    modal recursion).  From (v_0, R_0) a block's states obey
-    v_1 = A v_0 + B R_0 + c_0 and, for j >= 1,
-    v_{j+1} = (A + K_0) v_j + sum_{k=1}^{j-1} K_{j-k} v_k + B E^j R_0 + c_j
-    with K_m = B E^m M^dag: one unit lower block-Toeplitz triangular
-    system of L d1 rows.  It is built once and solved once, by one LAPACK
-    ``trtrs``, for the map from (v_0, R_0) to the block's L states and for
-    the forcing of every block; a block is then one product with that map,
-    and R_L = E^L R_0 + sum_k E^(L-k) M^dag v_k carries the history
-    exactly to the next block.  L = 128 // d1, lowered so that the two
-    matrices a block streams through, L d1 (d1 + 2 d2) entries, stay
-    within 2^16 complex entries (1 MiB, which a core's L2 cache holds),
-    and at least 1; a one-step block needs no solve.  Cost:
+    So the state x_n = (v_n, R_n) obeys one linear time-invariant
+    recurrence x_{n+1} = T x_n + inject c_n, with inject = [I; M^dag] and
+    T = inject [A B] + diag(0, E).  The steps are taken L at a time (the
+    block convolution of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+    Comput. 1985, on the exact modal recursion).  From x_0 = (v_0, R_0) a
+    block's states are
+
+        v_{j+1} = [I 0] T^(j+1) x_0 + sum_{k<=j} D_{j-k} c_k,
+
+    with D_m = [I 0] T^m inject (D_0 = I).  The rows [I 0] T^(j+1),
+    j < L, are built once, d1 rows at a time: [I 0] T^(j+1) is D_j [A B]
+    plus E times the R columns of [I 0] T^j, so T itself is never formed.
+    A block is then one product of that map with x_0; the forcing of every
+    block is one product with the lower block-Toeplitz map whose m-th
+    block diagonal is D_m, taken a diagonal at a time; and
+    R_L = E^L R_0 + sum_k E^(L-k) M^dag v_k carries the history exactly to
+    the next block.  No system is solved besides the d1 x d1 LU of the
+    step.  L = 128 // d1, lowered so that the two matrices a block streams
+    through, L d1 (d1 + 2 d2) entries, stay within 2^16 complex entries
+    (1 MiB, which a core's L2 cache holds), and at least 1.  Cost:
     O(steps d1 (d1 + d2)) time in steps / L blocks, plus
-    O((L d1)^2 (d1 + d2)) for the solve (O(steps L d1^2) more with
+    O(L d1^2 (d1 + d2)) for the powers (O(steps L d1^2) more with
     forcing), and O(steps d1) memory.
 
     Valid in the regime the reduced equation is derived in: hidden initial
@@ -257,40 +264,37 @@ def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
     k0 = modes @ modes_dag
     eye = np.eye(d1, dtype=complex)
 
-    # (I + (h/2) i Omega1 + (h^2/4) K0) v_{n+1} = known terms
+    # (I + (h/2) i Omega1 + (h^2/4) K0) v_{n+1} = known terms, so
+    # v_{n+1} = [A B] (v_n, R_n) + c_n
     lu = lu_factor(eye + (h / 2) * 1j * sys.omega1 + (h * h / 4) * k0)
-    step_v = lu_solve(lu, eye - (h / 2) * 1j * sys.omega1 + (h * h / 4) * k0)
-    step_hist = lu_solve(lu, (-h * h / 2) * modes * (1 + powers[1]))
-    hist_in = step_hist * powers[:block, None, :]  # B E^j, j = 0..L-1
+    step = lu_solve(lu, np.hstack([
+        eye - (h / 2) * 1j * sys.omega1 + (h * h / 4) * k0,
+        (-h * h / 2) * modes * (1 + powers[1])]))
+    # prop[j] = [I 0] T^(j+1) and diagonals[j] = D_j = [I 0] T^j inject
+    inject = np.vstack([eye, modes_dag])
+    prop = np.empty((block, d1, d1 + d2), dtype=complex)
+    diagonals = np.empty((block, d1, d1), dtype=complex)
+    top = np.eye(d1, d1 + d2, dtype=complex)  # [I 0] T^0
+    for j in range(block):
+        diagonals[j] = top @ inject
+        prop[j] = diagonals[j] @ step
+        prop[j, :, d1:] += top[:, d1:] * powers[1]
+        top = prop[j]
+    prop = prop.reshape(block * d1, d1 + d2)  # the L states from (v_0, R_0)
 
-    # right-hand sides: the block-start state (v_0, R_0), then the forcing
-    # c_n of each block, zero-padded to whole blocks
     starts = range(0, nt - 1, block)
-    forced_cols = len(starts) if f1.samples is not None else 0
-    rhs = np.zeros((block * d1, d1 + d2 + forced_cols), dtype=complex,
-                   order="F")
-    rhs[:d1, :d1] = step_v
-    rhs[:, d1:d1 + d2] = hist_in.reshape(block * d1, d2)
-    if forced_cols:
+    forced = None
+    if f1.samples is not None:
         f = f1.sampled(nt, d1)
-        forced = np.zeros((forced_cols * block, d1), dtype=complex)
-        forced[:nt - 1] = lu_solve(lu, (h / 2) * (f[:-1] + f[1:]).T).T
-        rhs[:, d1 + d2:] = forced.reshape(forced_cols, block * d1).T
-    sol = rhs
-    if block > 1:  # a one-step block's system is the identity
-        lower = -(hist_in[:block - 1] @ modes_dag)  # -K_m, m = 0..L-2
-        lower[0] -= step_v
-        diagonals = np.concatenate([eye[None], lower,
-                                    np.zeros((1, d1, d1), dtype=complex)])
-        offset = np.subtract.outer(np.arange(block), np.arange(block))
-        # row block i, column block k holds diagonals[i - k]; built as its
-        # transpose in C order, which is the system in Fortran order
-        tri = diagonals[np.where(offset >= 0, offset, block).T]
-        tri = tri.transpose(0, 3, 1, 2).reshape(block * d1, block * d1).T
-        sol, info = _trtrs(tri, rhs, lower=1, unitdiag=1, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
-    prop = sol[:, :d1 + d2]  # the L states from (v_0, R_0)
+        # c_n, zero-padded to whole blocks, through the lower block-Toeplitz
+        # map with D_m on its m-th block diagonal
+        c = np.zeros((len(starts) * block, d1), dtype=complex)
+        c[:nt - 1] = lu_solve(lu, (h / 2) * (f[:-1] + f[1:]).T).T
+        c = c.reshape(len(starts), block, d1)
+        forced = np.zeros_like(c)
+        for m in range(block):
+            forced[:, m:] += c[:, :block - m] @ diagonals[m].T
+        forced = forced.reshape(len(starts), block * d1)
     # column block k holds E^(L-1-k) M^dag
     hist_out = (powers[block - 1::-1].T[:, :, None]
                 * modes_dag[:, None, :]).reshape(d2, block * d1)
@@ -302,8 +306,8 @@ def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
         n = min(block, nt - 1 - start)
         rows = n * d1  # a short last block takes the leading rows
         x = prop[:rows] @ state
-        if forced_cols:
-            x += sol[:rows, d1 + d2 + b]
+        if forced is not None:
+            x += forced[b, :rows]
         states[start + 1:start + 1 + n] = x.reshape(n, d1)
         state[:d1] = x[-d1:]
         state[d1:] = (powers[n] * state[d1:]
@@ -404,10 +408,14 @@ def no_gain_check(kernel: ResponseKernel, trials: int, times: np.ndarray,
     """Minimum of Re  iint conj(v(t)) a(tau) v(t-tau) dt dtau over test signals.
 
     Signals are polynomial bumps on random subintervals of the grid times
-    random complex vectors, deterministic per seed.  The double integral is
-    evaluated by trapezoidal quadrature on the full square (the integrand
-    vanishes where the shifted signal has no support).  The reported error
-    bound comes from the composite-trapezoid estimate
+    random complex vectors, deterministic per seed.  A bump is at least a
+    quarter of the span wide, so on a grid of at least 5 steps it holds a
+    grid point (one cut off at either end holds that end point); shorter
+    grids are rejected, where a bump between grid points would read 0 and
+    pass unchecked.  The double integral is evaluated by trapezoidal
+    quadrature on the full square (the integrand vanishes where the
+    shifted signal has no support).  The reported error bound comes from
+    the composite-trapezoid estimate
     (h^2/12) * T^2 * (max |d2g/dt2| + max |d2g/dtau2|) with the second
     derivatives estimated by second differences of the sampled integrand.
 
@@ -425,6 +433,9 @@ def no_gain_check(kernel: ResponseKernel, trials: int, times: np.ndarray,
     h = _uniform_step(times)
     span = times[-1] - times[0]
     nt = len(times)
+    if nt < 6:  # from 5 steps on, h < span / 4 and every bump holds a point
+        raise ValueError(f"no-gain check needs at least 5 steps, "
+                         f"got {nt - 1}")
     d = kernel.dim
     cos_modes = np.cos(np.outer(times - times[0], kernel.eigvals))
     rng = np.random.default_rng(seed)
@@ -443,8 +454,6 @@ def no_gain_check(kernel: ResponseKernel, trials: int, times: np.ndarray,
         u /= np.linalg.norm(u)
         profile = _bump_profile(times, lo, hi)
         support = np.flatnonzero(profile)
-        if support.size == 0:
-            continue
         a, b = support[0], support[-1]
         top, end = max(a - 2, 0), min(b + 3, nt)
         cols = np.arange(min(b - a + 3, nt))

@@ -285,6 +285,14 @@ def test_non_finite_t_max_is_usage_error(sys_file, tmp_path, capsys, command,
         in capsys.readouterr().err
 
 
+def test_no_gain_short_grid_is_usage_error(sys_file, capsys):
+    assert main(["no-gain", "--input", str(sys_file), "--steps", "2"]) \
+        == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "no-gain check needs at least 5 steps, got 2" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_no_gain_trials_below_one_is_usage_error(sys_file, capsys, trials):
     assert main(["no-gain", "--input", str(sys_file), "--steps", "50",

@@ -1,12 +1,10 @@
 import csv
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from opensys import dynamics
 from opensys.dynamics import (
     OBSERVABLE,
     ForcingSignal,
@@ -271,6 +269,30 @@ class TestPropagateReduced:
         assert 1.7 <= result["order"] <= 2.3
         assert result["sup_diff_fine"] < result["sup_diff_coarse"]
 
+    def test_forced_matches_forced_full(self):
+        """Forcing f1 on the observable side alone: the reduced run tracks
+        the first d1 columns of the full run forced by (f1, 0), with gaps
+        that fall at second order (both quadratures are trapezoidal)."""
+        sys = random_system(3, 6, 2, seed=17)
+        rng = np.random.default_rng(4)
+        v1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        v0 = np.concatenate([v1, np.zeros(6)])
+        rates = np.arange(1, 4)
+        gaps = []
+        for steps in (250, 500, 1000):
+            grid = make_grid(10.0, steps)
+            f1 = (np.sin(np.outer(grid, rates))
+                  + 1j * np.cos(np.outer(grid, rates / 2)))
+            red = propagate_reduced(sys, v1, ForcingSignal(f1, OBSERVABLE),
+                                    grid)
+            full = propagate_full(assemble_full(sys), v0, ForcingSignal(
+                np.hstack([f1, np.zeros((len(grid), 6))])), grid)
+            gaps.append(np.max(np.linalg.norm(red.states - full.states[:, :3],
+                                              axis=1)))
+        orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+        assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
+        assert gaps[-1] < 3e-3
+
     def test_cosine_closed_form_long_horizon(self):
         grid = make_grid(160.0, 32000)
         red = propagate_reduced(swap_system(), np.array([1.0 + 0j]),
@@ -320,23 +342,6 @@ class TestPropagateReduced:
             red = propagate_reduced(sys, v1, f1, grid)
             reference = _quadratic_reduced(sys, v1, f1, grid)
             assert _relative_gap(red.states, reference) <= 1e-12, steps
-
-    @pytest.mark.parametrize("steps", [999, 1000, 32000])
-    def test_triangular_solves_per_call(self, monkeypatch, steps):
-        """No more triangular solves than blocks (the blocked stepping
-        takes one a call): a loop that solves every step, or one that
-        solves none, fails."""
-        calls = []
-
-        def counted(*args, _trtrs=dynamics._trtrs, **kwargs):
-            calls.append(1)
-            return _trtrs(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "_trtrs", counted)
-        sys = random_system(4, 8, 2, seed=3)
-        propagate_reduced(sys, np.ones(4) / 2, ForcingSignal.zero(OBSERVABLE),
-                          make_grid(10.0, steps))
-        assert 1 <= len(calls) <= math.ceil(steps / _block_length(4, 8))
 
     @pytest.mark.parametrize("which", ["random", "lattice"])
     def test_observable_reference_matches_full(self, which, request):
@@ -516,19 +521,26 @@ class TestNoGain:
         assert res.quad_error_bound == bound
         assert np.all(np.abs(res.values - values) <= 1e-12 * np.abs(values))
 
-    def test_bump_between_grid_points_gives_zero(self):
-        """On a 3-point grid some bumps hold no grid point: their value is 0
-        and they add nothing to the bound, as on every row and column."""
+    @pytest.mark.parametrize("steps", [2, 3, 4])
+    def test_grid_below_five_steps_rejected(self, steps):
+        """With seed 0 on a grid of 2 steps, 7 of 20 bumps hold no grid
+        point and would read 0, a pass that checks nothing: grids below 5
+        steps are rejected, naming the step count."""
         kernel = make_kernel(random_system(4, 8, 2, seed=1))
-        grid = make_grid(10.0, 2)
-        empty = [not _bump_profile(grid, lo, hi).any()
-                 for lo, hi, _ in _trial_draws(grid, kernel.dim, 8, seed=0)]
-        res = no_gain_check(kernel, 8, grid, seed=0)
-        values, bound = _row_block_no_gain(kernel, 8, grid, seed=0)
-        assert any(empty) and not all(empty)
-        assert np.array_equal(res.values == 0.0, np.array(empty))
-        assert res.quad_error_bound == bound
-        assert np.array_equal(res.values, values)
+        with pytest.raises(ValueError, match=f"no-gain check needs at least "
+                                             f"5 steps, got {steps}"):
+            no_gain_check(kernel, 20, make_grid(10.0, steps), seed=0)
+
+    @pytest.mark.parametrize("steps", [5, 6, 7, 11])
+    def test_every_bump_holds_a_grid_point(self, steps):
+        """From 5 steps on every bump, also one cut off at t = 0 or t_max,
+        holds a grid point, so no trial reads an empty 0."""
+        kernel = make_kernel(random_system(4, 8, 2, seed=1))
+        grid = make_grid(10.0, steps)
+        draws = list(_trial_draws(grid, kernel.dim, 200, seed=steps))
+        assert any(lo < grid[0] or hi > grid[-1] for lo, hi, _ in draws)
+        res = no_gain_check(kernel, 200, grid, seed=steps)
+        assert np.all(res.values != 0.0)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_must_be_positive(self, trials):

@@ -1,6 +1,7 @@
-"""The benchmark's workloads and the experiment scripts call opensys from
-outside ``src/``; one round of each workload and a short run of each
-script must still work, or the benchmark and the studies break."""
+"""The benchmark's workloads, its cross-check script and the experiment
+scripts call opensys from outside ``src/``; one round of each workload and
+a short run of each script must still work, or the benchmark and the
+studies break."""
 
 import importlib.util
 import json
@@ -40,14 +41,17 @@ def test_workload_round_passes_its_checks(name, workloads, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["reduction_convergence.py", "--levels", "2"],
-    ["lattice_multiplicity_scan.py", "--dims", "1", "--boxes", "6", "10"],
-    ["code_lines.py"],
+    ["scripts/reduction_convergence.py", "--levels", "2"],
+    ["scripts/lattice_multiplicity_scan.py", "--dims", "1", "--boxes", "6",
+     "10"],
+    ["scripts/code_lines.py"],
+    # passes the zero forcing to propagate_reduced positionally
+    ["perfbench/crosscheck.py"],
 ])
 def test_script_runs(argv):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]),
-                           *argv[1:]], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, str(ROOT / argv[0]), *argv[1:]],
+                          capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert done.returncode == 0, done.stderr
