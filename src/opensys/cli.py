@@ -167,7 +167,8 @@ def cmd_simulate_full(args) -> int:
     grid = dyn.make_grid(args.t_max, args.steps)
     traj = dyn.propagate_full(full, v0, dyn.ForcingSignal.zero(), grid)
     dyn.trajectory_to_csv(traj, args.output)
-    drift = float(np.max(np.abs(traj.norms() - traj.norms()[0])))
+    norms = traj.norms()
+    drift = float(np.max(np.abs(norms - norms[0])))
     print(f"propagated full system (d={full.dim}), norm drift {drift:.3e} "
           f"-> {args.output}")
     return EXIT_OK
@@ -177,8 +178,8 @@ def cmd_simulate_reduced(args) -> int:
     sys = _load(args.input, args.tol)
     v1 = _initial_observable(sys, args.seed)
     grid = dyn.make_grid(args.t_max, args.steps)
-    traj = dyn.propagate_reduced(sys, v1, dyn.ForcingSignal.zero("observable"),
-                                 grid)
+    traj = dyn.propagate_reduced(
+        sys, v1, dyn.ForcingSignal.zero(dyn.OBSERVABLE), grid)
     dyn.trajectory_to_csv(traj, args.output)
     print(f"propagated reduced system (d1={sys.d1}) -> {args.output}")
     return EXIT_OK

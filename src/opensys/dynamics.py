@@ -1,8 +1,12 @@
 """Time propagation: full conservative dynamics and the reduced open system.
 
-The full system dV/dt = -i Omega V + F is propagated spectrally: the
-homogeneous part is exact (up to eigensolver accuracy) and forcing enters
-through a Duhamel integral evaluated with trapezoidal quadrature.
+The full system dV/dt = -i Omega V + F is propagated spectrally by one
+routine that returns the first ``rows`` components: all n for
+``simulate-full``, the d1 observable ones for ``compare``'s reference.
+The homogeneous part is exact (up to eigensolver accuracy) and forcing
+enters through a Duhamel integral evaluated with trapezoidal quadrature.
+Its phases factor over the uniform grid, so unforced it holds the output
+plus O(sqrt(steps rows) n) phases.
 
 Eliminating the hidden variables (hidden initial state zero, no hidden
 forcing) leaves the observable part with a memory term,
@@ -24,13 +28,7 @@ steps at a time (at least 1): the rows of the first L powers of the
 one-step matrix give each block's L states as one product with the state
 at its start, and no block system is solved, so a run costs
 O(steps d1 (d1 + d2)) flops in steps / L Python-level iterations and
-O(steps d1) memory.  The exact reference that ``reduction_discrepancy``
-checks it against takes one ``eigh`` of Omega and keeps only the d1
-observable rows of its eigenvectors; its phases factor over the uniform
-grid into about sqrt(steps d1) coarse and sqrt(steps / d1) fine rows, so
-it costs O(sqrt(steps d1) n) exponentials and one O(steps n d1) product,
-in O(steps d1 + sqrt(steps d1) n) memory besides the eigenvectors: no
-(steps, n) array.  The no-gain form of a signal p(t) u separates in the
+O(steps d1) memory.  The no-gain form of a signal p(t) u separates in the
 same modes, and is summed over the signal's support only.
 """
 
@@ -140,6 +138,8 @@ def make_grid(t_max: float, steps: int) -> np.ndarray:
 
 
 def _uniform_step(times: np.ndarray) -> float:
+    if not np.all(np.isfinite(times)):  # NaN would pass the checks below
+        raise ValueError("non-finite time grid rejected")
     diffs = np.diff(times)
     if len(diffs) == 0:
         raise ValueError("grid needs at least two points")
@@ -162,13 +162,50 @@ def make_kernel(sys: BlockSystem, side: str = OBSERVABLE) -> ResponseKernel:
     return ResponseKernel(eigvals=w, coupling_modes=modes)
 
 
+def _exact_states(mat: np.ndarray, v0: np.ndarray, forcing: ForcingSignal,
+                  times: np.ndarray, rows: int) -> np.ndarray:
+    """First ``rows`` components of the exact propagation of v0 by the
+    Hermitian ``mat`` on a uniform grid: with U its eigenvectors,
+    U[:rows] exp(-i w t) (U^dag v0 + the Duhamel integral of U^dag F).
+
+    On the grid t_k = (j B + m) h the phases factor as
+    exp(-i w j B h) exp(-i w m h).  Unforced, the states are one product of
+    the (J, n) coarse phases with the (n, B rows) matrix
+    G[:, (m, i)] = exp(-i w m h) (U^dag v0) U[i].  B = ceil(sqrt(nt /
+    rows)) balances the two at about n sqrt(nt rows) entries each.
+    Forcing needs the (nt, n) phase table, built from the same factors;
+    the Duhamel integrand takes its conjugate.
+    """
+    h = _uniform_step(times)
+    w, u = np.linalg.eigh(mat)
+    n, nt = len(w), len(times)
+    # the least B with B^2 max(rows, 1) >= nt, so J <= B max(rows, 1)
+    block = math.isqrt(-(-nt // max(rows, 1)) - 1) + 1
+    count = -(-nt // block)  # J
+    fine = np.exp(-1j * h * np.outer(np.arange(block), w))
+    coarse = np.exp(-1j * h * block * np.outer(np.arange(count), w))
+    coeff = u.conj().T @ v0
+    top = u[:rows]
+    if forcing.samples is None:
+        g = ((fine * coeff).T[:, :, None]
+             * top.T[:, None, :]).reshape(n, block * rows)
+        return (coarse @ g).reshape(count * block, rows)[:nt]
+    phases = (coarse[:, None] * fine).reshape(count * block, n)[:nt]
+    g = phases.conj() * (forcing.sampled(nt, n) @ u.conj())
+    g[1:] = (g[1:] + g[:-1]) * (h / 2)
+    g[0] = coeff  # so the cumulative sum is U^dag v0 plus the integral
+    np.cumsum(g, axis=0, out=g)
+    return (phases * g) @ top.T
+
+
 def propagate_full(omega: FullOperator | np.ndarray, v0: np.ndarray,
                    forcing: ForcingSignal, times: np.ndarray) -> Trajectory:
     """Propagate dV/dt = -i Omega V + F spectrally on a uniform grid.
 
     The homogeneous part is exact; the Duhamel integral for the forcing is
     a cumulative trapezoid in the eigenbasis.  With zero forcing the result
-    is exact up to eigensolver accuracy.
+    is exact up to eigensolver accuracy, in the (steps+1, n) states plus
+    O(sqrt(steps n) n) phases; forcing adds (steps+1, n) tables.
     """
     mat = omega.omega if isinstance(omega, FullOperator) else np.asarray(omega)
     mat = check_hermitian(mat, 1e-10, "full generator")
@@ -177,22 +214,7 @@ def propagate_full(omega: FullOperator | np.ndarray, v0: np.ndarray,
     if v0.shape != (n,):
         raise DimensionMismatchError(f"v0 shape {v0.shape} != ({n},)")
     times = np.asarray(times, dtype=float)
-    h = _uniform_step(times)
-
-    w, u = np.linalg.eigh(mat)
-    rel = times - times[0]
-    coeff0 = u.conj().T @ v0
-    phases = np.exp(-1j * np.outer(rel, w))  # (nt, n)
-
-    coeff = phases * coeff0
-    if forcing.samples is not None:
-        f = forcing.sampled(len(times), n)
-        g = np.exp(1j * np.outer(rel, w)) * (f @ u.conj())  # integrand in eigenbasis
-        cumulative = np.zeros_like(g)
-        cumulative[1:] = np.cumsum((g[1:] + g[:-1]) * (h / 2), axis=0)
-        coeff = phases * (coeff0 + cumulative)
-    states = coeff @ u.T  # rows back to the original basis
-    return Trajectory(times, states)
+    return Trajectory(times, _exact_states(mat, v0, forcing, times, n))
 
 
 def _block_length(d1: int, d2: int) -> int:
@@ -315,37 +337,6 @@ def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
     return Trajectory(times, states)
 
 
-def _observable_full(sys: BlockSystem, v1_0: np.ndarray,
-                     times: np.ndarray) -> np.ndarray:
-    """Observable part of the exact full propagation from (v1_0, 0).
-
-    With U1 the first d1 rows of the eigenvectors of Omega,
-    v1(t) = U1 exp(-i w t) U1^dag v1_0: the first d1 columns of
-    ``propagate_full``'s states, without forming the other d2.
-
-    On the uniform grid t_k = (j B + m) h the phases factor as
-    exp(-i w j B h) exp(-i w m h).  So the trajectory is one product of
-    the (J, n) coarse phases with the (n, B d1) matrix
-    G[:, (m, i)] = exp(-i w m h) (U1^dag v1_0) U1[i].  B = ceil(sqrt(nt /
-    d1)) balances the two at about n sqrt(nt d1) entries each, well below
-    one (nt, n) phase table unless d1 nears nt: O(sqrt(nt d1) n)
-    exponentials and O(nt d1 + sqrt(nt d1) n) memory besides the
-    eigenvectors.
-    """
-    w, u = np.linalg.eigh(assemble_full(sys).omega)
-    d1, n, nt = sys.d1, len(w), len(times)
-    h = _uniform_step(times)
-    # the least B with B^2 max(d1, 1) >= nt, so J <= B max(d1, 1)
-    block = math.isqrt(-(-nt // max(d1, 1)) - 1) + 1
-    count = -(-nt // block)  # J
-    u1 = u[:d1]
-    fine = (np.exp(-1j * h * np.outer(np.arange(block), w))
-            * (u1.conj().T @ v1_0))
-    g = (fine.T[:, :, None] * u1.T[:, None, :]).reshape(n, block * d1)
-    coarse = np.exp(-1j * h * block * np.outer(np.arange(count), w))
-    return (coarse @ g).reshape(count * block, d1)[:nt]
-
-
 def reduction_discrepancy(sys: BlockSystem, v1_0: np.ndarray, t_max: float,
                           steps: int) -> dict:
     """Sup-norm gap between the reduced propagation and the projected full one.
@@ -356,9 +347,10 @@ def reduction_discrepancy(sys: BlockSystem, v1_0: np.ndarray, t_max: float,
     and the empirical convergence order log2(coarse / fine), near 2 for a
     second-order reduced stepper.
     """
-    v1_0 = np.asarray(v1_0, dtype=complex)
     fine_grid = make_grid(t_max, 2 * steps)
-    full = _observable_full(sys, v1_0, fine_grid)
+    v0 = np.concatenate([v1_0, np.zeros(sys.d2, dtype=complex)])
+    full = _exact_states(assemble_full(sys).omega, v0,
+                         ForcingSignal.zero(), fine_grid, sys.d1)
     kernel = make_kernel(sys, OBSERVABLE)
 
     def gap(stride: int) -> float:

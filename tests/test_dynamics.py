@@ -11,7 +11,7 @@ from opensys.dynamics import (
     Trajectory,
     _block_length,
     _bump_profile,
-    _observable_full,
+    _exact_states,
     kernel_to_csv,
     make_grid,
     make_kernel,
@@ -41,7 +41,24 @@ def _relative_gap(new, reference):
     return np.max(np.abs(new - reference)) / np.max(np.abs(reference))
 
 
-# --- O(steps^2) reference routes: the same discretisations, summed directly ---
+# --- Reference routes: the same discretisations, summed directly ---
+
+def _dense_full(omega, v0, forcing, times):
+    """Exact propagation through one (nt, n) phase table, with no factoring
+    over the grid, and the cumulative trapezoid of the Duhamel integrand."""
+    h = times[1] - times[0]
+    w, u = np.linalg.eigh(omega)
+    rel = times - times[0]
+    coeff0 = u.conj().T @ v0
+    phases = np.exp(-1j * np.outer(rel, w))
+    coeff = phases * coeff0
+    if forcing.samples is not None:
+        g = np.exp(1j * np.outer(rel, w)) * (forcing.samples @ u.conj())
+        cumulative = np.zeros_like(g)
+        cumulative[1:] = np.cumsum((g[1:] + g[:-1]) * (h / 2), axis=0)
+        coeff = phases * (coeff0 + cumulative)
+    return coeff @ u.T
+
 
 def _quadratic_reduced(sys, v1_0, f1, times):
     """Reduced propagation that re-sums the whole memory history each step."""
@@ -232,6 +249,21 @@ class TestPropagateFull:
                              ForcingSignal(ff), fine)
         assert np.max(np.abs(traj.states[-1] - ref.states[-1])) < 1e-4
 
+    def test_peak_memory_near_output(self, lattice):
+        """At 32,000 steps on the 6/2 lattice the run peaks below 1.5 times
+        its (steps + 1, n) complex states: no (steps + 1, n) phase or
+        coefficient table is formed besides them."""
+        full = assemble_full(lattice)
+        grid = make_grid(2.5, 32000)
+        v0 = np.ones(full.dim, dtype=complex) / np.sqrt(full.dim)
+        tracemalloc.start()
+        try:
+            propagate_full(full, v0, ForcingSignal.zero(), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * len(grid) * full.dim
+
     def test_non_uniform_grid_rejected(self):
         with pytest.raises(ValueError):
             propagate_full(np.zeros((2, 2)), np.zeros(2),
@@ -352,10 +384,11 @@ class TestPropagateReduced:
         rng = np.random.default_rng(5)
         v1 = rng.standard_normal(sys.d1) + 1j * rng.standard_normal(sys.d1)
         v1 /= np.linalg.norm(v1)
-        full = propagate_full(assemble_full(sys), np.concatenate(
-            [v1, np.zeros(sys.d2)]), ForcingSignal.zero(), grid)
-        observed = _observable_full(sys, v1, grid)
-        assert np.max(np.abs(observed - full.states[:, :sys.d1])) <= 1e-13
+        omega = assemble_full(sys).omega
+        v0 = np.concatenate([v1, np.zeros(sys.d2)])
+        full = _dense_full(omega, v0, ForcingSignal.zero(), grid)
+        observed = _exact_states(omega, v0, ForcingSignal.zero(), grid, sys.d1)
+        assert np.max(np.abs(observed - full[:, :sys.d1])) <= 1e-13
 
     @pytest.mark.parametrize("d1, d2", [(4, 8), (40, 10)])
     @pytest.mark.parametrize("steps", [2, 3, 7, 15, 16, 17, 1000, 10007])
@@ -363,33 +396,44 @@ class TestPropagateReduced:
         """Point counts on both sides of a square (3 and 4; 16, 17 and
         18), and 10007 steps, a prime: the factored phases leave a
         part-filled last coarse row or none.  At d1 = 40 the fine block
-        shrinks to one step for the short grids."""
+        shrinks to one step for the short grids.  Both the d1 observable
+        components (``compare``) and all n (``simulate-full``), unforced
+        and forced."""
         sys = random_system(d1, d2, 2, seed=21)
+        omega, n = assemble_full(sys).omega, d1 + d2
         grid = make_grid(10.0, steps)
         rng = np.random.default_rng(steps)
-        v1 = rng.standard_normal(d1) + 1j * rng.standard_normal(d1)
-        v1 /= np.linalg.norm(v1)
-        full = propagate_full(assemble_full(sys), np.concatenate(
-            [v1, np.zeros(d2)]), ForcingSignal.zero(), grid)
-        observed = _observable_full(sys, v1, grid)
-        assert observed.shape == (steps + 1, d1)
-        assert np.max(np.abs(observed - full.states[:, :d1])) <= 1e-13
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v0 /= np.linalg.norm(v0)
+        rates = np.arange(1, n + 1)
+        forced = ForcingSignal(np.sin(np.outer(grid, rates))
+                               + 1j * np.cos(np.outer(grid, rates / 2)))
+        for forcing, tol in ((ForcingSignal.zero(), 1e-13), (forced, 1e-12)):
+            full = _dense_full(omega, v0, forcing, grid)
+            for rows in (d1, n):
+                observed = _exact_states(omega, v0, forcing, grid, rows)
+                assert observed.shape == (steps + 1, rows)
+                assert np.max(np.abs(observed - full[:, :rows])) <= tol
 
     def test_observable_reference_cosine_closed_form(self):
         """Omega = [[0, 1], [1, 0]] from (1, 0) gives v1(t) = cos t."""
         grid = make_grid(100.0, 10007)
-        observed = _observable_full(swap_system(), np.array([1.0 + 0j]), grid)
+        observed = _exact_states(assemble_full(swap_system()).omega,
+                                 np.array([1.0, 0j]), ForcingSignal.zero(),
+                                 grid, 1)
         assert np.max(np.abs(observed[:, 0] - np.cos(grid))) <= 1e-13
 
     def test_observable_reference_holds_no_phase_table(self, lattice):
         """At 32,000 steps on the 6/2 lattice the reference peaks below a
         quarter of one (steps + 1, n) complex phase table."""
         grid = make_grid(2.5, 32000)
-        v1 = np.ones(lattice.d1, dtype=complex) / np.sqrt(lattice.d1)
-        n = lattice.d1 + lattice.d2
+        omega = assemble_full(lattice).omega
+        n = len(omega)
+        v0 = np.zeros(n, dtype=complex)
+        v0[:lattice.d1] = 1 / np.sqrt(lattice.d1)
         tracemalloc.start()
         try:
-            _observable_full(lattice, v1, grid)
+            _exact_states(omega, v0, ForcingSignal.zero(), grid, lattice.d1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,12 +442,13 @@ class TestPropagateReduced:
     def test_observable_reference_wide_observable_memory(self):
         """With d1 = 100 > sqrt(steps), the peak beyond the (steps + 1, d1)
         output stays below half a (steps + 1, n) phase table."""
-        sys = random_system(100, 100, 2, seed=3)
+        omega = assemble_full(random_system(100, 100, 2, seed=3)).omega
         grid = make_grid(10.0, 8000)
-        v1 = np.ones(100, dtype=complex) / 10.0
+        v0 = np.zeros(200, dtype=complex)
+        v0[:100] = 1 / 10.0
         tracemalloc.start()
         try:
-            _observable_full(sys, v1, grid)
+            _exact_states(omega, v0, ForcingSignal.zero(), grid, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,7 +462,8 @@ class TestPropagateReduced:
         v1 = np.zeros(0, dtype=complex)
         red = propagate_reduced(sys, v1, ForcingSignal.zero(OBSERVABLE), grid)
         assert red.states.shape == (101, 0)
-        assert _observable_full(sys, v1, grid).shape == (101, 0)
+        assert _exact_states(assemble_full(sys).omega, np.zeros(3),
+                             ForcingSignal.zero(), grid, 0).shape == (101, 0)
         result = reduction_discrepancy(sys, v1, 10.0, 100)
         assert result["sup_diff_coarse"] == result["sup_diff_fine"] == 0.0
         assert result["order"] == 0.0
@@ -649,3 +695,19 @@ def test_grid_validation():
         with pytest.raises(ValueError, match="t_max must be positive and "
                                              f"finite, got {t_max}"):
             make_grid(t_max, 100)
+
+
+@pytest.mark.parametrize("run", [
+    lambda t: propagate_full(np.eye(2), np.ones(2), ForcingSignal.zero(), t),
+    lambda t: propagate_reduced(swap_system(), np.ones(1),
+                                ForcingSignal.zero(OBSERVABLE), t),
+    lambda t: no_gain_check(make_kernel(swap_system()), 2, t, seed=0),
+], ids=["propagate_full", "propagate_reduced", "no_gain_check"])
+def test_non_finite_grid_rejected(run):
+    """NaN compares false, so a NaN time would pass the uniformity check."""
+    one_nan = make_grid(1.0, 8)
+    one_nan[3] = np.nan
+    for times in (one_nan, np.full(9, np.nan),
+                  np.append(make_grid(1.0, 7), np.inf)):
+        with pytest.raises(ValueError, match="non-finite time grid"):
+            run(times)
