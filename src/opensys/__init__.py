@@ -4,16 +4,12 @@ cross-validated against full conservative propagation."""
 
 from .subspaces import (
     DEFAULT_TOL,
-    ContainmentError,
     DimensionMismatchError,
     Spectrum,
     SubspaceBasis,
     SymmetryError,
-    complement,
-    numeric_rank,
     orbit,
     orthonormalize,
-    projector_distance,
 )
 from .systems import (
     BlockSystem,
@@ -28,7 +24,6 @@ from .decomposition import (
     FourWayDecomposition,
     TheoremReport,
     decompose,
-    multiplicity,
     verify_block_form,
     verify_theorem,
 )

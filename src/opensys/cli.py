@@ -121,9 +121,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    if args.distance_tol is not None and not 0 < args.distance_tol < np.inf:
-        raise ValueError("--distance-tol must be positive and finite, "
-                         f"got {args.distance_tol}")
     sys = _load(args.input, args.tol)
     report = dc.verify_theorem(sys)
     for name, dist in report.orbit_equalities:
@@ -134,9 +131,9 @@ def cmd_verify_theorem(args) -> int:
     print(f"dims: {report.dims}  tol = {sys.tol:g}")
     if args.output:
         write_json_atomic(report.to_dict(), args.output)
-    if not report.passed(args.distance_tol):
+    if not report.passed():
         name, worst = max(report.orbit_equalities, key=lambda pair: pair[1])
-        limit = report.distance_limit(args.distance_tol)
+        limit = report.distance_limit()
         reasons = [f"max distance {worst:.3e} "
                    f"{'>' if worst > limit else '<='} limit {limit:g} ({name})"]
         if not report.bound_satisfied:
@@ -258,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="orbit equalities, multiplicity bound, core")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--distance-tol", type=float, default=None,
-                   help="override the distance pass limit (100 * tol)")
     _add_tol(p)
     p.set_defaults(func=cmd_verify_theorem)
 

@@ -209,7 +209,7 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
     each distance taken against h1d or h2d, the exact complement of h1c
     or h2c in its block.
     """
-    d1, d2, tol = sys.d1, sys.d2, sys.tol
+    d1, tol = sys.d1, sys.tol
     spectrum = Spectrum(assemble_full(sys).omega, tol)
     vectors = spectrum.vectors
     # H1 and H2 in the eigenbasis of Omega are V^dag [I; 0] and V^dag [0; I];
@@ -224,8 +224,8 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
                             "H1c from closure(H2)")
     # independent fast route through the coupling ranges, compared through
     # the complements of h1c and h2c that the QRs above made exactly
-    ran_gamma = orthonormalize(sys.gamma, tol, ambient_dim=d1)
-    ran_gamma_dag = orthonormalize(sys.gamma.conj().T, tol, ambient_dim=d2)
+    ran_gamma = orthonormalize(sys.gamma, tol)
+    ran_gamma_dag = orthonormalize(sys.gamma.conj().T, tol)
     dist1 = _complement_distance(orbit(sys.omega1, ran_gamma, tol).matrix,
                                  h1d.matrix)
     dist2 = _complement_distance(orbit(sys.omega2, ran_gamma_dag, tol).matrix,

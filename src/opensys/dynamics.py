@@ -92,8 +92,9 @@ class Trajectory:
             raise DimensionMismatchError(
                 f"grid/state shapes incompatible: {times.shape} vs {states.shape}"
             )
-        if len(times) > 1 and np.any(np.diff(times) <= 0):
-            raise ValueError("time grid must be strictly increasing")
+        # NaN compares false, so the grid must pass the tests, not fail them
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("time grid must be finite and strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
@@ -173,8 +174,10 @@ def _exact_states(mat: np.ndarray, v0: np.ndarray, forcing: ForcingSignal,
     the (J, n) coarse phases with the (n, B rows) matrix
     G[:, (m, i)] = exp(-i w m h) (U^dag v0) U[i].  B = ceil(sqrt(nt /
     rows)) balances the two at about n sqrt(nt rows) entries each.
-    Forcing needs the (nt, n) phase table, built from the same factors;
-    the Duhamel integrand takes its conjugate.
+    Forcing needs an (nt, n) table of the conjugate phases, built from the
+    same factors, and one of the Duhamel integrand; the trapezoid, the
+    cumulative sum and the final product are taken in place, the phases
+    conjugated back for the last.
     """
     h = _uniform_step(times)
     w, u = np.linalg.eigh(mat)
@@ -190,12 +193,15 @@ def _exact_states(mat: np.ndarray, v0: np.ndarray, forcing: ForcingSignal,
         g = ((fine * coeff).T[:, :, None]
              * top.T[:, None, :]).reshape(n, block * rows)
         return (coarse @ g).reshape(count * block, rows)[:nt]
-    phases = (coarse[:, None] * fine).reshape(count * block, n)[:nt]
-    g = phases.conj() * (forcing.sampled(nt, n) @ u.conj())
-    g[1:] = (g[1:] + g[:-1]) * (h / 2)
+    phases = (coarse.conj()[:, None] * fine.conj()).reshape(-1, n)[:nt]
+    g = forcing.sampled(nt, n) @ u.conj()
+    g *= phases
+    g[1:] += g[:-1]
+    g *= h / 2
     g[0] = coeff  # so the cumulative sum is U^dag v0 plus the integral
     np.cumsum(g, axis=0, out=g)
-    return (phases * g) @ top.T
+    g *= np.conjugate(phases, out=phases)
+    return g @ top.T
 
 
 def propagate_full(omega: FullOperator | np.ndarray, v0: np.ndarray,
@@ -205,7 +211,8 @@ def propagate_full(omega: FullOperator | np.ndarray, v0: np.ndarray,
     The homogeneous part is exact; the Duhamel integral for the forcing is
     a cumulative trapezoid in the eigenbasis.  With zero forcing the result
     is exact up to eigensolver accuracy, in the (steps+1, n) states plus
-    O(sqrt(steps n) n) phases; forcing adds (steps+1, n) tables.
+    O(sqrt(steps n) n) phases; forcing adds two (steps+1, n) tables, the
+    phases and the integrand.
     """
     mat = omega.omega if isinstance(omega, FullOperator) else np.asarray(omega)
     mat = check_hermitian(mat, 1e-10, "full generator")

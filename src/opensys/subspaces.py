@@ -2,7 +2,9 @@
 
 :func:`as_field` maps every input to float64 or complex128, so a real
 symmetric operator keeps real eigenvectors, bases and orbits.  Subspaces
-are represented by matrices whose columns form an orthonormal basis.  A
+are represented by matrices whose columns form an orthonormal basis;
+:func:`orthonormalize` makes one from an (n, k) array of columns, and
+from nothing else, so a list of vectors is never read as rows.  A
 basis carries no tolerance: every entry of the table below takes its
 tolerance as an argument.  Every numerical decision in the package is one
 of these tests, ``tol`` being ``BlockSystem.tol`` (DEFAULT_TOL = 1e-10;
@@ -127,37 +129,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    @classmethod
-    def empty(cls, ambient_dim: int) -> "SubspaceBasis":
-        return cls(np.zeros((ambient_dim, 0)))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "SubspaceBasis":
-        return cls(np.eye(ambient_dim))
-
-
-def _as_columns(vectors, ambient_dim: int | None) -> np.ndarray:
-    """Convert a list of vectors or an (n, k) array to a column matrix."""
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = as_field(vectors)
-    else:
-        vecs = [as_field(v) for v in vectors]
-        if not vecs:
-            if ambient_dim is None:
-                raise DimensionMismatchError(
-                    "ambient_dim required to orthonormalize an empty set"
-                )
-            return np.zeros((ambient_dim, 0))
-        lengths = {v.shape for v in vecs}
-        if len(lengths) != 1 or vecs[0].ndim != 1:
-            raise DimensionMismatchError(f"inconsistent vector shapes: {lengths}")
-        cols = np.stack(vecs, axis=1)
-    if ambient_dim is not None and cols.shape[0] != ambient_dim:
-        raise DimensionMismatchError(
-            f"vectors have length {cols.shape[0]}, expected {ambient_dim}"
-        )
-    return cols
-
 
 def _range_basis(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The rank cut of each matrix in a stack ``m`` of shape (..., g, k).
@@ -175,15 +146,18 @@ def _range_basis(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return left, kept
 
 
-def orthonormalize(vectors, tol: float = DEFAULT_TOL, *,
-                   ambient_dim: int | None = None) -> SubspaceBasis:
-    """Orthonormal basis of the span of ``vectors``, cut by :func:`_range_basis`.
+def orthonormalize(columns: np.ndarray, tol: float = DEFAULT_TOL) -> SubspaceBasis:
+    """Orthonormal basis of the span of the columns of an (n, k) array,
+    cut by :func:`_range_basis`.
 
-    ``vectors`` may be a sequence of 1-d arrays or an (n, k) array of
-    columns; ``ambient_dim`` is only needed when the input is empty.
+    Anything else, a list of vectors or a 1-d array included, raises
+    :class:`DimensionMismatchError`: a list is never read as rows.
     """
-    cols = _as_columns(vectors, ambient_dim)
-    left, kept = _range_basis(cols, tol)
+    if not isinstance(columns, np.ndarray) or columns.ndim != 2:
+        raise DimensionMismatchError(
+            "expected an (n, k) array of columns, got "
+            f"{getattr(columns, 'shape', type(columns).__name__)}")
+    left, kept = _range_basis(as_field(columns), tol)
     return SubspaceBasis(left[:, :kept])
 
 
@@ -331,19 +305,14 @@ def _spectral_norm(m: np.ndarray) -> float:
     return float(np.sqrt(max(top[0], 0.0)))
 
 
-def _excess_norm(a: SubspaceBasis, b: SubspaceBasis) -> float:
-    """||(I - P_b) A|| in the spectral norm: that of the n x k residual
-    A - B (B^dag A), from its k x k Gram matrix."""
-    return _spectral_norm(a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix))
-
-
 def projector_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
     """Operator (spectral) norm of P_a - P_b, without forming either projector.
 
     When the dimensions differ it is exactly 1.  When they agree it is the
     sine of the largest principal angle, which ||(I - P_b) A|| and
     ||(I - P_a) B|| both equal in exact arithmetic, so one residual is
-    taken (:func:`_excess_norm`).  The residual keeps angles far below
+    taken: the n x k A - B (B^dag A), whose norm comes from its k x k Gram
+    matrix (:func:`_spectral_norm`).  The residual keeps angles far below
     1e-8, which sqrt(1 - cos^2) of the principal cosines would round to
     zero.  The package's own distances take :func:`_complement_distance`,
     which needs a complement of ``b``; this form, which needs none, is
@@ -353,7 +322,9 @@ def projector_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    return _excess_norm(a, b) if a.dim == b.dim else 1.0
+    if a.dim != b.dim:
+        return 1.0
+    return _spectral_norm(a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix))
 
 
 def _complement_distance(a: np.ndarray, b_perp: np.ndarray) -> float:

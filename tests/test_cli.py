@@ -44,8 +44,7 @@ def test_decompose_zero_coupling(tmp_path, capsys):
 
 
 def test_verify_theorem_passes(sys_file, capsys):
-    code = main(["verify-theorem", "--input", str(sys_file),
-                 "--distance-tol", "1e-8"])
+    code = main(["verify-theorem", "--input", str(sys_file)])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "multiplicity(core)" in out
@@ -221,7 +220,7 @@ def test_verify_theorem_rotated_h2c_fails(tmp_path, monkeypatch, capsys):
 
 def test_verify_theorem_fail_names_bound(tmp_path, monkeypatch, capsys):
     """A multiplicity over its bound is named, with the distance limit
-    passed on the command line."""
+    100 * tol."""
     path = tmp_path / "s.json"
     save_system(coupled_plus_decoupled(), str(path))
     over_bound = decomposition.TheoremReport(
@@ -230,10 +229,9 @@ def test_verify_theorem_fail_names_bound(tmp_path, monkeypatch, capsys):
         reconstructible_core=True, dims={}, tol=1e-10)
     monkeypatch.setattr(decomposition, "verify_theorem",
                         lambda sys: over_bound)
-    assert main(["verify-theorem", "--input", str(path),
-                 "--distance-tol", "1e-11"]) == EXIT_VERIFICATION
+    assert main(["verify-theorem", "--input", str(path)]) == EXIT_VERIFICATION
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "FAIL: max distance 3.000e-12 <= limit 1e-11 (c vs d); "
+        "FAIL: max distance 3.000e-12 <= limit 1e-08 (c vs d); "
         "multiplicity 3 > bound 2")
 
 
@@ -263,14 +261,11 @@ def test_non_finite_tolerance_is_usage_error(sys_file, capsys):
     assert "tol must be positive and finite, got nan" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
-def test_bad_distance_tol_is_usage_error(sys_file, capsys, value):
+def test_distance_tol_is_not_an_option(sys_file, capsys):
+    """The distance limit is 100 * tol; only --tol moves it."""
     assert main(["verify-theorem", "--input", str(sys_file),
-                 "--distance-tol", value]) == EXIT_USAGE
-    out, err = capsys.readouterr()
-    assert f"--distance-tol must be positive and finite, got {float(value)}" \
-        in err
-    assert out == ""
+                 "--distance-tol", "1e-8"]) == EXIT_USAGE
+    assert "unrecognized arguments: --distance-tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["compare", "no-gain", "simulate-reduced"])

@@ -193,7 +193,7 @@ def diag_closure_distance(sys, dec):
     an oracle for ``dec.route_distance``."""
     omega_ring, gamma_ring = decoupled_parts(sys)
     n = sys.d1 + sys.d2
-    ran_ring = orthonormalize(gamma_ring, sys.tol, ambient_dim=n)
+    ran_ring = orthonormalize(gamma_ring, sys.tol)
     lo = dec.h1d.dim
     core = SubspaceBasis(decomposition_basis(sys, dec)[
         :, lo:lo + dec.h1c.dim + dec.h2c.dim])
@@ -741,8 +741,7 @@ def test_coupling_range_matches_symmetrized_coupling(sys):
     dec = decompose(sys)
     direct = direct_sum(embed_observable(dec.ran_gamma, d2),
                         embed_hidden(dec.ran_gamma_dag, d1))
-    oracle = orthonormalize(decoupled_parts(sys)[1], sys.tol,
-                            ambient_dim=d1 + d2)
+    oracle = orthonormalize(decoupled_parts(sys)[1], sys.tol)
     assert direct.dim == oracle.dim
     assert projector_distance(direct, oracle) <= 1e-12
 

@@ -264,6 +264,22 @@ class TestPropagateFull:
             tracemalloc.stop()
         assert peak < 1.5 * 16 * len(grid) * full.dim
 
+    def test_forced_peak_memory(self, lattice):
+        """Forced, at 8,000 steps on the 6/2 lattice, the run holds the
+        phases, the Duhamel integrand and the states: it peaks below 3.5
+        times its (steps + 1, n) complex states."""
+        full = assemble_full(lattice)
+        grid = make_grid(2.5, 8000)
+        v0 = np.ones(full.dim, dtype=complex) / np.sqrt(full.dim)
+        forcing = ForcingSignal(np.full((len(grid), full.dim), 0.3 + 0.1j))
+        tracemalloc.start()
+        try:
+            propagate_full(full, v0, forcing, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 16 * len(grid) * full.dim
+
     def test_non_uniform_grid_rejected(self):
         with pytest.raises(ValueError):
             propagate_full(np.zeros((2, 2)), np.zeros(2),
@@ -629,6 +645,15 @@ class TestNoGain:
         a = no_gain_check(k, 5, grid, seed=9)
         b = no_gain_check(k, 5, grid, seed=9)
         assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf],
+                                   [0.0, 1.0, 1.0]],
+                         ids=["nan", "inf", "repeated"])
+def test_trajectory_grid_finite_and_increasing(times):
+    """NaN compares false, so a NaN time would pass ``diff <= 0``."""
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        Trajectory(np.array(times), np.zeros((3, 1)))
 
 
 class TestExport:

@@ -55,6 +55,11 @@ def contains(basis, vector, tol):
     return np.linalg.norm(residual) <= tol * max(np.linalg.norm(vector), 1.0)
 
 
+def columns(*vectors):
+    """The (n, k) array whose columns are ``vectors``."""
+    return np.column_stack(vectors)
+
+
 def unit(n, i):
     e = np.zeros(n, dtype=complex)
     e[i] = 1.0
@@ -63,14 +68,24 @@ def unit(n, i):
 
 class TestOrthonormalize:
     def test_collinear_inputs_collapse(self):
-        basis = orthonormalize([np.array([1.0, 0.0]), np.array([2.0, 0.0])], TOL)
+        basis = orthonormalize(columns([1.0, 0.0], [2.0, 0.0]), TOL)
         assert basis.dim == 1
         assert np.allclose(np.abs(basis.matrix[:, 0]), [1.0, 0.0])
 
     def test_empty_input(self):
-        basis = orthonormalize([], TOL, ambient_dim=4)
+        basis = orthonormalize(np.zeros((4, 0)), TOL)
         assert basis.dim == 0
         assert basis.ambient_dim == 4
+
+    @pytest.mark.parametrize("vectors", [
+        [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
+        np.array([1.0, 2.0, 3.0]),
+    ], ids=["list", "1-d"])
+    def test_only_a_column_array(self, vectors):
+        """A list of vectors is never read as rows, nor a 1-d array as one
+        column."""
+        with pytest.raises(DimensionMismatchError, match="array of columns"):
+            orthonormalize(vectors, TOL)
 
     def test_full_rank_matches_svd_oracle(self):
         vecs = [np.array([1.0, 1.0, 0.0]), np.array([1.0, -1.0, 0.0]),
@@ -79,7 +94,7 @@ class TestOrthonormalize:
         s = np.linalg.svd(np.stack(vecs, axis=1), compute_uv=False)
         oracle_rank = int(np.sum(s > TOL * s[0]))
         assert oracle_rank == 3
-        assert orthonormalize(vecs, TOL).dim == 3
+        assert orthonormalize(np.stack(vecs, axis=1), TOL).dim == 3
 
     def test_output_is_orthonormal(self):
         rng = np.random.default_rng(3)
@@ -102,13 +117,13 @@ class TestOrthonormalize:
 
 class TestOrbit:
     def test_identity_fixes_every_subspace(self):
-        seed = orthonormalize([unit(4, 1), unit(4, 3)], TOL)
+        seed = orthonormalize(columns(unit(4, 1), unit(4, 3)), TOL)
         result = orbit(np.eye(4), seed, TOL)
         assert projector_distance(result, seed) < 1e-12
 
     def test_eigenvector_seed_is_invariant(self):
         a = np.diag([1.0, 1.0, 2.0])
-        seed = orthonormalize([np.array([1.0, 1.0, 0.0]) / np.sqrt(2)], TOL)
+        seed = orthonormalize(columns([1.0, 1.0, 0.0]) / np.sqrt(2), TOL)
         result = orbit(a, seed, TOL)
         assert projector_distance(result, seed) < 1e-12
 
@@ -116,17 +131,17 @@ class TestOrbit:
         a = np.diag([1.0, 2.0, 3.0])
         v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
         # brute-force oracle: orthonormalize {v, Av, A^2 v}
-        oracle = orthonormalize([v, a @ v, a @ a @ v], TOL)
+        oracle = orthonormalize(columns(v, a @ v, a @ a @ v), TOL)
         assert oracle.dim == 2
-        result = orbit(a, orthonormalize([v], TOL), TOL)
-        expected = orthonormalize([unit(3, 0), unit(3, 1)], TOL)
+        result = orbit(a, orthonormalize(columns(v), TOL), TOL)
+        expected = orthonormalize(columns(unit(3, 0), unit(3, 1)), TOL)
         assert projector_distance(result, oracle) < 1e-12
         assert projector_distance(result, expected) < 1e-12
 
     def test_non_hermitian_rejected(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(SymmetryError):
-            orbit(a, SubspaceBasis.full(2), TOL)
+            orbit(a, SubspaceBasis(np.eye(2)), TOL)
 
     def test_matches_block_closure_route(self):
         rng = np.random.default_rng(11)
@@ -161,16 +176,16 @@ class TestOrbit:
         # distinct eigenvalues + seed touching every eigenvector
         a = np.diag(np.arange(1.0, 7.0))
         v = np.ones(6) / np.sqrt(6)
-        result = orbit(a, orthonormalize([v], TOL), TOL)
+        result = orbit(a, orthonormalize(columns(v), TOL), TOL)
         assert result.dim == 6
 
 
 class TestComplement:
     def test_standard_basis(self):
-        whole = SubspaceBasis.full(3)
-        part = orthonormalize([unit(3, 0)], TOL)
+        whole = SubspaceBasis(np.eye(3))
+        part = orthonormalize(columns(unit(3, 0)), TOL)
         rest = complement(whole, part, TOL)
-        expected = orthonormalize([unit(3, 1), unit(3, 2)], TOL)
+        expected = orthonormalize(columns(unit(3, 1), unit(3, 2)), TOL)
         assert projector_distance(rest, expected) < 1e-12
 
     def test_whole_minus_whole_is_zero(self):
@@ -178,16 +193,16 @@ class TestComplement:
         assert complement(whole, whole, TOL).dim == 0
 
     def test_projector_subtraction_oracle(self):
-        whole = orthonormalize(
-            [np.array([1.0, 1.0, 0.0]) / np.sqrt(2), unit(3, 2)], TOL)
-        part = orthonormalize([np.array([1.0, 1.0, 0.0]) / np.sqrt(2)], TOL)
+        diagonal = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
+        whole = orthonormalize(columns(diagonal, unit(3, 2)), TOL)
+        part = orthonormalize(columns(diagonal), TOL)
         rest = complement(whole, part, TOL)
         oracle = projector(whole) - projector(part)
         assert np.linalg.norm(projector(rest) - oracle) < 1e-12
 
     def test_not_contained_rejected(self):
-        whole = orthonormalize([unit(3, 0)], TOL)
-        part = orthonormalize([unit(3, 1)], TOL)
+        whole = orthonormalize(columns(unit(3, 0)), TOL)
+        part = orthonormalize(columns(unit(3, 1)), TOL)
         with pytest.raises(ContainmentError):
             complement(whole, part, TOL)
 
@@ -201,8 +216,7 @@ class TestComplement:
         part = SubspaceBasis(whole.matrix[:, :k])
         rest = complement(whole, part, TOL)
         assert rest.dim == whole.dim - part.dim
-        reunion = orthonormalize(
-            np.hstack([part.matrix, rest.matrix]), TOL, ambient_dim=n)
+        reunion = orthonormalize(np.hstack([part.matrix, rest.matrix]), TOL)
         assert projector_distance(reunion, whole) < 1e-10
 
 
@@ -233,17 +247,17 @@ def test_one_rank_rule(seed, n, k, log_scale, data):
 
 class TestProjectorDistance:
     def test_equal_subspaces(self):
-        b = orthonormalize([unit(3, 0), unit(3, 2)], TOL)
+        b = orthonormalize(columns(unit(3, 0), unit(3, 2)), TOL)
         assert projector_distance(b, b) == 0.0
 
     def test_orthogonal_lines(self):
-        a = orthonormalize([unit(2, 0)], TOL)
-        b = orthonormalize([unit(2, 1)], TOL)
+        a = orthonormalize(columns(unit(2, 0)), TOL)
+        b = orthonormalize(columns(unit(2, 1)), TOL)
         assert abs(projector_distance(a, b) - 1.0) < 1e-12
 
     def test_45_degree_line_principal_angle_oracle(self):
-        a = orthonormalize([unit(2, 0)], TOL)
-        b = orthonormalize([np.array([1.0, 1.0]) / np.sqrt(2)], TOL)
+        a = orthonormalize(columns(unit(2, 0)), TOL)
+        b = orthonormalize(columns([1.0, 1.0]) / np.sqrt(2), TOL)
         # oracle: largest principal angle from singular values of Pa @ Pb
         cos_theta = np.linalg.svd(projector(a) @ projector(b),
                                   compute_uv=False)[0]
@@ -255,9 +269,9 @@ class TestProjectorDistance:
     @pytest.mark.parametrize("angle", [1e-6, 1e-9, 1e-12])
     def test_small_angles_resolved(self, angle):
         # sqrt(1 - cos^2) of the principal cosine would read 0 below ~1e-8
-        a = orthonormalize([unit(3, 0), unit(3, 1)], TOL)
-        b = orthonormalize([np.array([np.cos(angle), 0.0, np.sin(angle)]),
-                            unit(3, 1)], TOL)
+        a = orthonormalize(columns(unit(3, 0), unit(3, 1)), TOL)
+        b = orthonormalize(columns([np.cos(angle), 0.0, np.sin(angle)],
+                                   unit(3, 1)), TOL)
         assert abs(projector_distance(a, b) - np.sin(angle)) <= 1e-3 * angle
         assert projector_distance(a, SubspaceBasis(a.matrix[:, :1])) \
             == pytest.approx(1.0)
@@ -293,8 +307,8 @@ class TestProjectorDistance:
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            projector_distance(SubspaceBasis.full(2),
-                               SubspaceBasis.full(3))
+            projector_distance(SubspaceBasis(np.eye(2)),
+                               SubspaceBasis(np.eye(3)))
 
 
 class TestNumericRank:
@@ -322,8 +336,7 @@ def test_basis_rejects_too_many_vectors():
 def test_basis_must_be_a_matrix():
     with pytest.raises(DimensionMismatchError):
         SubspaceBasis(np.ones(3))
-    assert SubspaceBasis.empty(4).ambient_dim == 4
-    assert SubspaceBasis.full(3).dim == 3
+    assert SubspaceBasis(np.zeros((4, 0))).ambient_dim == 4
 
 
 def eigen_coords(spectrum, seed):
@@ -425,8 +438,7 @@ class TestStackedClusterCuts:
         rng = np.random.default_rng(seed)
         spectrum = Spectrum(degenerate_hermitian(multiplicities, rng), TOL)
         n = len(spectrum.values)
-        seed_basis = orthonormalize(
-            rng.standard_normal((n, min(k, n))), TOL, ambient_dim=n)
+        seed_basis = orthonormalize(rng.standard_normal((n, min(k, n))), TOL)
         assert_matches_per_cluster(spectrum, seed_basis)
 
 
