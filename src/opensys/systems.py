@@ -8,15 +8,18 @@ frequency operator is assembled as
     Omega = [[Omega1, Gamma  ],
              [Gamma^dag, Omega2]]
 
-Systems serialize to compact one-line JSON.  Each matrix is one flat
-list of decimal doubles, its row-major entries as they lie in memory: a
-real matrix gives one number an entry, a complex one its re, im pair in
-place.  The length gives the dtype back, so the round trip is bit-exact
-and dtype-exact.
+Systems serialize to compact one-line JSON.  Each matrix is one ASCII
+string: the base64 of its row-major entries as little-endian float64
+bytes, as they lie in memory, so a real matrix gives one double an
+entry and a complex one its re, im pair in place.  The double count
+gives the dtype back, so the round trip is bit-exact and dtype-exact.
+Files that store a matrix as a list of numbers, one an entry or an
+[re, im] pair an entry, still load.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import secrets
@@ -143,25 +146,32 @@ def random_system(d1: int, d2: int, coupling_rank: int, seed: int,
 
 # --- serialization ---------------------------------------------------------
 
-def encode_matrix(m: np.ndarray) -> list:
-    """The row-major entries of ``m`` as one flat list of floats.
+def encode_matrix(m: np.ndarray) -> str:
+    """The row-major entries of ``m`` as base64 of ``"<f8"`` bytes.
 
-    A float64 matrix gives one number an entry; a complex128 one gives
-    each entry's re, im pair in place.
+    A float64 matrix gives one double an entry; a complex128 one gives
+    each entry's re, im pair in place.  The text does not depend on the
+    byte order of ``m``.
     """
-    return as_field(m).ravel().view(np.float64).tolist()
+    flat = as_field(m).ravel().view(np.float64).astype("<f8", copy=False)
+    return base64.b64encode(flat).decode("ascii")
 
 
-def decode_matrix(data: list, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`encode_matrix`; the length gives the dtype.
+def decode_matrix(data: str | list, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of :func:`encode_matrix`; the double count gives the dtype.
 
-    ``rows * cols`` numbers decode as float64, ``2 * rows * cols`` as
-    complex128.  Nested lists are read in row-major order, so the older
-    layout of one [re, im] pair an entry decodes as complex128.
+    ``rows * cols`` doubles decode as float64, ``2 * rows * cols`` as
+    complex128.  A string must be strict base64 of whole doubles.  A list
+    of numbers, the layout of older files, is read in row-major order, so
+    one number an entry decodes as float64 and one [re, im] pair an entry
+    as complex128.
     """
-    flat = np.asarray(data)
-    if flat.dtype.kind not in "iuf":
-        raise ValueError(f"matrix entries must be numbers, got {flat.dtype}")
+    if isinstance(data, str):
+        flat = np.frombuffer(base64.b64decode(data, validate=True), "<f8")
+    else:
+        flat = np.asarray(data)
+        if flat.dtype.kind not in "iuf":
+            raise ValueError(f"matrix entries must be numbers, got {flat.dtype}")
     flat = flat.astype(np.float64, copy=False).ravel()
     count = shape[0] * shape[1]
     if flat.size == count:
@@ -183,17 +193,26 @@ def system_to_dict(sys: BlockSystem) -> dict:
     }
 
 
+def _is_number(value, kinds) -> bool:
+    """Whether ``value`` is of ``kinds``; JSON ``true``/``false`` is not."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def system_from_dict(data: dict) -> BlockSystem:
     try:
-        d1 = int(data["d1"])
-        d2 = int(data["d2"])
-        tol = float(data["tol"])
+        d1, d2, tol = data["d1"], data["d2"], data["tol"]
+        for key, value in (("d1", d1), ("d2", d2)):
+            if not _is_number(value, int) or value < 0:
+                raise ValueError(f"{key} must be an integer >= 0, "
+                                 f"got {value!r}")
+        if not _is_number(tol, (int, float)):
+            raise ValueError(f"tol must be a number, got {tol!r}")
         omega1 = decode_matrix(data["omega1"], (d1, d1))
         omega2 = decode_matrix(data["omega2"], (d2, d2))
         gamma = decode_matrix(data["gamma"], (d1, d2))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed system data: {exc}") from exc
-    return BlockSystem(omega1, omega2, gamma, tol)
+    return BlockSystem(omega1, omega2, gamma, float(tol))
 
 
 def write_json_atomic(data: dict, path: str) -> None:

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from opensys import decomposition, subspaces
 from opensys.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from opensys.systems import load_system, save_system
+from opensys.systems import encode_matrix, load_system, save_system
 from test_decomposition import _with_h2c, coupled_plus_decoupled
+from test_systems import BAD_PAYLOADS
 
 
 @pytest.fixture
@@ -133,7 +135,8 @@ def test_lattice_file_holds_one_number_an_entry(tmp_path):
     data = json.loads(path.read_text())
     d1, d2 = data["d1"], data["d2"]
     assert (d1, d2) == (8, 117)
-    assert [len(data[name]) for name in ("omega1", "omega2", "gamma")] == \
+    assert [len(base64.b64decode(data[name])) // 8
+            for name in ("omega1", "omega2", "gamma")] == \
         [d1 * d1, d2 * d2, d1 * d2]
 
 
@@ -155,7 +158,9 @@ def test_malformed_input_is_usage_error(tmp_path):
 
 def test_non_hermitian_input_is_usage_error(tmp_path, sys_file):
     data = json.loads(sys_file.read_text())
-    data["omega1"][2] = 5.0  # the real part of entry (0, 1) of the 4x4 block
+    omega1 = load_system(str(sys_file)).omega1
+    omega1.real[0, 1] = 5.0
+    data["omega1"] = encode_matrix(omega1)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["decompose", "--input", str(bad)]) == EXIT_USAGE
@@ -167,6 +172,37 @@ def test_string_matrix_is_usage_error(tmp_path, sys_file):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["decompose", "--input", str(bad)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("d1", 1.7, "d1 must be an integer >= 0, got 1.7"),
+    ("d1", True, "d1 must be an integer >= 0, got True"),
+    ("d2", "6", "d2 must be an integer >= 0, got '6'"),
+    ("d1", -1, "d1 must be an integer >= 0, got -1"),
+    ("tol", "1e-10", "tol must be a number, got '1e-10'"),
+    ("tol", False, "tol must be a number, got False"),
+])
+def test_bad_header_is_usage_error(tmp_path, sys_file, capsys, key, value,
+                                   message):
+    data = json.loads(sys_file.read_text())
+    data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["decompose", "--input", str(bad)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", BAD_PAYLOADS)
+def test_bad_matrix_text_is_usage_error(tmp_path, capsys, kind):
+    path = tmp_path / "s.json"
+    assert main(["gen-random", "--d1", "2", "--d2", "3", "--rank", "1",
+                 "--output", str(path)]) == EXIT_OK
+    data = json.loads(path.read_text())
+    text, message = BAD_PAYLOADS[kind]
+    data["gamma"] = text
+    path.write_text(json.dumps(data))
+    assert main(["decompose", "--input", str(path)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify-theorem"])
@@ -298,7 +334,9 @@ def test_no_gain_trials_below_one_is_usage_error(sys_file, capsys, trials):
 
 def test_non_finite_entry_is_usage_error(tmp_path, sys_file, capsys):
     data = json.loads(sys_file.read_text())
-    data["gamma"][0] = float("nan")
+    gamma = load_system(str(sys_file)).gamma
+    gamma.real[0, 0] = np.nan
+    data["gamma"] = encode_matrix(gamma)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["verify-theorem", "--input", str(bad)]) == EXIT_USAGE

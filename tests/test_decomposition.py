@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from opensys.decomposition import (
     DEFAULT_CLUSTER_TOL,
@@ -281,6 +282,48 @@ def random_unitary(rng, d):
     return q
 
 
+def planted_system(k1d, k1c, k2c, k2d, rank, seed, real=False):
+    """A system whose four-way split is known, and its planted bases.
+
+    Omega is block-diagonal in (h1d, h1c, h2c, h2d), with a coupling of
+    the given rank only between h1c and h2c; one random unitary then
+    turns H1 and another H2.  The blocks are drawn again until the
+    spectra of Omega, Omega1 and Omega2 each have every gap >= 1e-3, so
+    no decoupled eigenvalue nearly ties another eigenvalue.  Returns the
+    system and the planted (h1d, h1c, h2c, h2d) bases.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        a = rng.standard_normal(shape)
+        return a if real else a + 1j * rng.standard_normal(shape)
+
+    def herm(d):
+        a = draw(d, d)
+        return (a + a.conj().T) / 2
+
+    def min_gap(*blocks):
+        w = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        return np.min(np.diff(w))
+
+    while True:
+        a1d, a1c, a2c, a2d = herm(k1d), herm(k1c), herm(k2c), herm(k2d)
+        gamma_c = draw(k1c, rank) @ draw(rank, k2c)
+        core = np.block([[a1c, gamma_c], [gamma_c.conj().T, a2c]])
+        if min(min_gap(a1d, a1c), min_gap(a2c, a2d),
+               min_gap(a1d, core, a2d)) >= 1e-3:
+            break
+    u1 = np.linalg.qr(draw(k1d + k1c, k1d + k1c))[0]
+    u2 = np.linalg.qr(draw(k2c + k2d, k2c + k2d))[0]
+    gamma = np.zeros((k1d + k1c, k2c + k2d), dtype=gamma_c.dtype)
+    gamma[k1d:, :k2c] = gamma_c
+    sys = BlockSystem(u1 @ block_diag(a1d, a1c) @ u1.conj().T,
+                      u2 @ block_diag(a2c, a2d) @ u2.conj().T,
+                      u1 @ gamma @ u2.conj().T, TOL)
+    return sys, [SubspaceBasis(u1[:, :k1d]), SubspaceBasis(u1[:, k1d:]),
+                 SubspaceBasis(u2[:, :k2c]), SubspaceBasis(u2[:, k2c:])]
+
+
 def assert_block_form_matches_conjugation(sys, dec):
     omega_norm = np.linalg.norm(assemble_full(sys).omega, 2)
     gap = abs(verify_block_form(sys, dec) - conjugated_block_form(sys, dec))
@@ -318,6 +361,29 @@ class TestDecompose:
             cols = cols / np.linalg.norm(cols, axis=0)
             residual = cols - basis.matrix @ (basis.matrix.conj().T @ cols)
             assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8
+
+
+@pytest.mark.parametrize("parts, rank, seed, real", [
+    ((2, 3, 4, 2), 1, 1, True),
+    ((3, 4, 5, 3), 2, 2, False),
+    ((1, 2, 2, 1), 2, 3, True),
+    ((4, 3, 6, 5), 3, 4, False),
+    ((5, 4, 4, 6), 2, 5, True),
+])
+def test_planted_split_recovered(parts, rank, seed, real, tmp_path):
+    """decompose finds the planted parts of a system read back from its
+    file, and verify_theorem passes on them."""
+    sys, planted = planted_system(*parts, rank, seed, real)
+    path = tmp_path / "planted.json"
+    save_system(sys, str(path))
+    loaded = load_system(str(path))
+    assert loaded.gamma.dtype == (np.float64 if real else np.complex128)
+    dec = decompose(loaded)
+    names = ("h1d", "h1c", "h2c", "h2d")
+    assert dec.dims == dict(zip(names, parts))
+    for name, basis in zip(names, planted):
+        assert projector_distance(getattr(dec, name), basis) <= 1e-8
+    assert verify_theorem(loaded, dec).passed()
 
 
 class TestDefinitionalRoute:

@@ -1,5 +1,7 @@
+import base64
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -191,14 +193,17 @@ def test_encoding_matches_per_entry_pairs():
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     m[0, 0] = complex(-0.0, 5e-324)
     per_entry = [x for z in m.ravel() for x in (float(z.real), float(z.imag))]
-    assert json.dumps(encode_matrix(m)) == json.dumps(per_entry)
-    decoded = decode_matrix(json.loads(json.dumps(per_entry)), m.shape)
-    assert decoded.dtype == np.complex128
-    assert decoded.tobytes() == m.tobytes()  # -0.0 and 5e-324 bit-exact
-    assert np.signbit(decoded[0, 0].real)
+    text = encode_matrix(m)
+    assert base64.b64decode(text) == struct.pack(f"<{len(per_entry)}d",
+                                                 *per_entry)
+    for data in (json.loads(json.dumps(text)), per_entry):
+        decoded = decode_matrix(data, m.shape)
+        assert decoded.dtype == np.complex128
+        assert decoded.tobytes() == m.tobytes()  # -0.0 and 5e-324 bit-exact
+        assert np.signbit(decoded[0, 0].real)
     real = m.real
-    assert json.dumps(encode_matrix(real)) == \
-        json.dumps([float(x) for x in real.ravel()])
+    assert base64.b64decode(encode_matrix(real)) == \
+        struct.pack("<12d", *[float(x) for x in real.ravel()])
 
 
 def test_decode_rejects_wrong_shape():
@@ -255,7 +260,7 @@ def test_real_system_roundtrip_bit_exact_float64(tmp_path):
 def test_negative_zero_imaginary_part_decodes_complex():
     m = np.array([[complex(1.0, 0.0), complex(2.0, -0.0)]])
     data = json.loads(json.dumps(encode_matrix(m)))
-    assert len(data) == 4
+    assert len(base64.b64decode(data)) == 4 * 8
     decoded = decode_matrix(data, (1, 2))
     assert decoded.dtype == np.complex128
     assert decoded.tobytes() == m.tobytes()
@@ -280,6 +285,53 @@ def test_pair_layout_loads_value_exact_as_complex(tmp_path):
     assert np.array_equal(sys.omega2, [[1.0, 0.25 - 0.5j], [0.25 + 0.5j, -2.0]])
     assert sys.gamma.tobytes() == \
         np.array([[3.0, complex(-0.0, 5e-324)]]).tobytes()
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_flat_list_layout_loads_value_exact(real, tmp_path):
+    """A file of one flat list of numbers a matrix, the earlier layout,
+    still loads with the dtype its length gives."""
+    sys = random_system(2, 3, 1, seed=4)
+    if real:
+        sys = BlockSystem(sys.omega1.real, sys.omega2.real, sys.gamma.real)
+    data = {"d1": 2, "d2": 3, "tol": sys.tol}
+    for name in ("omega1", "omega2", "gamma"):
+        data[name] = getattr(sys, name).ravel().view(np.float64).tolist()
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(data))
+    loaded = load_system(str(path))
+    for name in ("omega1", "omega2", "gamma"):
+        assert getattr(loaded, name).dtype == getattr(sys, name).dtype
+        assert getattr(loaded, name).tobytes() == getattr(sys, name).tobytes()
+
+
+@pytest.mark.parametrize("m", [np.arange(6.0).reshape(2, 3),
+                               np.arange(6.0).reshape(2, 3) * (1 - 2j)],
+                         ids=["real", "complex"])
+def test_encoding_ignores_byte_order(m):
+    swapped = m.astype(m.dtype.newbyteorder(">"))
+    assert np.array_equal(swapped, m)
+    assert encode_matrix(swapped) == encode_matrix(m)
+
+
+def _payload(doubles: int, extra_bytes: int = 0) -> str:
+    return base64.b64encode(bytes(8 * doubles + extra_bytes)).decode("ascii")
+
+
+#: Matrix texts that are not a 2x3 matrix, and what each error says.
+BAD_PAYLOADS = {
+    "non-alphabet": (_payload(6)[:-4] + "AA.A", "base64"),
+    "whitespace": (_payload(3) + "\n" + _payload(3), "base64"),
+    "partial-double": (_payload(6, 4), "multiple of element size"),
+    "wrong-count": (_payload(7), "2x3 matrix has 7 numbers"),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_PAYLOADS)
+def test_decode_rejects_bad_text(kind):
+    text, message = BAD_PAYLOADS[kind]
+    with pytest.raises(ValueError, match=message):
+        decode_matrix(text, (2, 3))
 
 
 def _imaginary_zero_system():
