@@ -29,7 +29,8 @@ one-step matrix give each block's L states as one product with the state
 at its start, and no block system is solved, so a run costs
 O(steps d1 (d1 + d2)) flops in steps / L Python-level iterations and
 O(steps d1) memory.  The no-gain form of a signal p(t) u separates in the
-same modes, and is summed over the signal's support only.
+same modes into one autocorrelation of p, summed as the trapezoid over the
+triangle tau <= t, with a closed-form O(h^2) error bound.
 """
 
 from __future__ import annotations
@@ -394,37 +395,49 @@ class NoGainResult:
 
 
 def _bump_profile(times: np.ndarray, a: float, b: float) -> np.ndarray:
-    """C^1 compactly supported polynomial bump on (a, b), peak height 1."""
-    p = np.zeros_like(times)
-    inside = (times > a) & (times < b)
-    t = times[inside]
-    p[inside] = ((t - a) * (b - t)) ** 2 / (((b - a) / 2) ** 4)
-    return p
+    """C^1 compactly supported polynomial bump on (a, b), peak height 1.
+
+    Each factor is scaled by the half-width before squaring, so the
+    profile neither overflows nor underflows at any finite span.
+    """
+    c = (b - a) / 2
+    t = np.clip(times, a, b)  # so a factor is 0 outside (a, b)
+    return (((t - a) / c) * ((b - t) / c)) ** 2
 
 
 def no_gain_check(kernel: ResponseKernel, trials: int, times: np.ndarray,
                   seed: int) -> NoGainResult:
-    """Minimum of Re  iint conj(v(t)) a(tau) v(t-tau) dt dtau over test signals.
+    """Minimum of Re  iint_{0 <= tau <= t <= T} conj(v(t)) a(tau) v(t-tau)
+    over test signals.
 
     Signals are polynomial bumps on random subintervals of the grid times
     random complex vectors, deterministic per seed.  A bump is at least a
     quarter of the span wide, so on a grid of at least 5 steps it holds a
     grid point (one cut off at either end holds that end point); shorter
     grids are rejected, where a bump between grid points would read 0 and
-    pass unchecked.  The double integral is evaluated by trapezoidal
-    quadrature on the full square (the integrand vanishes where the
-    shifted signal has no support).  The reported error bound comes from
-    the composite-trapezoid estimate
-    (h^2/12) * T^2 * (max |d2g/dt2| + max |d2g/dtau2|) with the second
-    derivatives estimated by second differences of the sampled integrand.
+    pass unchecked.
 
-    For a signal p(t) u the integrand is separable in the kernel modes,
-    g[i, j] = p_i p_{i-j} r_j with r_j = sum_m |(M^dag u)_m|^2 cos(w_m tau_j).
-    With [a, b] the index support of p, every nonzero of g and of both its
-    second differences lies in rows a-2 .. b+2 and columns 0 .. (b-a)+2,
-    clipped to the grid, so g is formed on that window only, a few rows
-    at a time (at most 2 MB of integrand); outside it the sum adds zeros
-    and the maxima see none.
+    For a signal p(t) u the integrand separates in the kernel modes,
+    g[i, j] = p_i p_{i-j} r_j with r_j = sum_m q_m cos(w_m tau_j) and
+    q = |M^dag u|^2.  The double integral is the trapezoid over the
+    triangle 0 <= tau <= t <= T, where g is smooth also for a bump cut off
+    at t = 0: the square rule's weights w_i w_j, halved on the diagonal
+    tau = t.  Its square part is sum_j w_j r_j c_j with the weighted
+    autocorrelation c_j = sum_i w_i p_i p_{i-j}, one ``np.correlate`` over
+    the bump's support; the diagonal takes away
+    (1/2) p_0 sum_i w_i^2 p_i r_i, which is zero unless the bump is cut
+    off at t = 0.
+
+    The error bound is the composite-trapezoid estimate
+    (h^2/12) (T^2/2) (G_tt + G_tautau) over the triangle's area, with the
+    sup norms of the second derivatives of g bounded in closed form,
+    G_tt = (2 |p| |p''| + 2 |p'|^2) |r| and
+    G_tautau = |p| (|p''| |r| + 2 |p'| |r'| + |p| |r''|).  For the bump of
+    half-width c, |p| = 1, |p'| = 8 / (3 sqrt(3) c) and |p''| = 8 / c^2;
+    |r| <= sum q_m, |r'| <= sum q_m |w_m| and |r''| <= sum q_m w_m^2.
+    So the bound falls as h^2 on every trial.  The products are formed
+    from h / c and h w first; a value or bound that still is not finite
+    raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -437,13 +450,13 @@ def no_gain_check(kernel: ResponseKernel, trials: int, times: np.ndarray,
                          f"got {nt - 1}")
     d = kernel.dim
     cos_modes = np.cos(np.outer(times - times[0], kernel.eigvals))
+    step_freqs = h * np.abs(kernel.eigvals)  # h |w|
     rng = np.random.default_rng(seed)
 
     weights = np.full(nt, h)
     weights[0] = weights[-1] = h / 2
 
-    values = np.zeros(trials)
-    bound = 0.0
+    values, bounds = np.zeros((2, trials))
     for trial in range(trials):
         lo, hi = np.sort(rng.uniform(times[0], times[-1], size=2))
         if hi - lo < span / 4:  # keep a few dozen points under the bump
@@ -452,31 +465,25 @@ def no_gain_check(kernel: ResponseKernel, trials: int, times: np.ndarray,
         u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         u /= np.linalg.norm(u)
         profile = _bump_profile(times, lo, hi)
-        support = np.flatnonzero(profile)
-        a, b = support[0], support[-1]
-        top, end = max(a - 2, 0), min(b + 3, nt)
-        cols = np.arange(min(b - a + 3, nt))
-        r = (cos_modes @ np.abs(kernel.coupling_modes.conj().T @ u) ** 2)[cols]
-        # a negative shift i - j indexes round into the zero half
-        padded = np.concatenate([profile, np.zeros(nt)])
-        rows_per_block = max(1, 2 ** 18 // len(cols))  # 2 MB of integrand
+        a, b = np.flatnonzero(profile)[[0, -1]] + [0, 1]  # the support
+        q = np.abs(kernel.coupling_modes.conj().T @ u) ** 2
+        r = cos_modes @ q
+        p = profile[a:b]
+        c = np.correlate(weights[a:b] * p, p, "full")[b - a - 1:]  # j < b - a
+        # the square's sum, less half its diagonal tau = t (p_0 p_i r_i)
+        values[trial] = ((weights[:b - a] * r[:b - a]) @ c
+                         - profile[0] / 2 * ((weights ** 2 * profile) @ r))
 
-        value = curv_t = curv_tau = 0.0
-        for start in range(top, end, rows_per_block):
-            stop = min(start + rows_per_block, end)
-            # two extra rows give the t second differences of rows start..stop
-            rows = np.arange(start, min(stop + 2, end))
-            g = profile[rows, None] * padded[rows[:, None] - cols] * r
-            block = g[:stop - start]
-            value += float(weights[start:stop] @ block @ weights[cols])
-            curv_t = max(curv_t, np.abs(np.diff(g, 2, axis=0)).max(initial=0))
-            curv_tau = max(curv_tau,
-                           np.abs(np.diff(block, 2, axis=1)).max(initial=0))
-        values[trial] = value
-        bound = max(bound, span ** 2 / 12 * (curv_t + curv_tau))
-
+        k = h / ((hi - lo) / 2)  # h / c
+        k1, k2 = 8 / (3 * math.sqrt(3)) * k, 8 * k * k  # h |p'|, h^2 |p''|
+        curvature = ((3 * k2 + 2 * k1 * k1) * q.sum()  # h^2 (G_tt + G_tautau)
+                     + 2 * k1 * (q @ step_freqs) + q @ step_freqs ** 2)
+        bounds[trial] = span * (span * curvature) / 24
+    if not np.isfinite([values, bounds]).all():
+        raise ValueError(f"no-gain form is not finite on the grid of {nt - 1} "
+                         f"steps over [{times[0]:g}, {times[-1]:g}]")
     return NoGainResult(min_value=float(np.min(values)), values=values,
-                        quad_error_bound=float(bound))
+                        quad_error_bound=float(bounds.max()))
 
 
 # --- CSV export ------------------------------------------------------------

@@ -164,7 +164,7 @@ def decode_matrix(data: str | list, shape: tuple[int, int]) -> np.ndarray:
     complex128.  A string must be strict base64 of whole doubles.  A list
     of numbers, the layout of older files, is read in row-major order, so
     one number an entry decodes as float64 and one [re, im] pair an entry
-    as complex128.
+    as complex128.  A list must be flat or of shape (rows, cols, 2).
     """
     if isinstance(data, str):
         flat = np.frombuffer(base64.b64decode(data, validate=True), "<f8")
@@ -172,6 +172,9 @@ def decode_matrix(data: str | list, shape: tuple[int, int]) -> np.ndarray:
         flat = np.asarray(data)
         if flat.dtype.kind not in "iuf":
             raise ValueError(f"matrix entries must be numbers, got {flat.dtype}")
+        if flat.ndim != 1 and flat.shape != (*shape, 2):
+            raise ValueError(f"{shape[0]}x{shape[1]} matrix must be a flat "
+                             f"list or pairs, got nesting {flat.shape}")
     flat = flat.astype(np.float64, copy=False).ravel()
     count = shape[0] * shape[1]
     if flat.size == count:

@@ -205,6 +205,24 @@ def test_bad_matrix_text_is_usage_error(tmp_path, capsys, kind):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, shape", [
+    ("omega1", 0.5, "()"),
+    ("gamma", [[[1], [2]]], "(1, 2, 1)"),
+], ids=["bare-number", "one-element-pairs"])
+def test_bad_matrix_nesting_is_usage_error(tmp_path, capsys, key, value,
+                                           shape):
+    """A list matrix is flat or one [re, im] pair an entry; a number count
+    that fits is not enough."""
+    path = tmp_path / "s.json"
+    assert main(["gen-random", "--d1", "1", "--d2", "2", "--rank", "1",
+                 "--output", str(path)]) == EXIT_OK
+    data = json.loads(path.read_text())
+    data[key] = value
+    path.write_text(json.dumps(data))
+    assert main(["decompose", "--input", str(path)]) == EXIT_USAGE
+    assert f"got nesting {shape}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["decompose", "verify-theorem"])
 def test_pipeline_never_calls_complement(sys_file, monkeypatch, command):
     """decompose reads its parts off the spectrum cuts: no command calls
@@ -321,6 +339,27 @@ def test_no_gain_short_grid_is_usage_error(sys_file, capsys):
         == EXIT_USAGE
     out, err = capsys.readouterr()
     assert "no-gain check needs at least 5 steps, got 2" in err
+    assert out == ""
+
+
+def test_no_gain_tiny_span_is_finite(sys_file, capsys):
+    """The bump is scaled before squaring, so it does not underflow to
+    0 / 0 at t_max = 1e-300."""
+    assert main(["no-gain", "--input", str(sys_file), "--t-max", "1e-300",
+                 "--trials", "5"]) == EXIT_OK
+    numbers = [float(line.split(": ")[1])
+               for line in capsys.readouterr().out.splitlines()]
+    assert len(numbers) == 2 and all(np.isfinite(numbers))
+
+
+def test_no_gain_huge_span_is_usage_error(sys_file, capsys):
+    """At t_max = 1e300 the form overflows: an error naming the grid, not
+    a failed certificate."""
+    assert main(["no-gain", "--input", str(sys_file), "--t-max", "1e300",
+                 "--trials", "5"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "no-gain form is not finite on the grid of 2000 steps over " \
+           "[0, 1e+300]" in err
     assert out == ""
 
 
