@@ -10,6 +10,7 @@ gen-* commands, which read no file, 1e-10).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys as _sys
 
@@ -24,7 +25,6 @@ from .systems import (
     load_system,
     random_system,
     save_system,
-    system_to_dict,
     write_json_atomic,
 )
 
@@ -82,20 +82,11 @@ def cmd_gen_lattice(args) -> int:
     else:
         offset = tuple(int(x) for x in args.offset.split(","))
         spec = lat.LatticeSpec(args.box, args.cube, offset, args.dims, tol)
-    sys = lat.build_lattice_system(spec)
-    data = system_to_dict(sys)
-    data["lattice"] = {
-        "box": spec.box,
-        "cube": spec.cube,
-        "offset": list(spec.offset),
-        "dims": spec.dims,
-        "surface_count": lat.surface_count(spec.cube, spec.dims),
-        "multiplicity_bound": lat.multiplicity_bound(spec.cube, spec.dims),
-    }
+    data = lat.spec_to_dict(spec)
     write_json_atomic(data, args.output)
     print(f"wrote lattice system dims={spec.dims} box={spec.box} "
-          f"cube={spec.cube} offset={spec.offset} (d={sys.d1 + sys.d2}) "
-          f"-> {args.output}")
+          f"cube={spec.cube} offset={spec.offset} "
+          f"(d={data['d1'] + data['d2']}) -> {args.output}")
     return EXIT_OK
 
 
@@ -216,7 +207,10 @@ def cmd_no_gain(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once: ``main`` finds the
+    command's ``cmd_*`` function by name when it runs it."""
     parser = argparse.ArgumentParser(
         prog="opensys",
         description="Decompose conservative systems into coupled/decoupled "
@@ -231,9 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     _add_tol(p)
-    p.set_defaults(func=cmd_gen_random)
 
-    p = sub.add_parser("gen-lattice", help="generate the lattice example system")
+    p = sub.add_parser("gen-lattice",
+                       help="write the lattice example's spec; the system "
+                            "is built from it on load")
     p.add_argument("--box", type=int, required=True,
                    help="sites per axis of the ambient box")
     p.add_argument("--cube", type=int, required=True,
@@ -243,20 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=3, choices=(1, 2, 3))
     p.add_argument("--output", required=True)
     _add_tol(p)
-    p.set_defaults(func=cmd_gen_lattice)
 
     p = sub.add_parser("decompose", help="four-way decomposition + block check")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     _add_tol(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify-theorem",
                        help="orbit equalities, multiplicity bound, core")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     _add_tol(p)
-    p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser("kernel", help="export a delayed-response kernel to CSV")
     p.add_argument("--input", required=True)
@@ -265,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     _add_grid(p)
     _add_tol(p)
-    p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("simulate-full", help="propagate the full system")
     p.add_argument("--input", required=True)
@@ -274,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the random observable initial state")
     _add_grid(p)
     _add_tol(p)
-    p.set_defaults(func=cmd_simulate_full)
 
     p = sub.add_parser("simulate-reduced", help="propagate the reduced system")
     p.add_argument("--input", required=True)
@@ -282,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_grid(p)
     _add_tol(p)
-    p.set_defaults(func=cmd_simulate_reduced)
 
     p = sub.add_parser("compare",
                        help="full vs reduced discrepancy and convergence order")
@@ -291,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_grid(p)
     _add_tol(p)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("no-gain", help="dissipation quadratic-form check")
     p.add_argument("--input", required=True)
@@ -302,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     _add_grid(p)
     _add_tol(p)
-    p.set_defaults(func=cmd_no_gain)
 
     return parser
 
@@ -314,8 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except dc.DecompositionError as exc:
         # a failed certificate mid-pipeline, not bad input
         print(f"verification failure in {args.command}: {exc}",

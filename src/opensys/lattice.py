@@ -10,6 +10,10 @@ dimensions, and the spectral multiplicity of the coupled core by twice
 that.  A ``dims`` knob generalizes to 1-d and 2-d analogues for cheap
 high-coverage testing.
 
+A lattice system file holds the spec, not the matrices: the header
+``d1``, ``d2``, ``tol`` and a ``lattice`` block (:func:`spec_to_dict`),
+from which loading builds the system (:func:`spec_from_dict`).
+
 The infinite-lattice statements (infinite multiplicity of the ambient
 operator, infinitely many decoupled hidden modes) are only checked here
 in weakened, box-size-robust forms: the multiplicity bound of the coupled
@@ -19,12 +23,13 @@ reported to be nonempty.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .subspaces import DEFAULT_TOL
-from .systems import BlockSystem
+from .systems import BlockSystem, is_json_number, read_header
 from . import decomposition as dc
 
 
@@ -35,6 +40,7 @@ class LatticeSpec:
     ``offset`` is the low corner of the cube; the cube is *interior* when
     it keeps a margin of at least one site on every axis, which is the
     regime in which the surface-count formula describes the coupling.
+    ``tol`` must be positive and finite, as the system's.
     """
 
     box: int
@@ -50,7 +56,9 @@ class LatticeSpec:
             raise ValueError(
                 f"need 1 <= cube <= box, got cube={self.cube} box={self.box}"
             )
-        offset = tuple(int(o) for o in self.offset)
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        offset = tuple(operator.index(o) for o in self.offset)
         if len(offset) != self.dims:
             raise ValueError(
                 f"offset {offset} has wrong length for dims={self.dims}"
@@ -125,6 +133,70 @@ def build_lattice_system(spec: LatticeSpec) -> BlockSystem:
         gamma=omega[:d1, d1:],
         tol=spec.tol,
     )
+
+
+# --- system files ------------------------------------------------------------
+
+#: The fields of a file's ``lattice`` block that fix the spec.
+SPEC_KEYS = ("box", "cube", "offset", "dims")
+
+
+def spec_to_dict(spec: LatticeSpec) -> dict:
+    """The system file of a lattice: its header and its spec, no matrices.
+
+    ``d1`` and ``d2`` are the site counts of the cube and of the rest of
+    the box.  ``surface_count`` and ``multiplicity_bound`` follow from the
+    spec; they are written for readers of the file and not read back.
+    """
+    d1 = spec.cube ** spec.dims
+    return {
+        "d1": d1,
+        "d2": spec.box ** spec.dims - d1,
+        "tol": spec.tol,
+        "lattice": {
+            "box": spec.box,
+            "cube": spec.cube,
+            "offset": list(spec.offset),
+            "dims": spec.dims,
+            "surface_count": surface_count(spec.cube, spec.dims),
+            "multiplicity_bound": multiplicity_bound(spec.cube, spec.dims),
+        },
+    }
+
+
+def spec_from_dict(data: dict) -> LatticeSpec:
+    """Inverse of :func:`spec_to_dict`, validated, not coerced.
+
+    The header is read as for any system file.  ``box``, ``cube``,
+    ``dims`` and every ``offset`` entry must be JSON integers, not
+    floats or booleans, and ``d1`` and ``d2`` must be the site counts
+    that the spec gives.  Every fault is a ValueError that names its key.
+    """
+    try:
+        d1, d2, tol = read_header(data)
+        block = data["lattice"]
+        if not isinstance(block, dict):
+            raise ValueError(f"lattice must be an object, got {block!r}")
+        missing = [key for key in SPEC_KEYS if key not in block]
+        if missing:
+            raise ValueError(f"lattice block has no {missing[0]!r}")
+        box, cube, offset, dims = (block[key] for key in SPEC_KEYS)
+        if not isinstance(offset, list):
+            raise ValueError(f"lattice offset must be a list, got {offset!r}")
+        for key, value in (("box", box), ("cube", cube), ("dims", dims),
+                           *(("offset", o) for o in offset)):
+            if not is_json_number(value, int):
+                raise ValueError(f"lattice {key} must be an integer, "
+                                 f"got {value!r}")
+        spec = LatticeSpec(box, cube, tuple(offset), dims, tol)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed system data: {exc}") from exc
+    want = spec_to_dict(spec)
+    for key, value in (("d1", d1), ("d2", d2)):
+        if value != want[key]:
+            raise ValueError(f"malformed system data: {key} = {value}, but "
+                             f"the lattice spec gives {want[key]}")
+    return spec
 
 
 @dataclass(frozen=True)

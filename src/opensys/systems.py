@@ -14,7 +14,9 @@ bytes, as they lie in memory, so a real matrix gives one double an
 entry and a complex one its re, im pair in place.  The double count
 gives the dtype back, so the round trip is bit-exact and dtype-exact.
 Files that store a matrix as a list of numbers, one an entry or an
-[re, im] pair an entry, still load.
+[re, im] pair an entry, still load.  A lattice file holds no matrices:
+its header and its spec (:func:`opensys.lattice.spec_to_dict`), from
+which loading builds the system.
 """
 
 from __future__ import annotations
@@ -196,26 +198,43 @@ def system_to_dict(sys: BlockSystem) -> dict:
     }
 
 
-def _is_number(value, kinds) -> bool:
+def is_json_number(value, kinds) -> bool:
     """Whether ``value`` is of ``kinds``; JSON ``true``/``false`` is not."""
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def read_header(data: dict) -> tuple[int, int, float]:
+    """The ``d1``, ``d2`` and ``tol`` of a system file, validated, not
+    coerced: ``d1`` and ``d2`` integers >= 0, ``tol`` a number."""
+    d1, d2, tol = data["d1"], data["d2"], data["tol"]
+    for key, value in (("d1", d1), ("d2", d2)):
+        if not is_json_number(value, int) or value < 0:
+            raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
+    if not is_json_number(tol, (int, float)):
+        raise ValueError(f"tol must be a number, got {tol!r}")
+    return d1, d2, float(tol)
+
+
 def system_from_dict(data: dict) -> BlockSystem:
+    """The system a file holds: its matrices, or else its lattice spec.
+
+    Data with a ``lattice`` block and none of the three matrices is the
+    spec of a lattice, from which the system is built; a lattice file
+    that holds its matrices loads from them.
+    """
+    if isinstance(data, dict) and "lattice" in data and \
+            data.keys().isdisjoint(("omega1", "omega2", "gamma")):
+        # lattice imports this module, so it is imported at call time
+        from .lattice import build_lattice_system, spec_from_dict
+        return build_lattice_system(spec_from_dict(data))
     try:
-        d1, d2, tol = data["d1"], data["d2"], data["tol"]
-        for key, value in (("d1", d1), ("d2", d2)):
-            if not _is_number(value, int) or value < 0:
-                raise ValueError(f"{key} must be an integer >= 0, "
-                                 f"got {value!r}")
-        if not _is_number(tol, (int, float)):
-            raise ValueError(f"tol must be a number, got {tol!r}")
+        d1, d2, tol = read_header(data)
         omega1 = decode_matrix(data["omega1"], (d1, d1))
         omega2 = decode_matrix(data["omega2"], (d2, d2))
         gamma = decode_matrix(data["gamma"], (d1, d2))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed system data: {exc}") from exc
-    return BlockSystem(omega1, omega2, gamma, float(tol))
+    return BlockSystem(omega1, omega2, gamma, tol)
 
 
 def write_json_atomic(data: dict, path: str) -> None:

@@ -1,12 +1,17 @@
-import base64
 import json
 
 import numpy as np
 import pytest
 
-from opensys import decomposition, subspaces
+from opensys import cli, decomposition, subspaces
 from opensys.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from opensys.systems import encode_matrix, load_system, save_system
+from opensys.lattice import LatticeSpec, build_lattice_system, spec_to_dict
+from opensys.systems import (
+    encode_matrix,
+    load_system,
+    save_system,
+    system_to_dict,
+)
 from test_decomposition import _with_h2c, coupled_plus_decoupled
 from test_systems import BAD_PAYLOADS
 
@@ -125,19 +130,107 @@ def test_lattice_file_is_compact(tmp_path):
     path = tmp_path / "lat.json"
     assert main(["gen-lattice", "--box", "6", "--cube", "2",
                  "--output", str(path)]) == EXIT_OK
-    assert path.stat().st_size < 600_000  # 1.26 MB when indented
+    assert path.stat().st_size < 1_000
 
 
-def test_lattice_file_holds_one_number_an_entry(tmp_path):
+def _assert_same_blocks(sys, want):
+    for name in ("omega1", "omega2", "gamma"):
+        block = getattr(sys, name)
+        assert block.dtype == np.float64
+        assert block.tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("flags, spec", [
+    (["--dims", "1", "--box", "8", "--cube", "2"],
+     LatticeSpec.centered(8, 2, dims=1)),
+    (["--dims", "2", "--box", "7", "--cube", "3", "--offset", "1,3"],
+     LatticeSpec(7, 3, (1, 3), dims=2)),
+    (["--box", "5", "--cube", "2"], LatticeSpec.centered(5, 2)),
+    (["--box", "6", "--cube", "2", "--offset", "1,3,1"],
+     LatticeSpec(6, 2, (1, 3, 1))),
+], ids=["1d-box8-cube2", "2d-box7-cube3-at-1-3", "3d-box5-cube2",
+        "3d-box6-cube2-at-1-3-1"])
+def test_lattice_file_holds_its_spec(tmp_path, flags, spec):
+    """The file holds the header and the spec, no matrix; loading builds
+    the blocks bit for bit as the library does."""
     path = tmp_path / "lat.json"
-    assert main(["gen-lattice", "--box", "5", "--cube", "2",
+    assert main(["gen-lattice", *flags, "--output", str(path)]) == EXIT_OK
+    data = json.loads(path.read_text())
+    assert data.keys() == {"d1", "d2", "tol", "lattice"}
+    assert (data["d1"], data["d2"]) == \
+        (spec.cube ** spec.dims, spec.box ** spec.dims - spec.cube ** spec.dims)
+    _assert_same_blocks(load_system(str(path)), build_lattice_system(spec))
+
+
+def test_lattice_file_with_matrices_still_loads(tmp_path, capsys):
+    """A lattice file that holds its three matrices, the layout gen-lattice
+    wrote before it wrote the spec alone, loads from them."""
+    spec = LatticeSpec(6, 2, (1, 3, 1))
+    want = build_lattice_system(spec)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(system_to_dict(want)
+                               | {"lattice": spec_to_dict(spec)["lattice"]}))
+    _assert_same_blocks(load_system(str(path)), want)
+    spec_path = tmp_path / "spec.json"
+    assert main(["gen-lattice", "--box", "6", "--cube", "2", "--offset",
+                 "1,3,1", "--output", str(spec_path)]) == EXIT_OK
+    capsys.readouterr()
+    reports = []
+    for source in (path, spec_path):
+        assert main(["decompose", "--input", str(source)]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("d1", 9, "d1 = 9, but the lattice spec gives 8"),
+    ("d2", 207, "d2 = 207, but the lattice spec gives 208"),
+    ("tol", -1.0, "tol must be positive and finite, got -1.0"),
+    ("tol", float("nan"), "tol must be positive and finite, got nan"),
+    ("lattice", 5, "lattice must be an object, got 5"),
+    ("lattice.box", _DROP, "lattice block has no 'box'"),
+    ("lattice.offset", _DROP, "lattice block has no 'offset'"),
+    ("lattice.box", 6.0, "lattice box must be an integer, got 6.0"),
+    ("lattice.cube", True, "lattice cube must be an integer, got True"),
+    ("lattice.dims", 3.0, "lattice dims must be an integer, got 3.0"),
+    ("lattice.offset", [2, 1.5, 2],
+     "lattice offset must be an integer, got 1.5"),
+    ("lattice.offset", 2, "lattice offset must be a list, got 2"),
+    ("lattice.offset", [2, 2], "offset (2, 2) has wrong length for dims=3"),
+    ("lattice.offset", [5, 2, 2], "cube at offset (5, 2, 2) leaves the box"),
+    ("lattice.cube", 7, "need 1 <= cube <= box, got cube=7 box=6"),
+], ids=["d1-disagrees", "d2-disagrees", "negative-tol", "nan-tol",
+        "block-not-object", "no-box", "no-offset", "float-box", "bool-cube",
+        "float-dims", "float-offset", "offset-not-list", "short-offset",
+        "cube-leaves-box", "cube-exceeds-box"])
+def test_bad_lattice_spec_is_usage_error(tmp_path, capsys, key, value,
+                                         message):
+    """A spec is validated, not coerced; each fault names its key."""
+    path = tmp_path / "lat.json"
+    assert main(["gen-lattice", "--box", "6", "--cube", "2",
                  "--output", str(path)]) == EXIT_OK
     data = json.loads(path.read_text())
-    d1, d2 = data["d1"], data["d2"]
-    assert (d1, d2) == (8, 117)
-    assert [len(base64.b64decode(data[name])) // 8
-            for name in ("omega1", "omega2", "gamma")] == \
-        [d1 * d1, d2 * d2, d1 * d2]
+    *outer, name = key.split(".")
+    target = data[outer[0]] if outer else data
+    if value is _DROP:
+        del target[name]
+    else:
+        target[name] = value
+    path.write_text(json.dumps(data))
+    assert main(["decompose", "--input", str(path)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_gen_lattice_bad_tol_is_usage_error(tmp_path, capsys, tol):
+    path = tmp_path / "lat.json"
+    assert main(["gen-lattice", "--box", "6", "--cube", "2", f"--tol={tol}",
+                 "--output", str(path)]) == EXIT_USAGE
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lattice_then_verify(tmp_path):
@@ -380,6 +473,21 @@ def test_non_finite_entry_is_usage_error(tmp_path, sys_file, capsys):
     bad.write_text(json.dumps(data))
     assert main(["verify-theorem", "--input", str(bad)]) == EXIT_USAGE
     assert "gamma has an entry that is not finite" in capsys.readouterr().err
+
+
+def test_command_is_found_when_it_runs(sys_file, monkeypatch):
+    """The parser is built once; a cmd_* function replaced after the first
+    call, by a wrapper or a test, is the one that runs."""
+    assert main(["decompose", "--input", str(sys_file)]) == EXIT_OK
+    calls = []
+
+    def patched(args):
+        calls.append(args.input)
+        return EXIT_VERIFICATION
+
+    monkeypatch.setattr(cli, "cmd_decompose", patched)
+    assert main(["decompose", "--input", str(sys_file)]) == EXIT_VERIFICATION
+    assert calls == [str(sys_file)]
 
 
 def test_bad_flags_are_usage_error():

@@ -97,6 +97,15 @@ class TestSpec:
         assert spec.offset == (2, 2, 2)
         assert spec.interior
 
+    def test_offset_is_not_truncated(self):
+        with pytest.raises(TypeError):
+            LatticeSpec(box=6, cube=2, offset=(1.5, 2, 2))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            LatticeSpec.centered(6, 2, tol=tol)
+
 
 class TestBuilder:
     def test_1d_three_site_stencil(self):
