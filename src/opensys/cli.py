@@ -312,6 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # a system too large for the dense route, such as a huge lattice
+        print(f"error: {args.command}: out of memory: {exc}", file=_sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ the CLI takes ``--tol``, then OPENSYS_TOL, then the system file's ``tol``):
 ==================  =========================================  ===============
 rank                keep singular values ``s > tol * max(1,    _range_basis,
                     s_max)`` (Golub & Van Loan, section 5.4);  the only cut
-                    a stacked cut takes ``s_max`` per cluster
+                    a stacked cut takes ``s_max`` per cluster;
+                    ``s`` is a row's 2-norm, else the SVD of
+                    the triangle of a QR of ``m^dag``
 cluster             sorted eigenvalues chain while each gap    _eigen_clusters
                     is ``<= t * max(1, |w|_max)``, ``t = tol``
 cluster_tol         ``t = 1e-8`` (DEFAULT_CLUSTER_TOL)         multiplicities
@@ -40,8 +42,10 @@ orbit, the smallest invariant subspace containing it, and the orbit's
 orthogonal complement, the largest invariant subspace orthogonal to the
 seed.  Both are read off one eigendecomposition, a :class:`Spectrum`,
 which several cuts under the same matrix share: the rank cuts of all its
-clusters of one size take one stacked SVD, the orbit is the left
-singular vectors each cut keeps, and its complement those it drops.
+clusters of one size take one stacked :func:`_range_basis` call (row
+norms for one-eigenvalue clusters, else a QR and the SVD of its
+triangle), the orbit is the left singular vectors each cut keeps, and
+its complement those it drops.
 :func:`orbit` returns the orbit in the standard basis.
 :func:`complement` makes no rank decision: it takes the trailing columns
 of a Householder QR, and its dimension is fixed by the inputs.
@@ -136,12 +140,22 @@ def _range_basis(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     Returns the left singular vectors, shape (..., g, min(g, k)), and for
     each matrix the number of leading ones whose singular values exceed
     ``tol * max(1, s_max)`` (the module's one rank threshold, ``s_max``
-    taken per matrix).  One SVD call covers the whole stack.
+    taken per matrix).  A row (g = 1) has its 2-norm as singular value
+    and 1 as left factor.  Otherwise one QR of the stacked m^dag = Q R
+    and one SVD of the g x min(g, k) triangles R^dag, which share m's
+    left factors and singular values, cover the whole stack without a
+    k-wide right factor (Chan's R-SVD).
     """
     if m.shape[-1] == 0 or m.shape[-2] == 0:
         return (np.zeros((*m.shape[:-1], 0), dtype=m.dtype),
                 np.zeros(m.shape[:-2], dtype=int))
-    left, sing, _ = np.linalg.svd(m, full_matrices=False)
+    if m.shape[-2] == 1:
+        left = np.ones((*m.shape[:-1], 1), dtype=m.dtype)
+        sing = np.linalg.norm(m, axis=-1)
+    else:
+        r = np.linalg.qr(np.swapaxes(m, -1, -2).conj(), mode="r")
+        left, sing, _ = np.linalg.svd(np.swapaxes(r, -1, -2).conj(),
+                                      full_matrices=False)
     kept = np.sum(sing > tol * np.maximum(1.0, sing[..., :1]), axis=-1)
     return left, kept
 
@@ -206,10 +220,12 @@ class Spectrum:
         ``coords`` is the n x k matrix V^dag S of a seed S in the basis of
         the eigenvectors V; H1 and H2 of a block operator are the
         conjugate transposes of V's first d1 and last d2 rows.  Clusters of
-        one size share one stacked :func:`_range_basis` call.  The
-        coordinates are padded with zero columns up to the largest cluster
-        size.  That adds only zero singular values, so the cut is
-        unchanged, and every cluster's left factor is complete (square).
+        one size share one stacked :func:`_range_basis` call: row norms
+        for the one-eigenvalue clusters, a QR and the SVD of its g x g
+        triangles for clusters of g > 1.  The coordinates are padded with
+        zero columns up to the largest cluster size.  That adds only zero
+        singular values, so the cut is unchanged, and every cluster's left
+        factor is complete (square).
         Returns the block-diagonal n x n matrix F of these factors, cluster
         ``i`` in rows and columns ``starts[i]`` onwards, and the mask of its
         columns that the cuts keep: the leading ``rank`` of each cluster.

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opensys import cli, decomposition, subspaces
+from opensys import cli, decomposition, lattice, subspaces
 from opensys.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from opensys.lattice import LatticeSpec, build_lattice_system, spec_to_dict
 from opensys.systems import (
@@ -231,6 +231,21 @@ def test_gen_lattice_bad_tol_is_usage_error(tmp_path, capsys, tol):
                  "--output", str(path)]) == EXIT_USAGE
     assert "tol must be positive and finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    """A lattice too large for the dense route exits 2 with one error line,
+    not a traceback; the allocation is simulated, never attempted."""
+    path = tmp_path / "lat.json"
+    assert main(["gen-lattice", "--box", "100", "--cube", "4",
+                 "--output", str(path)]) == EXIT_OK
+
+    def too_large(spec):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+    monkeypatch.setattr(lattice, "build_lattice_system", too_large)
+    assert main(["decompose", "--input", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: decompose: out of memory: Unable to allocate 7.28 TiB\n")
 
 
 def test_lattice_then_verify(tmp_path):

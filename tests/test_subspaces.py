@@ -328,6 +328,58 @@ class TestNumericRank:
         assert numeric_rank(np.zeros((0, 3)), TOL) == 0
 
 
+def planted_stack(g, k, dtype, rng, size=6):
+    """A stack of ``size`` g x k matrices and their singular values, each
+    matrix with a top value of its own and, below it, values planted at
+    10 and 0.1 times the rank threshold ``TOL * max(1, s_max)``."""
+    r = min(g, k)
+    stack, planted = np.zeros((size, g, k), dtype), np.zeros((size, r))
+    for i in range(size):
+        top = (2.0, 0.5, 1e3, 10 * TOL, 0.1 * TOL, 1.0)[i % 6]
+        cut = TOL * max(1.0, top)
+        below = np.minimum(rng.choice([top / 2, 10 * cut, 0.1 * cut], r), top)
+        sing = np.sort(below)[::-1]
+        sing[:1] = top
+        u, v = (np.linalg.qr(rng.standard_normal((n, r))
+                             + (1j * rng.standard_normal((n, r))
+                                if dtype == complex else 0))[0]
+                for n in (g, k))
+        stack[i], planted[i] = (u * sing) @ v.conj().T, sing
+    return stack, planted
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("g", [1, 2, 5])
+def test_range_basis_matches_svd(g, dtype):
+    """The row norm (g = 1) and the QR triangle make the cut of the full
+    SVD: the same kept counts, and kept left columns spanning the same
+    subspace.  That subspace is determined to roundoff over the gap
+    between the last value kept and the first dropped (Wedin), so the
+    distance is held to 1e-12 of max(1, s_max) over that gap; with both
+    at the threshold, the gap is 1e-9 and the bound 1e-3.  The left factor
+    is unitary when k >= g."""
+    rng = np.random.default_rng(100 * g + (dtype == complex))
+    for k in range(g - 1, 3 * g + 1):
+        stack, planted = planted_stack(g, k, dtype, rng)
+        left, kept = _range_basis(stack, TOL)
+        assert left.shape == (len(stack), g, min(g, k))
+        assert left.dtype == stack.dtype
+        for m, factor, count, sing in zip(stack, left, kept, planted):
+            oracle, oracle_sing, _ = (np.linalg.svd(m) if k else
+                                      (np.eye(g), np.zeros(0), None))
+            scale = np.max(oracle_sing, initial=1.0)
+            assert count == np.sum(oracle_sing > TOL * scale)
+            assert count == np.sum(sing > TOL * np.max(sing, initial=1.0))
+            gap = (sing[count - 1] if count else np.inf) - (
+                sing[count] if count < len(sing) else 0.0)
+            assert projector_distance(
+                SubspaceBasis(factor[:, :count]),
+                SubspaceBasis(oracle[:, :count])) <= 1e-12 * scale / gap
+            if k >= g:
+                assert np.max(np.abs(factor.conj().T @ factor - np.eye(g))
+                              ) <= 1e-13
+
+
 def test_basis_rejects_too_many_vectors():
     with pytest.raises(DimensionMismatchError):
         SubspaceBasis(np.eye(2, 3, dtype=complex))
@@ -364,8 +416,11 @@ def per_cluster_orbit(spectrum, seed):
     kept, dropped, values = [], [], []
     for lo, size in zip(spectrum.starts, spectrum.sizes):
         block = coords[lo:lo + size]
-        rank = _range_basis(block, spectrum.tol)[1]
-        left = np.linalg.svd(block)[0] if block.shape[1] else np.eye(size)
+        if block.shape[1]:
+            left, sing, _ = np.linalg.svd(block)
+        else:
+            left, sing = np.eye(size), np.zeros(0)
+        rank = int(np.sum(sing > spectrum.tol * np.max(sing, initial=1.0)))
         kept.append(spectrum.vectors[:, lo:lo + size] @ left[:, :rank])
         dropped.append(spectrum.vectors[:, lo:lo + size] @ left[:, rank:])
         values.append(spectrum.values[lo:lo + rank])
