@@ -35,10 +35,11 @@ EXIT_USAGE = 2
 
 def _resolve_tol(tol: float | None, file_tol: float = DEFAULT_TOL) -> float:
     """--tol, else OPENSYS_TOL, else the system file's tol."""
-    if tol is not None:
-        return tol
-    env = os.environ.get("OPENSYS_TOL")
-    return float(env) if env is not None else file_tol
+    env = os.environ.get("OPENSYS_TOL", file_tol)
+    try:
+        return tol if tol is not None else float(env)
+    except ValueError:
+        raise ValueError(f"OPENSYS_TOL must be a number, got {env!r}") from None
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:

@@ -24,13 +24,15 @@ strongest internal correctness certificate available.
 
 Each operator is factored once per certificate.  :func:`decompose` runs
 one ``eigh`` each of Omega, Omega1 and Omega2 and two complete QRs, one
-per block, and keeps the spectrum of Omega, the rank cuts of Gamma and
-Gamma^dag and the distance between the two routes in its result.
+per block, and keeps the spectrum of Omega, the rank cut of Gamma (rank
+Gamma is decided once, and Ran Gamma^dag read off it) and the distance
+between the two routes in its result.
 :func:`verify_theorem` factors nothing and cuts no Gamma: the core
 H1c + H2c is Omega-invariant, so it is reconstructible exactly when
 closure(H1c) and closure(H2c) both equal it, and in each eigenvalue
 cluster of Omega it holds as many eigenvalues as its coordinates there
-have rank.
+have rank.  Its multiplicity is the largest of these ranks: one cluster
+rule, at ``tol``, for the split and the multiplicity alike.
 
 Every distance is ||P_A - P_B|| = ||B_perp^dag A||, taken against a
 complement of B that is already exact: h1d and h2d, the trailing columns
@@ -63,9 +65,6 @@ from .systems import BlockSystem, assemble_full
 #: block-zero residuals (the `c` of the module contracts).
 CONSISTENCY_FACTOR = 100.0
 
-#: Default relative eigenvalue-gap threshold for multiplicity clustering.
-DEFAULT_CLUSTER_TOL = 1e-8
-
 
 class DecompositionError(RuntimeError):
     """A check of :func:`decompose` failed.
@@ -88,11 +87,11 @@ class FourWayDecomposition:
     """Bases of the four parts and the evidence they were computed from.
 
     h1d, h1c live in the observable coordinates (ambient d1); h2c, h2d in
-    the hidden coordinates (ambient d2).  ``ran_gamma`` and
-    ``ran_gamma_dag`` are the rank cuts of Gamma and Gamma^dag that seed
-    the fast route; ``spectrum`` is the eigendecomposition of the full
-    Omega the split was computed from, and ``route_distance`` the larger
-    of the two routes' distances (H1c, H2c).
+    the hidden coordinates (ambient d2).  ``ran_gamma`` is the rank cut
+    of Gamma and ``ran_gamma_dag`` the range of Gamma^dag read off it, of
+    the same dimension; both seed the fast route.  ``spectrum`` is the
+    eigendecomposition of the full Omega the split was computed from, and
+    ``route_distance`` the larger of the two routes' distances (H1c, H2c).
 
     The restricted operators are not stored: they are block products such
     as Omega1c = h1c^dag Omega1 h1c, Omega2d = h2d^dag Omega2 h2d and the
@@ -225,7 +224,10 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
     # independent fast route through the coupling ranges, compared through
     # the complements of h1c and h2c that the QRs above made exactly
     ran_gamma = orthonormalize(sys.gamma, tol)
-    ran_gamma_dag = orthonormalize(sys.gamma.conj().T, tol)
+    # Gamma^dag U_r = V_r S_r has full column rank: rank Gamma is decided
+    # once, and Ran Gamma^dag needs no second cut
+    ran_gamma_dag = SubspaceBasis(
+        np.linalg.qr(sys.gamma.conj().T @ ran_gamma.matrix)[0])
     dist1 = _complement_distance(orbit(sys.omega1, ran_gamma, tol).matrix,
                                  h1d.matrix)
     dist2 = _complement_distance(orbit(sys.omega2, ran_gamma_dag, tol).matrix,
@@ -266,22 +268,17 @@ def verify_block_form(sys: BlockSystem, dec: FourWayDecomposition) -> float:
                 if left.shape[1] and right.shape[1]), default=0.0)
 
 
-def _largest_cluster(values: np.ndarray, cluster_tol: float) -> int:
-    """Size of the largest cluster of sorted eigenvalues (0 when empty)."""
-    return int(np.max(_eigen_clusters(values, cluster_tol)[1], initial=0))
-
-
-def multiplicity(a: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> int:
-    """Largest eigenvalue-cluster size of a Hermitian matrix.
+def multiplicity(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """Largest eigenvalue-cluster size of a Hermitian matrix (0 when empty).
 
     Eigenvalues are sorted and chained into clusters wherever the gap
-    between consecutive values is <= cluster_tol * max(1, ||A||).  In
-    exact arithmetic this is the maximal eigenvalue multiplicity, which
-    for a Hermitian matrix equals the minimal number of generating
-    vectors (the spectral multiplicity).
+    between consecutive values is <= tol * max(1, ||A||), the cluster
+    rule of :class:`Spectrum`.  In exact arithmetic this is the maximal
+    eigenvalue multiplicity, which for a Hermitian matrix equals the
+    minimal number of generating vectors (the spectral multiplicity).
     """
-    a = check_hermitian(a, max(cluster_tol, DEFAULT_TOL), "multiplicity input")
-    return _largest_cluster(np.linalg.eigvalsh(a), cluster_tol)
+    w = np.linalg.eigvalsh(check_hermitian(a, tol, "multiplicity input"))
+    return int(np.max(_eigen_clusters(w, tol)[1], initial=0))
 
 
 def verify_theorem(sys: BlockSystem,
@@ -302,8 +299,8 @@ def verify_theorem(sys: BlockSystem,
     sides are block-diagonal in H1 + H2.  The core is reconstructible
     exactly when closure(H1c) = H1c + H2c and closure(H2c) = H1c + H2c.
     Being Omega-invariant, it has as many eigenvalues in each cluster of
-    ``dec.spectrum`` as the rank of its coordinates there; clustered at
-    DEFAULT_CLUSTER_TOL they give its multiplicity, tested against
+    ``dec.spectrum`` as the rank its cut keeps there; the largest of
+    these ranks is its multiplicity, tested against
     min(2*rank(Gamma), dim H1c, dim H2c), the rank being that of
     ``dec.ran_gamma``.
     """
@@ -315,8 +312,8 @@ def verify_theorem(sys: BlockSystem,
     # V[:d1]^dag x + V[d1:]^dag y
     core = np.hstack([top @ dec.h1c.matrix, bottom @ dec.h2c.matrix])
     # Ran [[0, Gamma], [Gamma^dag, 0]] = Ran(Gamma) (+) Ran(Gamma^dag): the
-    # matrix's singular values are Gamma's, each twice, so decompose's cuts
-    # of Gamma and Gamma^dag are its cut
+    # matrix's singular values are Gamma's, each twice, so decompose's cut
+    # of Gamma, with the range of Gamma^dag read off it, is its cut
     coupling = np.hstack([top @ dec.ran_gamma.matrix,
                           bottom @ dec.ran_gamma_dag.matrix])
     names = ["h1c+h2c", "closure(h1c)", "closure(h2c)",
@@ -338,9 +335,9 @@ def verify_theorem(sys: BlockSystem,
     core_reconstructible = max(distance[0, 1], distance[0, 2]) <= \
         CONSISTENCY_FACTOR * tol
 
-    # the last cut is the core's; being invariant, the core holds the
-    # eigenvalues that its cut keeps
-    mult = _largest_cluster(spectrum.values[kept], DEFAULT_CLUSTER_TOL)
+    # the last cut is the core's; being invariant, the core holds in each
+    # cluster as many eigenvalues as the cut keeps there
+    mult = int(max(np.add.reduceat(kept, spectrum.starts), default=0))
     bound = min(2 * dec.ran_gamma.dim, dec.h1c.dim, dec.h2c.dim)
 
     return TheoremReport(

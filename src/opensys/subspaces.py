@@ -16,9 +16,11 @@ rank                keep singular values ``s > tol * max(1,    _range_basis,
                     a stacked cut takes ``s_max`` per cluster;
                     ``s`` is a row's 2-norm, else the SVD of
                     the triangle of a QR of ``m^dag``
-cluster             sorted eigenvalues chain while each gap    _eigen_clusters
-                    is ``<= t * max(1, |w|_max)``, ``t = tol``
-cluster_tol         ``t = 1e-8`` (DEFAULT_CLUSTER_TOL)         multiplicities
+cluster             sorted eigenvalues chain while each gap    _eigen_clusters,
+                    is ``<= tol * max(1, |w|_max)``; a         for the cuts
+                    multiplicity is the largest cluster, or    and every
+                    the largest rank a cut keeps in one        multiplicity
+                    cluster
 Hermitian           ``||A - A^dag||_F <= tol * max(1,          check_hermitian
                     ||A||_F)``
 containment         residuals ``<= 10 * tol``                  complement

@@ -12,7 +12,11 @@ from opensys.systems import (
     save_system,
     system_to_dict,
 )
-from test_decomposition import _with_h2c, coupled_plus_decoupled
+from test_decomposition import (
+    _with_h2c,
+    coupled_plus_decoupled,
+    near_tie_system,
+)
 from test_systems import BAD_PAYLOADS
 
 
@@ -516,6 +520,27 @@ def test_env_var_tolerance(tmp_path, monkeypatch, capsys):
     main(["gen-random", "--d1", "2", "--d2", "2", "--rank", "1",
           "--seed", "0", "--output", str(path)])
     assert load_system(str(path)).tol == 1e-9
+
+
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_env_var_tolerance_not_a_number_is_named(sys_file, monkeypatch,
+                                                 capsys, value):
+    monkeypatch.setenv("OPENSYS_TOL", value)
+    assert main(["decompose", "--input", str(sys_file)]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == \
+        f"error: OPENSYS_TOL must be a number, got {value!r}"
+
+
+def test_verify_theorem_multiplicity_follows_tol(tmp_path, capsys):
+    """Two core eigenvalues 1e-7 apart are one double eigenvalue at
+    --tol 1e-6, as they are one cluster of the split."""
+    path = tmp_path / "tie.json"
+    save_system(near_tie_system(1e-7, 1e-10), str(path))
+    assert main(["verify-theorem", "--input", str(path)]) == EXIT_OK
+    assert "multiplicity(core) = 1 " in capsys.readouterr().out
+    assert main(["verify-theorem", "--input", str(path), "--tol",
+                 "1e-6"]) == EXIT_OK
+    assert "multiplicity(core) = 2 " in capsys.readouterr().out
 
 
 def _decompose_tol(path, capsys, *flags):

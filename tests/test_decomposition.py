@@ -10,9 +10,7 @@ from scipy.linalg import block_diag
 
 from opensys import subspaces
 from opensys.decomposition import (
-    DEFAULT_CLUSTER_TOL,
     DecompositionError,
-    _largest_cluster,
     _split_block,
     decompose,
     multiplicity,
@@ -176,17 +174,30 @@ def core_operators(sys, dec):
     return t[h1c, h1c], t[h2c, h2c], t[h1c, h2c]
 
 
-def nested_core_route(sys, dec, cluster_tol=DEFAULT_CLUSTER_TOL):
-    """Largest ``cluster_tol`` eigenvalue cluster and reconstructibility of
-    the core, from a :func:`decompose` of the core system itself.
+def largest_cluster(values, tol):
+    """Size of the largest run of sorted ``values`` whose consecutive gaps
+    are <= tol * max(1, |values|max): the cluster rule, kept here apart
+    from the package's own."""
+    threshold = tol * max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    largest = run = 0
+    for i in range(len(values)):
+        run = run + 1 if i and values[i] - values[i - 1] <= threshold else 1
+        largest = max(largest, run)
+    return largest
 
-    An oracle for :func:`verify_theorem`, which reads both off the
-    spectrum of Omega; this route factors the core, Omega1c and Omega2c.
+
+def nested_core_route(sys, dec):
+    """Largest eigenvalue cluster, at ``dec.tol``, and reconstructibility
+    of the core, from a :func:`decompose` of the core system itself.
+
+    An oracle for :func:`verify_theorem`, which reads both off the cut of
+    the core in the eigenbasis of Omega; this route factors the core,
+    Omega1c and Omega2c.
     """
     if dec.h1c.dim == 0:
         return 0, True  # empty core, vacuously
     core = decompose(BlockSystem(*core_operators(sys, dec), dec.tol))
-    return _largest_cluster(core.spectrum.values, cluster_tol), core.reconstructible
+    return largest_cluster(core.spectrum.values, dec.tol), core.reconstructible
 
 
 def diag_closure_distance(sys, dec):
@@ -529,8 +540,8 @@ class TestMultiplicity:
 
     def test_cluster_tolerance_merges(self):
         a = np.diag([0.0, 1e-12, 1.0])
-        assert multiplicity(a, cluster_tol=1e-8) == 2
-        assert multiplicity(a, cluster_tol=1e-14) == 1
+        assert multiplicity(a, tol=1e-8) == 2
+        assert multiplicity(a, tol=1e-14) == 1
 
 
 class TestTheorem:
@@ -666,8 +677,8 @@ def test_one_eigendecomposition_per_operator(make, monkeypatch):
 
 def test_two_complete_qrs(monkeypatch):
     """decompose splits each block with one complete QR of its decoupled
-    part's rows, and takes no complement; every other QR is a rank cut's
-    triangle."""
+    part's rows, and takes no complement; Ran Gamma^dag is one reduced QR
+    of Gamma^dag U_r, and every other QR is a rank cut's triangle."""
     sys = build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL))
     modes = []
 
@@ -676,7 +687,8 @@ def test_two_complete_qrs(monkeypatch):
         return _qr(a, mode=mode)
     monkeypatch.setattr(np.linalg, "qr", counted)
     decompose(sys)
-    assert [mode for mode in modes if mode != "r"] == ["complete", "complete"]
+    assert [mode for mode in modes if mode != "r"] == ["complete", "complete",
+                                                       "reduced"]
 
 
 @pytest.mark.parametrize("box,cube", [(6, 2), (8, 3)])
@@ -812,6 +824,66 @@ def test_coupling_range_matches_symmetrized_coupling(sys):
     oracle = orthonormalize(decoupled_parts(sys)[1], sys.tol)
     assert direct.dim == oracle.dim
     assert projector_distance(direct, oracle) <= 1e-12
+
+
+def near_threshold_coupling(seed, real, d1=4, d2=6):
+    """A system whose Gamma has singular values 1 and tol * (1 + u), with
+    |u| <= 1e-8: its second singular value lies on the rank threshold."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        a = rng.standard_normal(shape)
+        return a if real else a + 1j * rng.standard_normal(shape)
+
+    def herm(d):
+        a = draw(d, d)
+        return (a + a.conj().T) / 2
+
+    s = np.zeros((d1, d2))
+    s[0, 0], s[1, 1] = 1.0, TOL * (1 + rng.uniform(-1e-8, 1e-8))
+    u1, u2 = np.linalg.qr(draw(d1, d1))[0], np.linalg.qr(draw(d2, d2))[0]
+    return BlockSystem(herm(d1), herm(d2), u1 @ s @ u2.conj().T, TOL)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_gamma_rank_decided_once(real):
+    """Ran Gamma and Ran Gamma^dag have one dimension even when a singular
+    value of Gamma lies on the threshold, where two separate cuts of
+    Gamma and Gamma^dag disagree in about two draws of five."""
+    for seed in range(20):
+        dec = decompose(near_threshold_coupling(seed, real))
+        assert dec.ran_gamma.dim == dec.ran_gamma_dag.dim, seed
+
+
+def near_tie_system(gap, tol, seed=0, d1=3, d2=4):
+    """A fully coupled system W diag(w) W^dag, W a random unitary, whose
+    two lowest eigenvalues -1 and -1 + gap nearly tie; the rest are 0.5
+    apart."""
+    w = np.arange(d1 + d2) * 0.5 - 1.0
+    w[1] = w[0] + gap
+    u = random_unitary(np.random.default_rng(seed), d1 + d2)
+    omega = (u * w) @ u.conj().T
+    return BlockSystem(omega[:d1, :d1], omega[d1:, d1:], omega[:d1, d1:], tol)
+
+
+@pytest.mark.parametrize("gap, tol, expected", [
+    (1e-9, 1e-10, 1),  # two clusters at tol: two simple eigenvalues
+    (1e-7, 1e-6, 2),   # one cluster at tol: one double eigenvalue
+    (0.0, 1e-10, 2),
+    (0.0, 1e-6, 2),
+])
+def test_near_tie_multiplicity_follows_tol(gap, tol, expected):
+    """The core's multiplicity is read off the clusters the split is cut
+    in, at the system's tol; a fully coupled core has every eigenvalue,
+    so it is the largest cluster of Omega."""
+    sys = near_tie_system(gap, tol)
+    dec = decompose(sys)
+    report = verify_theorem(sys, dec)
+    assert dec.reconstructible
+    assert report.multiplicity_omega_c == expected
+    assert report.multiplicity_omega_c == max(dec.spectrum.sizes)
+    assert report.passed()
+    assert_matches_nested_route(sys, dec)
 
 
 @pytest.mark.parametrize("make", [

@@ -11,7 +11,7 @@ from opensys.lattice import (
     verify_example,
 )
 from opensys.decomposition import decompose, verify_block_form, verify_theorem
-from opensys.subspaces import numeric_rank
+from opensys.subspaces import Spectrum, numeric_rank
 from opensys.systems import assemble_full
 
 
@@ -165,6 +165,32 @@ class TestBuilder:
         sys = build_lattice_system(spec)
         nonzero_rows = np.sum(np.any(sys.gamma != 0, axis=1))
         assert nonzero_rows == surface_count(3)
+
+
+def exact_classes(box: int, gap: float = 1e-9):
+    """The 3-d box Laplacian's eigenvalues -6 + sum_j 2 cos(pi k_j /
+    (box + 1)), k_j = 1..box, in closed form and sorted, and the sizes
+    of their classes: runs whose consecutive differences are <= ``gap``.
+    Exactly equal values differ by roundoff only; the caller checks that
+    distinct ones differ by far more than ``gap``."""
+    c = 2 * np.cos(np.pi * np.arange(1, box + 1) / (box + 1))
+    values = np.sort(np.add.outer(np.add.outer(c, c), c).ravel() - 6.0)
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap)
+    return values, np.diff(starts, append=len(values))
+
+
+@pytest.mark.parametrize("box", range(3, 11))
+def test_spectrum_clusters_are_exact_classes(box):
+    """On centered 3-d boxes the clusters of Spectrum at tol, the one
+    cluster rule of the split and the multiplicity, are the classes of
+    exactly equal eigenvalues."""
+    values, sizes = exact_classes(box)
+    gaps = np.diff(values)
+    assert np.min(gaps[gaps > 1e-9]) >= 1e3 * 1e-9  # unambiguous classes
+    sys = build_lattice_system(LatticeSpec.centered(box, 1, 3))
+    spectrum = Spectrum(assemble_full(sys).omega, sys.tol)
+    assert np.array_equal(spectrum.sizes, sizes)
+    assert np.max(np.abs(spectrum.values - values)) <= 1e-12
 
 
 class TestVerifyExample:

@@ -44,6 +44,8 @@ def test_workload_round_passes_its_checks(name, workloads, tmp_path):
     ["scripts/reduction_convergence.py", "--levels", "2"],
     ["scripts/lattice_multiplicity_scan.py", "--dims", "1", "--boxes", "6",
      "10"],
+    ["scripts/lattice_multiplicity_scan.py", "--dims", "3", "--boxes", "6",
+     "7"],
     ["scripts/code_lines.py"],
     # passes the zero forcing to propagate_reduced positionally
     ["perfbench/crosscheck.py"],
