@@ -5,9 +5,16 @@ Shows that the coupled-core multiplicity stays below twice the surface
 count independent of the box size, while the decoupled hidden dimension
 grows with the box: evidence that ever more hidden degrees of freedom are
 invisible to the cube as the ambient lattice grows.
+
+Each row also gives the seconds its ``verify_example`` took and the peak
+resident memory of the process so far; with the boxes in ascending
+order, that is the row's own peak.  Set OPENBLAS_NUM_THREADS=1 for
+timings on one BLAS thread.
 """
 
 import argparse
+import resource
+import time
 
 from opensys.lattice import LatticeSpec, multiplicity_bound, verify_example
 
@@ -27,14 +34,21 @@ def main():
     print(f"cube side N={args.cube}, dims={args.dims}, "
           f"multiplicity bound {bound} (box-independent)")
     print(f"{'box':>5} {'d':>6} {'h1c':>5} {'h2c':>6} {'h2d':>6} "
-          f"{'rank':>5} {'mult':>5} {'max dist':>10}")
+          f"{'rank':>5} {'mult':>5} {'max dist':>10} {'seconds':>8} "
+          f"{'peak MB':>8}")
     for box in boxes:
+        start = time.perf_counter()
         rep = verify_example(LatticeSpec.centered(box, args.cube, args.dims))
+        seconds = time.perf_counter() - start
+        # ru_maxrss is in kilobytes on Linux
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         dims = rep.dims_report
         total = box ** args.dims
         print(f"{box:>5} {total:>6} {dims['h1c']:>5} {dims['h2c']:>6} "
               f"{dims['h2d']:>6} {rep.rank_gamma:>5} "
-              f"{rep.multiplicity_omega_c:>5} {rep.theorem.max_distance:>10.2e}")
+              f"{rep.multiplicity_omega_c:>5} "
+              f"{rep.theorem.max_distance:>10.2e} "
+              f"{seconds:>8.2f} {peak_mb:>8.1f}")
         assert rep.bound_satisfied
 
 

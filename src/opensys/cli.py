@@ -10,6 +10,7 @@ gen-* commands, which read no file, 1e-10).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys as _sys
@@ -34,12 +35,23 @@ EXIT_USAGE = 2
 
 
 def _resolve_tol(tol: float | None, file_tol: float = DEFAULT_TOL) -> float:
-    """--tol, else OPENSYS_TOL, else the system file's tol."""
-    env = os.environ.get("OPENSYS_TOL", file_tol)
-    try:
-        return tol if tol is not None else float(env)
-    except ValueError:
-        raise ValueError(f"OPENSYS_TOL must be a number, got {env!r}") from None
+    """--tol, else OPENSYS_TOL, else the system file's tol, which loading
+    has checked.  A value that is not a positive finite number is a
+    ValueError that names where it came from."""
+    if tol is not None:
+        source = "--tol"
+    elif "OPENSYS_TOL" in os.environ:
+        source, text = "OPENSYS_TOL", os.environ["OPENSYS_TOL"]
+        try:
+            tol = float(text)
+        except ValueError:
+            raise ValueError(f"{source} must be a number, got {text!r}") \
+                from None
+    else:
+        return file_tol
+    if not 0 < tol < np.inf:
+        raise ValueError(f"{source} must be positive and finite, got {tol}")
+    return tol
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
@@ -56,9 +68,8 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
 def _load(path: str, tol: float | None):
     sys = load_system(path)
     tol = _resolve_tol(tol, sys.tol)
-    if tol != sys.tol:
-        sys = type(sys)(sys.omega1, sys.omega2, sys.gamma, tol)
-    return sys
+    # replace keeps a lattice's spec, and with it the closed form of Omega
+    return sys if tol == sys.tol else dataclasses.replace(sys, tol=tol)
 
 
 def _initial_observable(sys, seed: int) -> np.ndarray:

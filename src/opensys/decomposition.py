@@ -23,10 +23,13 @@ coupling ranges under the diagonal blocks alone).  Their agreement is the
 strongest internal correctness certificate available.
 
 Each operator is factored once per certificate.  :func:`decompose` runs
-one ``eigh`` each of Omega, Omega1 and Omega2 and two complete QRs, one
-per block, and keeps the spectrum of Omega, the rank cut of Gamma (rank
-Gamma is decided once, and Ran Gamma^dag read off it) and the distance
-between the two routes in its result.
+one ``eigh`` each of Omega1 and Omega2 and two complete QRs, one per
+block.  It takes the eigenpairs of Omega from the system: one ``eigh``
+for a system of matrices, the closed form for a lattice built from its
+spec, so that there the two routes rest on independent factorizations.
+It keeps the spectrum of Omega, the rank cut of Gamma (rank Gamma is
+decided once, and Ran Gamma^dag read off it) and the distance between
+the two routes in its result.
 :func:`verify_theorem` factors nothing and cuts no Gamma: the core
 H1c + H2c is Omega-invariant, so it is reconstructible exactly when
 closure(H1c) and closure(H2c) both equal it, and in each eigenvalue
@@ -59,7 +62,7 @@ from .subspaces import (
     orbit,
     orthonormalize,
 )
-from .systems import BlockSystem, assemble_full
+from .systems import BlockSystem
 
 #: Multiple of the system tolerance allowed for cross-route agreement and
 #: block-zero residuals (the `c` of the module contracts).
@@ -206,10 +209,11 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
     and Ran(Gamma^dag) under the diagonal blocks) is computed as well and
     the two are required to agree to within CONSISTENCY_FACTOR * tol,
     each distance taken against h1d or h2d, the exact complement of h1c
-    or h2c in its block.
+    or h2c in its block.  The eigenpairs of Omega are
+    :meth:`~opensys.systems.BlockSystem.eigenpairs`.
     """
     d1, tol = sys.d1, sys.tol
-    spectrum = Spectrum(assemble_full(sys).omega, tol)
+    spectrum = Spectrum(None, tol, eigenpairs=sys.eigenpairs())
     vectors = spectrum.vectors
     # H1 and H2 in the eigenbasis of Omega are V^dag [I; 0] and V^dag [0; I];
     # each decoupled part is the eigenvectors times the factors its cut drops

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .subspaces import DimensionMismatchError, check_hermitian
-from .systems import BlockSystem, FullOperator, assemble_full
+from .systems import BlockSystem, FullOperator
 
 OBSERVABLE = "observable"
 HIDDEN = "hidden"
@@ -164,11 +164,16 @@ def make_kernel(sys: BlockSystem, side: str = OBSERVABLE) -> ResponseKernel:
     return ResponseKernel(eigvals=w, coupling_modes=modes)
 
 
-def _exact_states(mat: np.ndarray, v0: np.ndarray, forcing: ForcingSignal,
-                  times: np.ndarray, rows: int) -> np.ndarray:
+def _exact_states(mat: np.ndarray | None, v0: np.ndarray,
+                  forcing: ForcingSignal, times: np.ndarray, rows: int, *,
+                  eigenpairs: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> np.ndarray:
     """First ``rows`` components of the exact propagation of v0 by the
-    Hermitian ``mat`` on a uniform grid: with U its eigenvectors,
+    Hermitian ``mat`` on a uniform grid: with w, U its eigenpairs,
     U[:rows] exp(-i w t) (U^dag v0 + the Duhamel integral of U^dag F).
+    They are one ``eigh`` of ``mat``, unless ``eigenpairs`` are given,
+    such as a system's :meth:`~opensys.systems.BlockSystem.eigenpairs`;
+    ``mat`` is then not read.
 
     On the grid t_k = (j B + m) h the phases factor as
     exp(-i w j B h) exp(-i w m h).  Unforced, the states are one product of
@@ -181,7 +186,7 @@ def _exact_states(mat: np.ndarray, v0: np.ndarray, forcing: ForcingSignal,
     conjugated back for the last.
     """
     h = _uniform_step(times)
-    w, u = np.linalg.eigh(mat)
+    w, u = np.linalg.eigh(mat) if eigenpairs is None else eigenpairs
     n, nt = len(w), len(times)
     # the least B with B^2 max(rows, 1) >= nt, so J <= B max(rows, 1)
     block = math.isqrt(-(-nt // max(rows, 1)) - 1) + 1
@@ -357,8 +362,8 @@ def reduction_discrepancy(sys: BlockSystem, v1_0: np.ndarray, t_max: float,
     """
     fine_grid = make_grid(t_max, 2 * steps)
     v0 = np.concatenate([v1_0, np.zeros(sys.d2, dtype=complex)])
-    full = _exact_states(assemble_full(sys).omega, v0,
-                         ForcingSignal.zero(), fine_grid, sys.d1)
+    full = _exact_states(None, v0, ForcingSignal.zero(), fine_grid, sys.d1,
+                         eigenpairs=sys.eigenpairs())
     kernel = make_kernel(sys, OBSERVABLE)
 
     def gap(stride: int) -> float:

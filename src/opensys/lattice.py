@@ -12,7 +12,9 @@ high-coverage testing.
 
 A lattice system file holds the spec, not the matrices: the header
 ``d1``, ``d2``, ``tol`` and a ``lattice`` block (:func:`spec_to_dict`),
-from which loading builds the system (:func:`spec_from_dict`).
+from which loading builds the system (:func:`spec_from_dict`).  A system
+built from a spec keeps it, and gives the eigenpairs of its Omega in
+closed form (:func:`omega_eigenpairs`), with no ``eigh``.
 
 The infinite-lattice statements (infinite multiplicity of the ambient
 operator, infinitely many decoupled hidden modes) are only checked here
@@ -23,6 +25,7 @@ reported to be nonempty.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -102,6 +105,17 @@ def multiplicity_bound(n: int, dims: int = 3) -> int:
     return 2 * surface_count(n, dims)
 
 
+def _cube_first(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """The coordinates of the box's sites, shape (dims, n), in lexicographic
+    order; the site order of the system, the cube's sites first (each part
+    lexicographic); and the cube's site count."""
+    coords = np.indices((spec.box,) * spec.dims).reshape(spec.dims, -1)
+    low = np.array(spec.offset)[:, None]
+    in_cube = np.all((coords >= low) & (coords < low + spec.cube), axis=0)
+    order = np.concatenate([np.flatnonzero(in_cube), np.flatnonzero(~in_cube)])
+    return coords, order, int(np.count_nonzero(in_cube))
+
+
 def build_lattice_system(spec: LatticeSpec) -> BlockSystem:
     """Assemble the box Laplacian split into cube and exterior blocks.
 
@@ -111,12 +125,11 @@ def build_lattice_system(spec: LatticeSpec) -> BlockSystem:
     integer entries.  Sites are numbered by index arithmetic: along axis
     j the +1 neighbor of a site is ``box**(dims-1-j)`` further in
     lexicographic order, and each pair is written straight into its
-    permuted position of the one n x n matrix.
+    permuted position of the one n x n matrix.  The system keeps
+    ``spec``, so that it gives the eigenpairs of Omega in closed form
+    (:func:`omega_eigenpairs`) when they are asked for.
     """
-    coords = np.indices((spec.box,) * spec.dims).reshape(spec.dims, -1)
-    low = np.array(spec.offset)[:, None]
-    in_cube = np.all((coords >= low) & (coords < low + spec.cube), axis=0)
-    order = np.concatenate([np.flatnonzero(in_cube), np.flatnonzero(~in_cube)])
+    coords, order, d1 = _cube_first(spec)
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
     omega = np.zeros((order.size, order.size))
@@ -126,13 +139,38 @@ def build_lattice_system(spec: LatticeSpec) -> BlockSystem:
         here = position[site]
         there = position[site + spec.box ** (spec.dims - 1 - j)]
         omega[here, there] = omega[there, here] = 1.0
-    d1 = int(np.count_nonzero(in_cube))
     return BlockSystem(
         omega1=omega[:d1, :d1],
         omega2=omega[d1:, d1:],
         gamma=omega[:d1, d1:],
         tol=spec.tol,
+        lattice=spec,
     )
+
+
+def omega_eigenpairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and orthonormal eigenvectors of the box
+    Laplacian of ``spec``, in closed form: no ``eigh``.
+
+    With m = box + 1, the second difference on the box sites of one axis
+    has the eigenvalues -2 + 2 cos(pi k / m), k = 1..box, and as its
+    eigenvectors the columns of the orthogonal DST-I matrix
+    S[x, k] = sqrt(2 / m) sin(pi (x + 1) k / m).  The box Laplacian is
+    the Kronecker sum of ``dims`` of these, so its eigenvalues are the
+    sums -2 dims + 2 sum_j cos(pi k_j / m) and its eigenvectors the
+    Kronecker products of the S (Strang, *SIAM Review* 41, 1999).  The
+    rows come in the site order of :func:`build_lattice_system`, the
+    cube first, and the columns in ascending order of the eigenvalues.
+    """
+    m = spec.box + 1
+    k = np.arange(1, m)
+    # the argument reduced modulo 2 pi exactly, in integers
+    sine = np.sqrt(2.0 / m) * np.sin(np.pi * (np.outer(k, k) % (2 * m)) / m)
+    axis = 2.0 * np.cos(np.pi * k / m) - 2.0
+    values = functools.reduce(np.add.outer, [axis] * spec.dims).ravel()
+    columns = np.argsort(values, kind="stable")
+    vectors = functools.reduce(np.kron, [sine] * spec.dims)
+    return values[columns], vectors[np.ix_(_cube_first(spec)[1], columns)]
 
 
 # --- system files ------------------------------------------------------------

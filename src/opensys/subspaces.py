@@ -208,12 +208,20 @@ class Spectrum:
     are unitary, so distances between subspaces are the same between
     their eigen-coordinates V^dag S, in which every invariant subspace is
     block-diagonal by cluster.
+
+    The eigenpairs are one ``eigh`` of the Hermitian ``a``, unless they
+    are given: ascending values and orthonormal vectors, such as a
+    system's :meth:`~opensys.systems.BlockSystem.eigenpairs`, which a
+    lattice builds in closed form.  ``a`` is then not read.
     """
 
-    def __init__(self, a: np.ndarray, tol: float = DEFAULT_TOL):
-        a = check_hermitian(a, tol, "orbit generator")
+    def __init__(self, a: np.ndarray | None, tol: float = DEFAULT_TOL, *,
+                 eigenpairs: tuple[np.ndarray, np.ndarray] | None = None):
+        if eigenpairs is None:
+            eigenpairs = np.linalg.eigh(
+                check_hermitian(a, tol, "orbit generator"))
         self.tol = tol
-        self.values, self.vectors = np.linalg.eigh(a)
+        self.values, self.vectors = eigenpairs
         self.starts, self.sizes = _eigen_clusters(self.values, tol)
 
     def cut(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

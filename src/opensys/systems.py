@@ -25,7 +25,8 @@ import base64
 import json
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from .subspaces import (
     as_field,
     check_hermitian,
 )
+
+if TYPE_CHECKING:
+    from .lattice import LatticeSpec
 
 
 @dataclass(frozen=True)
@@ -49,12 +53,17 @@ class BlockSystem:
     dtype: float64 when all are real, complex128 otherwise.  Each is a
     copy the system owns, so writing to the caller's arrays leaves it
     unchanged and a block never keeps a larger matrix alive.
+    ``lattice`` is the :class:`~opensys.lattice.LatticeSpec` that
+    :func:`~opensys.lattice.build_lattice_system` built the blocks from,
+    and None for a system of matrices.
     """
 
     omega1: np.ndarray
     omega2: np.ndarray
     gamma: np.ndarray
     tol: float = DEFAULT_TOL
+    lattice: LatticeSpec | None = field(default=None, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
@@ -82,6 +91,16 @@ class BlockSystem:
     @property
     def d2(self) -> int:
         return self.omega2.shape[0]
+
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues, ascending, and orthonormal eigenvectors of the full
+        Omega: in closed form for a lattice built from its spec
+        (:func:`opensys.lattice.omega_eigenpairs`), else one ``eigh`` of
+        the assembled matrix, which is exactly Hermitian."""
+        if self.lattice is None:
+            return np.linalg.eigh(assemble_full(self).omega)
+        from .lattice import omega_eigenpairs  # lattice imports this module
+        return omega_eigenpairs(self.lattice)
 
 
 @dataclass(frozen=True)

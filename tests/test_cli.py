@@ -168,7 +168,9 @@ def test_lattice_file_holds_its_spec(tmp_path, flags, spec):
 
 def test_lattice_file_with_matrices_still_loads(tmp_path, capsys):
     """A lattice file that holds its three matrices, the layout gen-lattice
-    wrote before it wrote the spec alone, loads from them."""
+    wrote before it wrote the spec alone, loads from them.  It factors
+    Omega by eigh, the spec file by the closed form, so the two give the
+    same dims and block residuals that differ in roundoff only."""
     spec = LatticeSpec(6, 2, (1, 3, 1))
     want = build_lattice_system(spec)
     path = tmp_path / "dense.json"
@@ -179,11 +181,14 @@ def test_lattice_file_with_matrices_still_loads(tmp_path, capsys):
     assert main(["gen-lattice", "--box", "6", "--cube", "2", "--offset",
                  "1,3,1", "--output", str(spec_path)]) == EXIT_OK
     capsys.readouterr()
-    reports = []
+    dims = []
     for source in (path, spec_path):
         assert main(["decompose", "--input", str(source)]) == EXIT_OK
-        reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1]
+        dims_line, residual_line = capsys.readouterr().out.splitlines()
+        dims.append(dims_line)
+        relative = float(residual_line.split("(")[1].split()[0])
+        assert relative <= 1e-13
+    assert dims[0] == dims[1]
 
 
 _DROP = object()
@@ -558,3 +563,35 @@ def test_tolerance_precedence(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OPENSYS_TOL", "1e-6")
     assert _decompose_tol(path, capsys) == "1e-06"
     assert _decompose_tol(path, capsys, "--tol", "1e-8") == "1e-08"
+
+
+def test_tol_override_keeps_closed_form(tmp_path, capsys, monkeypatch):
+    """decompose --tol 1e-6 on a lattice spec file keeps the closed-form
+    eigenpairs of Omega: eigh factors Omega1 and Omega2 only."""
+    path = tmp_path / "lat.json"
+    assert main(["gen-lattice", "--box", "6", "--cube", "2",
+                 "--output", str(path)]) == EXIT_OK
+    shapes = []
+
+    def counted(a, *args, _eigh=np.linalg.eigh, **kwargs):
+        shapes.append(np.shape(a))
+        return _eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert _decompose_tol(path, capsys, "--tol", "1e-6") == "1e-06"
+    assert sorted(shapes) == [(8, 8), (208, 208)]
+
+
+@pytest.mark.parametrize("flags, env, message", [
+    (["--tol", "inf"], None, "--tol must be positive and finite, got inf"),
+    (["--tol=-1e-9"], None, "--tol must be positive and finite, got -1e-09"),
+    ([], "nan", "OPENSYS_TOL must be positive and finite, got nan"),
+    ([], "0", "OPENSYS_TOL must be positive and finite, got 0.0"),
+], ids=["tol-inf", "tol-negative", "env-nan", "env-zero"])
+def test_bad_tolerance_names_its_source(sys_file, capsys, monkeypatch,
+                                        flags, env, message):
+    if env is None:
+        monkeypatch.delenv("OPENSYS_TOL", raising=False)
+    else:
+        monkeypatch.setenv("OPENSYS_TOL", env)
+    assert main(["decompose", "--input", str(sys_file), *flags]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == f"error: {message}"

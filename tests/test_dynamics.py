@@ -469,6 +469,27 @@ class TestPropagateReduced:
         reduction_discrepancy(sys, np.ones(3) / np.sqrt(3), 2.0, 50)
         assert sorted(calls) == [(5, 5), (8, 8)]
 
+    def test_lattice_discrepancy_factors_omega2_only(self, lattice,
+                                                     monkeypatch):
+        """A spec-built lattice gives the exact reference Omega's
+        eigenpairs in closed form: eigh runs once, on Omega2 (the kernel),
+        and the gaps are those of the reference taken by eigh."""
+        calls = []
+
+        def counted(a, *args, _eigh=np.linalg.eigh, **kwargs):
+            calls.append(a.shape)
+            return _eigh(a, *args, **kwargs)
+
+        v1 = np.ones(lattice.d1) / np.sqrt(lattice.d1)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        result = reduction_discrepancy(lattice, v1, 2.5, 200)
+        monkeypatch.undo()
+        assert calls == [(lattice.d2, lattice.d2)]
+        dense = BlockSystem(lattice.omega1, lattice.omega2, lattice.gamma)
+        want = reduction_discrepancy(dense, v1, 2.5, 200)
+        for key in ("sup_diff_coarse", "sup_diff_fine"):
+            assert abs(result[key] - want[key]) <= 1e-12
+
     @pytest.mark.parametrize("seed", range(6))
     def test_perturbed_hidden_block_exceeds_reduction_limit(self, seed):
         """Negative control for the criterion-5 limit: a kernel built from

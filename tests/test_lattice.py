@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -12,7 +13,7 @@ from opensys.lattice import (
 )
 from opensys.decomposition import decompose, verify_block_form, verify_theorem
 from opensys.subspaces import Spectrum, numeric_rank
-from opensys.systems import assemble_full
+from opensys.systems import BlockSystem, assemble_full
 
 
 def _sites(spec: LatticeSpec) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
@@ -167,14 +168,15 @@ class TestBuilder:
         assert nonzero_rows == surface_count(3)
 
 
-def exact_classes(box: int, gap: float = 1e-9):
-    """The 3-d box Laplacian's eigenvalues -6 + sum_j 2 cos(pi k_j /
+def exact_classes(box: int, gap: float = 1e-9, dims: int = 3):
+    """The box Laplacian's eigenvalues -2 dims + sum_j 2 cos(pi k_j /
     (box + 1)), k_j = 1..box, in closed form and sorted, and the sizes
     of their classes: runs whose consecutive differences are <= ``gap``.
     Exactly equal values differ by roundoff only; the caller checks that
     distinct ones differ by far more than ``gap``."""
     c = 2 * np.cos(np.pi * np.arange(1, box + 1) / (box + 1))
-    values = np.sort(np.add.outer(np.add.outer(c, c), c).ravel() - 6.0)
+    values = np.sort(functools.reduce(np.add.outer, [c] * dims).ravel()
+                     - 2.0 * dims)
     starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap)
     return values, np.diff(starts, append=len(values))
 
@@ -191,6 +193,60 @@ def test_spectrum_clusters_are_exact_classes(box):
     spectrum = Spectrum(assemble_full(sys).omega, sys.tol)
     assert np.array_equal(spectrum.sizes, sizes)
     assert np.max(np.abs(spectrum.values - values)) <= 1e-12
+
+
+def _placements(box: int, dims: int) -> list[LatticeSpec]:
+    """A centred cube and one in a corner of the box, off-centre on every
+    axis but the last, where it touches the far face."""
+    cube = max(1, box // 3)
+    return [LatticeSpec.centered(box, cube, dims),
+            LatticeSpec(box, cube, (0,) * (dims - 1) + (box - cube,), dims)]
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("box", range(3, 11))
+def test_closed_form_eigenpairs_against_eigh(box, dims):
+    """A lattice system's eigenpairs of Omega, in closed form, are
+    eigenpairs of the matrix it holds: the values those of eigh, sorted;
+    the vectors orthonormal, in its site order; their clusters at tol the
+    classes of exactly equal values."""
+    _, sizes = exact_classes(box, dims=dims)
+    for spec in _placements(box, dims):
+        sys = build_lattice_system(spec)
+        omega = assemble_full(sys).omega
+        values, vectors = sys.eigenpairs()
+        n = box ** dims
+        assert values.shape == (n,) and vectors.shape == (n, n)
+        assert np.all(np.diff(values) >= 0)
+        assert np.max(np.abs(values - np.linalg.eigvalsh(omega))) <= 1e-12
+        assert np.linalg.norm(omega @ vectors - vectors * values) <= 1e-12
+        assert np.linalg.norm(vectors.T @ vectors - np.eye(n)) <= 1e-12
+        spectrum = Spectrum(None, sys.tol, eigenpairs=(values, vectors))
+        assert np.array_equal(spectrum.sizes, sizes)
+
+
+@pytest.mark.parametrize("spec", [
+    *(LatticeSpec(6, 2, offset) for offset in
+      itertools.product((1, 3), repeat=3)),
+    LatticeSpec.centered(8, 3),
+    LatticeSpec.centered(10, 3),
+], ids=lambda spec: f"box{spec.box}-cube{spec.cube}-"
+                    f"{'.'.join(map(str, spec.offset))}")
+def test_closed_form_verdicts_match_matrices_only(spec):
+    """decompose and verify_theorem on the spec-built system, which takes
+    Omega's eigenpairs in closed form, give the dims, multiplicity, bound
+    and verdict of a system of the same three matrices alone, which
+    factors Omega by eigh."""
+    sys = build_lattice_system(spec)
+    verdicts = []
+    for system in (sys, BlockSystem(sys.omega1, sys.omega2, sys.gamma,
+                                    sys.tol)):
+        dec = decompose(system)
+        report = verify_theorem(system, dec)
+        verdicts.append((dec.dims, report.multiplicity_omega_c,
+                         report.bound, report.passed()))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][3]
 
 
 class TestVerifyExample:
