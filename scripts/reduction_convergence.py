@@ -5,15 +5,15 @@ At each level, ``reduction_discrepancy`` propagates the system through the
 reduced observable equation with memory convolution at ``steps`` and
 ``2 * steps`` and compares both runs with the exact full propagation of
 the observable rows; the step count doubles from level to level.  Prints
-both sup-norm gaps and the empirical convergence order (should approach
-2).
+the number of kernel modes that Gamma couples next to d2, then both
+sup-norm gaps and the empirical convergence order (should approach 2).
 """
 
 import argparse
 
 import numpy as np
 
-from opensys.dynamics import reduction_discrepancy
+from opensys.dynamics import make_kernel, reduction_discrepancy
 from opensys.systems import load_system, random_system
 
 
@@ -33,7 +33,9 @@ def main():
     v1 = rng.standard_normal(sys.d1) + 1j * rng.standard_normal(sys.d1)
     v1 /= np.linalg.norm(v1)
 
-    print(f"d1={sys.d1} d2={sys.d2}, horizon {args.t_max}")
+    modes = len(make_kernel(sys).eigvals)
+    print(f"d1={sys.d1} d2={sys.d2} ({modes} coupled kernel modes), "
+          f"horizon {args.t_max}")
     print(f"{'steps':>8} {'h':>10} {'sup gap':>12} {'at 2 steps':>12} "
           f"{'order':>7}")
     for level in range(args.levels):

@@ -165,7 +165,8 @@ def cmd_simulate_full(args) -> int:
     v1 = _initial_observable(sys, args.seed)
     v0 = np.concatenate([v1, np.zeros(sys.d2, dtype=complex)])
     grid = dyn.make_grid(args.t_max, args.steps)
-    traj = dyn.propagate_full(full, v0, dyn.ForcingSignal.zero(), grid)
+    traj = dyn.propagate_full(full, v0, dyn.ForcingSignal.zero(), grid,
+                              eigenpairs=sys.eigenpairs())
     dyn.trajectory_to_csv(traj, args.output)
     norms = traj.norms()
     drift = float(np.max(np.abs(norms - norms[0])))

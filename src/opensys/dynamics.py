@@ -19,9 +19,13 @@ M = Gamma U2.  The reduced equation is integrated with a trapezoidal
 (Crank-Nicolson style) step and trapezoidal memory quadrature, globally
 second order, against the exact full propagator as its accuracy oracle.
 The history is zero before t = 0, so the convolution's upper limit of
-infinity truncates to [0, t] exactly.  As a1 is an exact sum of d2
-exponentials, the memory sum obeys a one-step modal recursion (the exact
+infinity truncates to [0, t] exactly.  The kernel keeps only the modes
+of Omega2 that Gamma couples, those whose column of M is above the rank
+threshold theta: at least dim H2c of the d2, and the dropped ones change
+a1 by at most d2 theta^2.  As a1 is an exact sum of one exponential per
+kept mode, the memory sum obeys a one-step modal recursion (the exact
 case of Lubich & Schaedle's fast convolution, SIAM J. Sci. Comput. 2002).
+Below, d2 counts the kept modes.
 With the history, the state (v, R) obeys one linear time-invariant
 recurrence, so it is taken L = min(128 // d1, 2^16 // (d1 (d1 + 2 d2)))
 steps at a time (at least 1): the rows of the first L powers of the
@@ -59,8 +63,9 @@ class ResponseKernel:
     """Spectral form of a delayed-response kernel.
 
     a1 (observable side) has the eigvals of Omega2 and modes Gamma U; a2
-    (hidden side) those of Omega1 and modes Gamma^dag U.  The kernel at
-    time t is modes @ diag(exp(-i eigvals t)) @ modes^dag, exact in t.
+    (hidden side) those of Omega1 and modes Gamma^dag U; both keep only
+    the modes that ``make_kernel`` finds coupled.  The kernel at time t
+    is modes @ diag(exp(-i eigvals t)) @ modes^dag, exact in t.
     """
 
     eigvals: np.ndarray
@@ -152,7 +157,20 @@ def _uniform_step(times: np.ndarray) -> float:
 
 
 def make_kernel(sys: BlockSystem, side: str = OBSERVABLE) -> ResponseKernel:
-    """Delayed-response kernel of one side via eigendecomposition of the other."""
+    """Delayed-response kernel of one side via eigendecomposition of the
+    other, on its coupled modes only.
+
+    With w, U the eigenpairs of Omega2 (of Omega1 on the hidden side), a
+    mode's coupling column is Gamma u_m (Gamma^dag u_m).  A mode whose
+    column has 2-norm <= theta = tol * max(1, max_m ||Gamma u_m||), the
+    rank rule's threshold, is dropped: a mode Gamma does not couple adds
+    nothing to a1(t), and the dropped terms change a1(t) by at most
+    d2 theta^2 in norm at every t.  At least dim H2c modes are kept; on
+    the box 6, cube 2 lattice exactly that many, 84 of 208 centred and
+    146 at offset (1, 3, 1), but where Omega2 repeats an eigenvalue,
+    ``eigh``'s basis may spread the coupled part over more columns (407
+    for h2c = 405 at box 8, cube 3).  With no coupling none are kept.
+    """
     if side == OBSERVABLE:
         w, u = np.linalg.eigh(sys.omega2)
         modes = sys.gamma @ u
@@ -161,7 +179,12 @@ def make_kernel(sys: BlockSystem, side: str = OBSERVABLE) -> ResponseKernel:
         modes = sys.gamma.conj().T @ u
     else:
         raise ValueError(f"unknown kernel side {side!r}")
-    return ResponseKernel(eigvals=w, coupling_modes=modes)
+    norms = np.linalg.norm(modes, axis=0)
+    coupled = norms > sys.tol * max(1.0, np.max(norms, initial=0.0))
+    # compress keeps the C order of modes, so with no mode dropped the
+    # kernel, and all that is computed from it, is bit for bit the same
+    return ResponseKernel(eigvals=w[coupled],
+                          coupling_modes=np.compress(coupled, modes, axis=1))
 
 
 def _exact_states(mat: np.ndarray | None, v0: np.ndarray,
@@ -173,7 +196,9 @@ def _exact_states(mat: np.ndarray | None, v0: np.ndarray,
     U[:rows] exp(-i w t) (U^dag v0 + the Duhamel integral of U^dag F).
     They are one ``eigh`` of ``mat``, unless ``eigenpairs`` are given,
     such as a system's :meth:`~opensys.systems.BlockSystem.eigenpairs`;
-    ``mat`` is then not read.
+    ``mat`` is then not read.  Unforced, only U^dag v0 and U[:rows] are
+    read, so the eigenpairs may hold the first ``rows`` rows of U alone
+    when v0 is those rows' part of the state, and zero elsewhere.
 
     On the grid t_k = (j B + m) h the phases factor as
     exp(-i w j B h) exp(-i w m h).  Unforced, the states are one product of
@@ -211,14 +236,18 @@ def _exact_states(mat: np.ndarray | None, v0: np.ndarray,
 
 
 def propagate_full(omega: FullOperator | np.ndarray, v0: np.ndarray,
-                   forcing: ForcingSignal, times: np.ndarray) -> Trajectory:
+                   forcing: ForcingSignal, times: np.ndarray, *,
+                   eigenpairs: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> Trajectory:
     """Propagate dV/dt = -i Omega V + F spectrally on a uniform grid.
 
     The homogeneous part is exact; the Duhamel integral for the forcing is
     a cumulative trapezoid in the eigenbasis.  With zero forcing the result
     is exact up to eigensolver accuracy, in the (steps+1, n) states plus
     O(sqrt(steps n) n) phases; forcing adds two (steps+1, n) tables, the
-    phases and the integrand.
+    phases and the integrand.  ``eigenpairs`` of Omega, such as a system's
+    :meth:`~opensys.systems.BlockSystem.eigenpairs`, take the place of its
+    ``eigh``; Omega is then checked but not factored.
     """
     mat = omega.omega if isinstance(omega, FullOperator) else np.asarray(omega)
     mat = check_hermitian(mat, 1e-10, "full generator")
@@ -227,7 +256,8 @@ def propagate_full(omega: FullOperator | np.ndarray, v0: np.ndarray,
     if v0.shape != (n,):
         raise DimensionMismatchError(f"v0 shape {v0.shape} != ({n},)")
     times = np.asarray(times, dtype=float)
-    return Trajectory(times, _exact_states(mat, v0, forcing, times, n))
+    return Trajectory(times, _exact_states(mat, v0, forcing, times, n,
+                                           eigenpairs=eigenpairs))
 
 
 def _block_length(d1: int, d2: int) -> int:
@@ -361,9 +391,10 @@ def reduction_discrepancy(sys: BlockSystem, v1_0: np.ndarray, t_max: float,
     second-order reduced stepper.
     """
     fine_grid = make_grid(t_max, 2 * steps)
-    v0 = np.concatenate([v1_0, np.zeros(sys.d2, dtype=complex)])
-    full = _exact_states(None, v0, ForcingSignal.zero(), fine_grid, sys.d1,
-                         eigenpairs=sys.eigenpairs())
+    # the hidden initial state is zero, so the reference reads U[:d1] only
+    full = _exact_states(None, np.asarray(v1_0, dtype=complex),
+                         ForcingSignal.zero(), fine_grid, sys.d1,
+                         eigenpairs=sys.observable_eigenpairs())
     kernel = make_kernel(sys, OBSERVABLE)
 
     def gap(stride: int) -> float:

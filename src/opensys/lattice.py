@@ -14,7 +14,9 @@ A lattice system file holds the spec, not the matrices: the header
 ``d1``, ``d2``, ``tol`` and a ``lattice`` block (:func:`spec_to_dict`),
 from which loading builds the system (:func:`spec_from_dict`).  A system
 built from a spec keeps it, and gives the eigenpairs of its Omega in
-closed form (:func:`omega_eigenpairs`), with no ``eigh``.
+closed form (:func:`omega_eigenpairs`), with no ``eigh``, or the
+eigenvalues and the cube's rows of the eigenvectors alone
+(:func:`observable_eigenpairs`), with no n x n matrix.
 
 The infinite-lattice statements (infinite multiplicity of the ambient
 operator, infinitely many decoupled hidden modes) are only checked here
@@ -148,6 +150,22 @@ def build_lattice_system(spec: LatticeSpec) -> BlockSystem:
     )
 
 
+def _kron_eigenpairs(spec: LatticeSpec, rows: list[slice], order: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues, ascending, and the matching columns of the
+    Kronecker product of the rows ``rows[j]`` of axis j's DST-I matrix,
+    taken in the row order ``order``."""
+    m = spec.box + 1
+    k = np.arange(1, m)
+    # the argument reduced modulo 2 pi exactly, in integers
+    sine = np.sqrt(2.0 / m) * np.sin(np.pi * (np.outer(k, k) % (2 * m)) / m)
+    axis = 2.0 * np.cos(np.pi * k / m) - 2.0
+    values = functools.reduce(np.add.outer, [axis] * spec.dims).ravel()
+    columns = np.argsort(values, kind="stable")
+    vectors = functools.reduce(np.kron, [sine[r] for r in rows])
+    return values[columns], vectors[np.ix_(order, columns)]
+
+
 def omega_eigenpairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and orthonormal eigenvectors of the box
     Laplacian of ``spec``, in closed form: no ``eigh``.
@@ -162,15 +180,19 @@ def omega_eigenpairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     rows come in the site order of :func:`build_lattice_system`, the
     cube first, and the columns in ascending order of the eigenvalues.
     """
-    m = spec.box + 1
-    k = np.arange(1, m)
-    # the argument reduced modulo 2 pi exactly, in integers
-    sine = np.sqrt(2.0 / m) * np.sin(np.pi * (np.outer(k, k) % (2 * m)) / m)
-    axis = 2.0 * np.cos(np.pi * k / m) - 2.0
-    values = functools.reduce(np.add.outer, [axis] * spec.dims).ravel()
-    columns = np.argsort(values, kind="stable")
-    vectors = functools.reduce(np.kron, [sine] * spec.dims)
-    return values[columns], vectors[np.ix_(_cube_first(spec)[1], columns)]
+    return _kron_eigenpairs(spec, [slice(None)] * spec.dims,
+                            _cube_first(spec)[1])
+
+
+def observable_eigenpairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of :func:`omega_eigenpairs` and the first d1 rows
+    of its eigenvectors, those of the cube, built alone: the cube's sites
+    come first and in lexicographic order, so their rows are the
+    Kronecker product of the ``cube x box`` slices of the axes' DST-I
+    matrices at the cube's offset.  It holds d1 x n entries and no n x n
+    matrix."""
+    cube = [slice(o, o + spec.cube) for o in spec.offset]
+    return _kron_eigenpairs(spec, cube, np.arange(spec.cube ** spec.dims))
 
 
 # --- system files ------------------------------------------------------------

@@ -33,6 +33,10 @@ CONSISTENCY_FACTOR  route and theorem distances                decomposition
 leak rank proof     ``||leak||_F < 1/2``: the rows of a        decomposition
                     decoupled part in its block have full
                     column rank, so a QR needs no cut
+kernel mode         keep eigenvector u of Omega2 when          make_kernel
+                    ``||Gamma u|| > theta = tol * max(1,
+                    max_u ||Gamma u||)``; the dropped modes
+                    change a1(t) by ``<= d2 theta^2``
 ==================  =========================================  ===============
 
 The decomposition uses every row but containment: it reads its parts

@@ -102,6 +102,17 @@ class BlockSystem:
         from .lattice import omega_eigenpairs  # lattice imports this module
         return omega_eigenpairs(self.lattice)
 
+    def observable_eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues of :meth:`eigenpairs` and the first d1 rows of
+        its eigenvectors: built alone in closed form for a lattice built
+        from its spec (:func:`opensys.lattice.observable_eigenpairs`), with
+        no n x n matrix, else rows of the one ``eigh``."""
+        if self.lattice is None:
+            values, vectors = self.eigenpairs()
+            return values, vectors[:self.d1]
+        from .lattice import observable_eigenpairs
+        return observable_eigenpairs(self.lattice)
+
 
 @dataclass(frozen=True)
 class FullOperator:

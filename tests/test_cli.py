@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from opensys import cli, decomposition, lattice, subspaces
+from opensys import cli, decomposition, dynamics, lattice, subspaces
 from opensys.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from opensys.lattice import LatticeSpec, build_lattice_system, spec_to_dict
 from opensys.systems import (
+    assemble_full,
     encode_matrix,
     load_system,
     save_system,
@@ -83,6 +84,73 @@ def test_simulate_and_compare(sys_file, tmp_path, capsys):
     result = json.loads(out.read_text())
     assert 1.5 <= result["order"] <= 2.5
     assert "convergence order" in capsys.readouterr().out
+
+
+def test_kernel_export_rank_zero_writes_zeros(tmp_path):
+    """With Gamma = 0 the kernel keeps no mode, and both sides' CSVs hold
+    the grid and a zero for every entry."""
+    path, out = tmp_path / "rank0.json", tmp_path / "k.csv"
+    assert main(["gen-random", "--d1", "3", "--d2", "5", "--rank", "0",
+                 "--output", str(path)]) == EXIT_OK
+    for side, dim in (("observable", 3), ("hidden", 5)):
+        assert main(["kernel", "--input", str(path), "--side", side,
+                     "--output", str(out), "--t-max", "5",
+                     "--steps", "50"]) == EXIT_OK
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert data.shape == (51, 1 + 2 * dim * dim)
+        assert np.array_equal(data[:, 0], np.linspace(0.0, 5.0, 51))
+        assert not np.any(data[:, 1:])
+
+
+def _count_factorizations(monkeypatch):
+    """Record the shape of every eigh and each call of the closed-form
+    n x n eigenvectors."""
+    shapes, closed_form = [], []
+
+    def counted(a, *args, _eigh=np.linalg.eigh, **kwargs):
+        shapes.append(np.shape(a))
+        return _eigh(a, *args, **kwargs)
+
+    def omega_eigenpairs(spec, _pairs=lattice.omega_eigenpairs):
+        closed_form.append(spec)
+        return _pairs(spec)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(lattice, "omega_eigenpairs", omega_eigenpairs)
+    return shapes, closed_form
+
+
+def test_compare_lattice_reads_observable_rows(tmp_path, monkeypatch):
+    """compare on a lattice spec file builds its reference from the cube's
+    rows of the closed form: no n x n eigenvectors, and eigh runs once,
+    on Omega2, for the kernel."""
+    path = tmp_path / "lat.json"
+    assert main(["gen-lattice", "--box", "6", "--cube", "2",
+                 "--output", str(path)]) == EXIT_OK
+    shapes, closed_form = _count_factorizations(monkeypatch)
+    assert main(["compare", "--input", str(path), "--t-max", "2.5",
+                 "--steps", "100"]) == EXIT_OK
+    assert closed_form == [] and shapes == [(208, 208)]
+
+
+def test_simulate_full_lattice_takes_closed_form(tmp_path, monkeypatch):
+    """simulate-full on a lattice spec file runs no eigh, and its states
+    are those of the eigh route to 1e-10 relative."""
+    path, out = tmp_path / "lat.json", tmp_path / "full.csv"
+    assert main(["gen-lattice", "--box", "6", "--cube", "2",
+                 "--output", str(path)]) == EXIT_OK
+    shapes, closed_form = _count_factorizations(monkeypatch)
+    assert main(["simulate-full", "--input", str(path), "--output", str(out),
+                 "--t-max", "2.5", "--steps", "200", "--seed", "3"]) == EXIT_OK
+    monkeypatch.undo()
+    assert shapes == [] and len(closed_form) == 1
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    states = data[:, 1::2] + 1j * data[:, 2::2]
+    sys = load_system(path)
+    v1 = cli._initial_observable(sys, 3)
+    want = dynamics.propagate_full(
+        assemble_full(sys), np.concatenate([v1, np.zeros(sys.d2)]),
+        dynamics.ForcingSignal.zero(), dynamics.make_grid(2.5, 200)).states
+    assert np.max(np.abs(states - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.fixture

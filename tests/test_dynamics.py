@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from opensys.decomposition import decompose
 from opensys.dynamics import (
+    HIDDEN,
     OBSERVABLE,
     ForcingSignal,
     NoGainResult,
+    ResponseKernel,
     Trajectory,
     _block_length,
     _bump_profile,
@@ -181,7 +184,140 @@ class TestKernel:
         assert _relative_gap(stack, loop) <= 1e-13
 
 
+def _all_mode_kernel(sys, side=OBSERVABLE):
+    """The kernel on every eigenvector of Omega2 (of Omega1 on the hidden
+    side), coupled or not, built as make_kernel built it before it kept
+    the coupled modes only."""
+    if side == OBSERVABLE:
+        w, u = np.linalg.eigh(sys.omega2)
+        return ResponseKernel(w, sys.gamma @ u)
+    w, u = np.linalg.eigh(sys.omega1)
+    return ResponseKernel(w, sys.gamma.conj().T @ u)
+
+
+def _acceptance_dynamics_systems():
+    """The random systems that the acceptance suite's dynamics run on: the
+    20 of criterion 5, drawn as there, and the two of criterion 7."""
+    rng = np.random.default_rng(7)
+    cases = []
+    while len(cases) < 20:
+        d1 = int(rng.integers(1, 5))
+        d2 = int(rng.integers(1, 13 - d1))
+        rank = int(rng.integers(1, min(d1, d2) + 1))
+        cases.append(random_system(d1, d2, rank, seed=int(rng.integers(1e6))))
+    return cases + [random_system(3, 6, 2, seed=61),
+                    random_system(2, 8, 1, seed=62)]
+
+
+@pytest.mark.parametrize("offset", [(2, 2, 2), (1, 3, 1)],
+                         ids=["centred", "offset-1.3.1"])
+class TestCoupledModes:
+    """make_kernel keeps a mode when its coupling column Gamma u_m is above
+    theta = tol * max(1, max_m ||Gamma u_m||)."""
+
+    def test_lattice_keeps_h2c_modes(self, offset):
+        """On the box 6, cube 2 lattice the kept modes number dim H2c: 84
+        of 208 centred, 146 at offset (1, 3, 1)."""
+        sys = build_lattice_system(LatticeSpec(6, 2, offset))
+        assert len(make_kernel(sys).eigvals) == decompose(sys).dims["h2c"]
+
+    def test_dropped_part_within_bound(self, offset):
+        """The dropped modes add at most d2 theta^2 to a1(t) at every t,
+        checked with the same sum as the all-mode kernel (their columns
+        zeroed); the kept ones give that sum to roundoff, summed in
+        another order."""
+        sys = build_lattice_system(LatticeSpec(6, 2, offset))
+        full = _all_mode_kernel(sys)
+        norms = np.linalg.norm(full.coupling_modes, axis=0)
+        theta = sys.tol * max(1.0, norms.max())
+        kept = norms > theta
+        zeroed = ResponseKernel(full.eigvals, full.coupling_modes * kept)
+        times = make_grid(10.0, 200)
+        dropped = full.on_grid(times) - zeroed.on_grid(times)
+        assert np.max(np.linalg.norm(dropped, 2, axis=(1, 2))) \
+            <= sys.d2 * theta ** 2
+        kernel = make_kernel(sys)
+        assert np.array_equal(kernel.eigvals, full.eigvals[kept])
+        assert _relative_gap(kernel.on_grid(times),
+                             zeroed.on_grid(times)) <= 1e-14
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_states_match_all_modes(self, offset, forced):
+        sys = build_lattice_system(LatticeSpec(6, 2, offset))
+        grid = make_grid(2.5, 1000)
+        v1 = np.exp(1j * np.arange(sys.d1)) / np.sqrt(sys.d1)
+        f1 = ForcingSignal(np.outer(np.sin(3 * grid), np.ones(sys.d1))
+                           if forced else None)
+        states = propagate_reduced(sys, v1, f1, grid).states
+        want = propagate_reduced(sys, v1, f1, grid,
+                                 _all_mode_kernel(sys)).states
+        assert _relative_gap(states, want) <= 1e-12
+
+
+def test_no_mode_dropped_on_acceptance_systems():
+    """Every mode of the acceptance suite's random systems is coupled, so
+    the kernel, the reduced states and the no-gain check are bit for bit
+    those of the all-mode kernel."""
+    grid = make_grid(10.0, 200)
+    for sys in _acceptance_dynamics_systems():
+        kernel, full = make_kernel(sys), _all_mode_kernel(sys)
+        assert np.array_equal(kernel.eigvals, full.eigvals)
+        assert np.array_equal(kernel.coupling_modes, full.coupling_modes)
+        v1 = np.ones(sys.d1, dtype=complex) / np.sqrt(sys.d1)
+        zero = ForcingSignal.zero(OBSERVABLE)
+        assert np.array_equal(propagate_reduced(sys, v1, zero, grid).states,
+                              propagate_reduced(sys, v1, zero, grid,
+                                                full).states)
+        got, want = (no_gain_check(k, 5, grid, seed=3) for k in (kernel, full))
+        assert np.array_equal(got.values, want.values)
+        assert got.quad_error_bound == want.quad_error_bound
+
+
+@pytest.mark.parametrize("side", [OBSERVABLE, HIDDEN])
+def test_rank_zero_coupling_keeps_no_mode(side):
+    """Gamma = 0 couples no mode: the kernel has none; the reduced states
+    are those of the all-mode kernel of zero columns, to roundoff (the
+    step's product takes a d1 x d1 matrix, not a d1 x (d1 + d2) one); the
+    no-gain form is exactly 0."""
+    sys = random_system(3, 5, 0, seed=1)
+    kernel = make_kernel(sys, side)
+    assert kernel.eigvals.shape == (0,)
+    assert kernel.coupling_modes.shape == (kernel.dim, 0)
+    grid = make_grid(10.0, 100)
+    result = no_gain_check(kernel, 5, grid, seed=2)
+    assert result.min_value == 0.0 and result.quad_error_bound == 0.0
+    assert result.passed
+    if side == OBSERVABLE:
+        w = np.linalg.eigh(sys.omega2)[0]
+        zero_columns = ResponseKernel(w, np.zeros((sys.d1, sys.d2)))
+        v1 = np.ones(3, dtype=complex) / np.sqrt(3)
+        zero = ForcingSignal.zero(OBSERVABLE)
+        assert _relative_gap(
+            propagate_reduced(sys, v1, zero, grid).states,
+            propagate_reduced(sys, v1, zero, grid, zero_columns).states
+        ) <= 1e-14
+
+
 class TestPropagateFull:
+    def test_eigenpairs_take_the_place_of_eigh(self, lattice, monkeypatch):
+        """Given a system's eigenpairs, propagate_full runs no eigh: a
+        system of matrices gives the eigh route's states bit for bit, the
+        spec-built lattice its closed form's, within 1e-10 of eigh's."""
+        grid = make_grid(2.5, 200)
+        for sys in (random_system(3, 4, 2, seed=7), lattice):
+            full = assemble_full(sys)
+            v0 = np.exp(1j * np.arange(full.dim)) / np.sqrt(full.dim)
+            want = propagate_full(full, v0, ForcingSignal.zero(), grid).states
+            pairs = sys.eigenpairs()
+            monkeypatch.setattr(np.linalg, "eigh", None)
+            got = propagate_full(full, v0, ForcingSignal.zero(), grid,
+                                 eigenpairs=pairs).states
+            monkeypatch.undo()
+            if sys is lattice:
+                assert _relative_gap(got, want) <= 1e-10
+            else:
+                assert np.array_equal(got, want)
+
     def test_eigenvector_phase_evolution(self):
         sys = random_system(3, 3, 1, seed=2)
         full = assemble_full(sys)
