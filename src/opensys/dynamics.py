@@ -15,9 +15,14 @@ forcing) leaves the observable part with a memory term,
 
 where the delayed-response kernel a1(t) = Gamma exp(-i Omega2 t) Gamma^dag
 is held in spectral form, a1(t) = M diag(exp(-i w t)) M^dag with
-M = Gamma U2.  The reduced equation is integrated with a trapezoidal
-(Crank-Nicolson style) step and trapezoidal memory quadrature, globally
-second order, against the exact full propagator as its accuracy oracle.
+M = Gamma U2.  A system of matrices factors Omega2 by one ``eigh``; a
+lattice built from its spec folds it by the mirror reflections of the
+axes on which its cube is centred, into up to 2^dims sectors of about
+d2 / 2^dims sites each, and factors each sector on its own, so no
+d2 x d2 matrix is formed.  The reduced equation is integrated with a
+trapezoidal (Crank-Nicolson style) step and trapezoidal memory
+quadrature, globally second order, against the exact full propagator as
+its accuracy oracle.
 The history is zero before t = 0, so the convolution's upper limit of
 infinity truncates to [0, t] exactly.  The kernel keeps only the modes
 of Omega2 that Gamma couples, those whose column of M is above the rank
@@ -161,24 +166,24 @@ def make_kernel(sys: BlockSystem, side: str = OBSERVABLE) -> ResponseKernel:
     other, on its coupled modes only.
 
     With w, U the eigenpairs of Omega2 (of Omega1 on the hidden side), a
-    mode's coupling column is Gamma u_m (Gamma^dag u_m).  A mode whose
+    mode's coupling column is Gamma u_m (Gamma^dag u_m), as the system's
+    :meth:`~opensys.systems.BlockSystem.mode_columns` gives them: from one
+    ``eigh``, or on a lattice built from its spec one reflection sector at
+    a time (:func:`opensys.lattice.sector_modes`).  A mode whose
     column has 2-norm <= theta = tol * max(1, max_m ||Gamma u_m||), the
     rank rule's threshold, is dropped: a mode Gamma does not couple adds
     nothing to a1(t), and the dropped terms change a1(t) by at most
     d2 theta^2 in norm at every t.  At least dim H2c modes are kept; on
-    the box 6, cube 2 lattice exactly that many, 84 of 208 centred and
-    146 at offset (1, 3, 1), but where Omega2 repeats an eigenvalue,
-    ``eigh``'s basis may spread the coupled part over more columns (407
-    for h2c = 405 at box 8, cube 3).  With no coupling none are kept.
+    the centred lattices of box/cube 6/2, 7/3, 8/4, 10/4, 11/3, 12/4 and
+    14/4 exactly that many (84 of 208 at 6/2; 146 at offset (1, 3, 1)).
+    But where Omega2 repeats an eigenvalue inside a sector, ``eigh``'s
+    basis may spread the coupled part over more columns: 497 for
+    h2c = 490 at centred 9/3, and 407 for 405 at box 8, cube 3, which has
+    no centred axis.  With no coupling none are kept.
     """
-    if side == OBSERVABLE:
-        w, u = np.linalg.eigh(sys.omega2)
-        modes = sys.gamma @ u
-    elif side == HIDDEN:
-        w, u = np.linalg.eigh(sys.omega1)
-        modes = sys.gamma.conj().T @ u
-    else:
+    if side not in (OBSERVABLE, HIDDEN):
         raise ValueError(f"unknown kernel side {side!r}")
+    w, modes = sys.mode_columns(hidden=side == HIDDEN)
     norms = np.linalg.norm(modes, axis=0)
     coupled = norms > sys.tol * max(1.0, np.max(norms, initial=0.0))
     # compress keeps the C order of modes, so with no mode dropped the

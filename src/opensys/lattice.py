@@ -16,7 +16,9 @@ from which loading builds the system (:func:`spec_from_dict`).  A system
 built from a spec keeps it, and gives the eigenpairs of its Omega in
 closed form (:func:`omega_eigenpairs`), with no ``eigh``, or the
 eigenvalues and the cube's rows of the eigenvectors alone
-(:func:`observable_eigenpairs`), with no n x n matrix.
+(:func:`observable_eigenpairs`), with no n x n matrix.  The
+delayed-response kernel takes its blocks one reflection sector at a
+time (:func:`sector_modes`).
 
 The infinite-lattice statements (infinite multiplicity of the ambient
 operator, infinitely many decoupled hidden modes) are only checked here
@@ -193,6 +195,64 @@ def observable_eigenpairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     matrix."""
     cube = [slice(o, o + spec.cube) for o in spec.offset]
     return _kron_eigenpairs(spec, cube, np.arange(spec.cube ** spec.dims))
+
+
+def sector_modes(sys: BlockSystem, hidden: bool
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues w of Omega2 and the coupling columns Gamma U2 of
+    its eigenvectors (of Omega1 and Gamma^dag U1 when ``hidden``), taken
+    one reflection sector at a time, with no d2 x d2 matrix.
+
+    An axis is centred when 2 offset + cube = box; the reflections pi_k,
+    k in {0, 1}^a, of the a centred axes then commute with Omega and map
+    each block onto itself.  The representatives b are the block's sites
+    with 2 x_j <= box - 1 on every centred axis, and |S_b| is 2 to the
+    number of those axes whose mid-plane 2 x_j = box - 1 holds b.  Sector
+    sigma, with the character chi_sigma(k) = (-1)^(sigma . k), has the
+    orthonormal basis sum_k chi_sigma(k) e_{pi_k b} / sqrt(2^a |S_b|) over
+    the b on no mid-plane of an axis where sigma is odd, on which the
+    block is B[a, b] = sum_k chi_sigma(k) Omega[a, pi_k b] / sqrt(|S_a|
+    |S_b|) (Fassler & Stiefel, *Group Theoretical Methods and Their
+    Applications*, 1992).  The sums are of the integer entries, so they
+    are exact and no entry between sectors is formed.  Sectors of one
+    size take one batched ``eigh``; the values come sector by sector,
+    ascending in each.  With no centred axis the one sector is the block.
+    """
+    spec = sys.lattice
+    block, coupling = ((sys.omega1, sys.gamma.conj()) if hidden
+                       else (sys.omega2, sys.gamma.T))  # coupling rows: sites
+    coords, order, d1 = _cube_first(spec)
+    sites = order[:d1] if hidden else order[d1:]
+    position = np.empty_like(order)
+    position[sites] = np.arange(sites.size)
+    axes = [j for j, o in enumerate(spec.offset)
+            if 2 * o + spec.cube == spec.box]
+    x = coords[axes][:, sites]
+    reps = np.flatnonzero(np.all(2 * x <= spec.box - 1, axis=0))
+    x = x[:, reps]
+    bits = np.arange(2 ** len(axes))[:, None] >> np.arange(len(axes)) & 1
+    stride = spec.box ** (spec.dims - 1 - np.array(axes, dtype=int))
+    images = position[sites[reps] + bits @ ((spec.box - 1 - 2 * x)
+                                            * stride[:, None])]  # (2^a, R)
+    mid = (2 * x == spec.box - 1).astype(int)
+    sign = (-1.0) ** (bits @ bits.T)  # chi_sigma(k)
+    stab = 2 ** mid.sum(axis=0)
+    folded = np.tensordot(sign, block[reps[:, None], images[:, None, :]], 1) \
+        / np.sqrt(np.outer(stab, stab))
+    columns = np.tensordot(sign, coupling[images], 1) \
+        / np.sqrt(len(bits) * stab)[:, None]
+    keep = bits @ mid == 0  # (sector, representative)
+    sizes = keep.sum(axis=1)
+    values, modes = [], []
+    for size in np.unique(sizes):
+        sector = np.flatnonzero(sizes == size)
+        rep = np.nonzero(keep[sector])[1].reshape(len(sector), size)
+        w, v = np.linalg.eigh(folded[sector[:, None, None], rep[:, :, None],
+                                     rep[:, None, :]])
+        values.append(w.ravel())
+        modes.append((columns[sector[:, None], rep].transpose(0, 2, 1) @ v)
+                     .transpose(1, 0, 2).reshape(coupling.shape[1], w.size))
+    return np.concatenate(values), np.hstack(modes)
 
 
 # --- system files ------------------------------------------------------------

@@ -121,15 +121,20 @@ def _count_factorizations(monkeypatch):
 
 def test_compare_lattice_reads_observable_rows(tmp_path, monkeypatch):
     """compare on a lattice spec file builds its reference from the cube's
-    rows of the closed form: no n x n eigenvectors, and eigh runs once,
-    on Omega2, for the kernel."""
-    path = tmp_path / "lat.json"
-    assert main(["gen-lattice", "--box", "6", "--cube", "2",
-                 "--output", str(path)]) == EXIT_OK
-    shapes, closed_form = _count_factorizations(monkeypatch)
-    assert main(["compare", "--input", str(path), "--t-max", "2.5",
-                 "--steps", "100"]) == EXIT_OK
-    assert closed_form == [] and shapes == [(208, 208)]
+    rows of the closed form: no n x n eigenvectors.  eigh runs once, for
+    the kernel: on the eight 26 x 26 reflection sectors of Omega2 when the
+    cube is centred, on the whole 208 x 208 Omega2 at offset (1, 3, 1),
+    which is centred on no axis."""
+    for offset, want in ((None, (8, 26, 26)), ("1,3,1", (1, 208, 208))):
+        path = tmp_path / f"lat-{offset}.json"
+        assert main(["gen-lattice", "--box", "6", "--cube", "2",
+                     "--output", str(path)]
+                    + (["--offset", offset] if offset else [])) == EXIT_OK
+        shapes, closed_form = _count_factorizations(monkeypatch)
+        assert main(["compare", "--input", str(path), "--t-max", "2.5",
+                     "--steps", "100"]) == EXIT_OK
+        monkeypatch.undo()
+        assert closed_form == [] and shapes == [want]
 
 
 def test_simulate_full_lattice_takes_closed_form(tmp_path, monkeypatch):

@@ -186,13 +186,8 @@ class TestKernel:
 
 def _all_mode_kernel(sys, side=OBSERVABLE):
     """The kernel on every eigenvector of Omega2 (of Omega1 on the hidden
-    side), coupled or not, built as make_kernel built it before it kept
-    the coupled modes only."""
-    if side == OBSERVABLE:
-        w, u = np.linalg.eigh(sys.omega2)
-        return ResponseKernel(w, sys.gamma @ u)
-    w, u = np.linalg.eigh(sys.omega1)
-    return ResponseKernel(w, sys.gamma.conj().T @ u)
+    side) that the system's mode_columns gives, coupled or not."""
+    return ResponseKernel(*sys.mode_columns(hidden=side == HIDDEN))
 
 
 def _acceptance_dynamics_systems():
@@ -252,6 +247,66 @@ class TestCoupledModes:
         want = propagate_reduced(sys, v1, f1, grid,
                                  _all_mode_kernel(sys)).states
         assert _relative_gap(states, want) <= 1e-12
+
+
+# every centred lattice with box - cube even, box <= 10, cubes 1 to 4 and
+# dims 1 to 3 (odd boxes put sites on the mirrors' mid-planes), then specs
+# centred on some axes only
+SECTOR_SPECS = [LatticeSpec.centered(box, cube, dims)
+                for dims in (1, 2, 3) for cube in range(1, 5)
+                for box in range(cube, 11, 2)] + [
+    LatticeSpec(7, 3, (2, 1, 2)), LatticeSpec(7, 3, (1, 2, 1)),
+    LatticeSpec(8, 2, (3, 1, 2)), LatticeSpec(6, 2, (2, 1), dims=2),
+    LatticeSpec(7, 1, (3, 0), dims=2)]
+
+
+def _sup_gap(kernel, reference, times):
+    """The largest entry of kernel - reference over the times, and of the
+    reference, taken one time at a time."""
+    gap = top = 0.0
+    for t in times:
+        want = reference.on_grid(np.array([t]))
+        gap = max(gap, np.max(np.abs(kernel.on_grid(np.array([t])) - want),
+                              initial=0.0))
+        top = max(top, np.max(np.abs(want), initial=0.0))
+    return gap, top
+
+
+@pytest.mark.parametrize("spec", SECTOR_SPECS, ids=lambda s: (
+    f"{s.dims}d-box{s.box}-cube{s.cube}-at" + "".join(map(str, s.offset))))
+@pytest.mark.parametrize("side", [OBSERVABLE, HIDDEN])
+def test_sector_kernel_is_the_dense_kernel(spec, side):
+    """The kernel that a spec-built lattice takes one reflection sector at
+    a time equals the one eigh of the same blocks gives: the fold's
+    eigenvalues are those of the block, the kept kernel's a(t) agrees on
+    [0, 5] to 1e-12 relative, and the modes it drops add at most
+    (modes) theta^2 to a(t)."""
+    sys = build_lattice_system(spec)
+    dense = BlockSystem(sys.omega1, sys.omega2, sys.gamma, sys.tol)
+    values, columns = sys.mode_columns(hidden=side == HIDDEN)
+    block = sys.omega1 if side == HIDDEN else sys.omega2
+    assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(block)),
+                  initial=0.0) <= 1e-12
+    times = np.linspace(0.0, 5.0, 11)
+    gap, top = _sup_gap(make_kernel(sys, side), make_kernel(dense, side),
+                        times)
+    assert gap <= 1e-12 * top
+    norms = np.linalg.norm(columns, axis=0)
+    theta = sys.tol * max(1.0, np.max(norms, initial=0.0))
+    zeroed = ResponseKernel(values, columns * (norms > theta))
+    dropped, _ = _sup_gap(ResponseKernel(values, columns), zeroed, times)
+    assert dropped <= len(values) * theta ** 2
+
+
+def test_uncentred_lattice_kernel_is_unchanged():
+    """A spec centred on no axis folds by the trivial group: both kernels
+    are bit for bit those of one eigh of the same blocks."""
+    sys = build_lattice_system(LatticeSpec(6, 2, (1, 3, 1)))
+    dense = BlockSystem(sys.omega1, sys.omega2, sys.gamma, sys.tol)
+    for side in (OBSERVABLE, HIDDEN):
+        got, want = make_kernel(sys, side), make_kernel(dense, side)
+        assert np.array_equal(got.eigvals, want.eigvals)
+        assert np.array_equal(got.coupling_modes, want.coupling_modes)
 
 
 def test_no_mode_dropped_on_acceptance_systems():
@@ -608,8 +663,9 @@ class TestPropagateReduced:
     def test_lattice_discrepancy_factors_omega2_only(self, lattice,
                                                      monkeypatch):
         """A spec-built lattice gives the exact reference Omega's
-        eigenpairs in closed form: eigh runs once, on Omega2 (the kernel),
-        and the gaps are those of the reference taken by eigh."""
+        eigenpairs in closed form: eigh runs once, for the kernel, on the
+        eight 26 x 26 reflection sectors of Omega2, and the gaps are those
+        of the reference and the kernel taken by eigh."""
         calls = []
 
         def counted(a, *args, _eigh=np.linalg.eigh, **kwargs):
@@ -620,7 +676,7 @@ class TestPropagateReduced:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         result = reduction_discrepancy(lattice, v1, 2.5, 200)
         monkeypatch.undo()
-        assert calls == [(lattice.d2, lattice.d2)]
+        assert calls == [(8, lattice.d2 // 8, lattice.d2 // 8)]
         dense = BlockSystem(lattice.omega1, lattice.omega2, lattice.gamma)
         want = reduction_discrepancy(dense, v1, 2.5, 200)
         for key in ("sup_diff_coarse", "sup_diff_fine"):

@@ -49,6 +49,8 @@ def test_workload_round_passes_its_checks(name, workloads, tmp_path):
     ["scripts/code_lines.py"],
     # passes the zero forcing to propagate_reduced positionally
     ["perfbench/crosscheck.py"],
+    ["scripts/reduction_convergence.py", "--lattice", "5", "1", "--levels",
+     "2"],
 ])
 def test_script_runs(argv):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
