@@ -43,7 +43,12 @@ of the QRs, for the route distances; the eigen-directions a closure's
 cut drops for the theorem distances.  Both functions work in the
 eigenbasis of Omega, where H1 and H2 are the conjugate transposes of the
 first d1 and last d2 rows of its eigenvectors; no closure is formed in
-n-space.
+n-space.  There a closure and its complement are the factors its cut
+keeps and drops, one small square factor per eigenvalue cluster, and
+every product with them is taken cluster by cluster
+(:func:`~opensys.subspaces._cut_product`): between two closures the
+complement product is block-diagonal by cluster, and no n x n factor
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -57,7 +62,9 @@ from .subspaces import (
     Spectrum,
     SubspaceBasis,
     _complement_distance,
+    _cut_product,
     _eigen_clusters,
+    _spectral_norm,
     check_hermitian,
     orbit,
     orthonormalize,
@@ -212,19 +219,17 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
     or h2c in its block.  The eigenpairs of Omega are
     :meth:`~opensys.systems.BlockSystem.eigenpairs`.
     """
-    d1, tol = sys.d1, sys.tol
+    d1, d2, tol = sys.d1, sys.d2, sys.tol
     spectrum = Spectrum(None, tol, eigenpairs=sys.eigenpairs())
     vectors = spectrum.vectors
     # H1 and H2 in the eigenbasis of Omega are V^dag [I; 0] and V^dag [0; I];
     # each decoupled part is the eigenvectors times the factors its cut drops
-    factors, kept = spectrum.cut(vectors[:d1].conj().T)
-    h2d, h2c = _split_block(SubspaceBasis(vectors @ factors[:, ~kept]),
-                            slice(d1, None), slice(0, d1), tol,
-                            "H2c from closure(H1)")
-    factors, kept = spectrum.cut(vectors[d1:].conj().T)
-    h1d, h1c = _split_block(SubspaceBasis(vectors @ factors[:, ~kept]),
-                            slice(0, d1), slice(d1, None), tol,
-                            "H1c from closure(H2)")
+    h2d, h2c = _split_block(SubspaceBasis(_cut_product(
+        vectors, spectrum.cut(vectors[:d1].conj().T), keep=False)),
+        slice(d1, None), slice(0, d1), tol, "H2c from closure(H1)")
+    h1d, h1c = _split_block(SubspaceBasis(_cut_product(
+        vectors, spectrum.cut(vectors[d1:].conj().T), keep=False)),
+        slice(0, d1), slice(d1, None), tol, "H1c from closure(H2)")
     # independent fast route through the coupling ranges, compared through
     # the complements of h1c and h2c that the QRs above made exactly
     ran_gamma = orthonormalize(sys.gamma, tol)
@@ -232,10 +237,10 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
     # once, and Ran Gamma^dag needs no second cut
     ran_gamma_dag = SubspaceBasis(
         np.linalg.qr(sys.gamma.conj().T @ ran_gamma.matrix)[0])
-    dist1 = _complement_distance(orbit(sys.omega1, ran_gamma, tol).matrix,
-                                 h1d.matrix)
-    dist2 = _complement_distance(orbit(sys.omega2, ran_gamma_dag, tol).matrix,
-                                 h2d.matrix)
+    dist1 = _complement_distance(
+        h1d.matrix.conj().T @ orbit(sys.omega1, ran_gamma, tol).matrix, d1)
+    dist2 = _complement_distance(
+        h2d.matrix.conj().T @ orbit(sys.omega2, ran_gamma_dag, tol).matrix, d2)
     route_distance = max(dist1, dist2)
     if route_distance > CONSISTENCY_FACTOR * tol:
         raise DecompositionError(
@@ -267,7 +272,7 @@ def verify_block_form(sys: BlockSystem, dec: FourWayDecomposition) -> float:
     blocks = [(h1d, sys.omega1, h1c), (h2c, sys.omega2, h2d),
               (h1d, sys.gamma, h2c), (h1d, sys.gamma, h2d),
               (h1c, sys.gamma, h2d)]
-    return max((float(np.linalg.norm(left.conj().T @ (op @ right), 2))
+    return max((_spectral_norm(left.conj().T @ (op @ right))
                 for left, op, right in blocks
                 if left.shape[1] and right.shape[1]), default=0.0)
 
@@ -324,24 +329,21 @@ def verify_theorem(sys: BlockSystem,
              "closure(ran coupling)"]
     seeds = [core, core[:, :dec.h1c.dim], core[:, dec.h1c.dim:], coupling]
     # Each distance d(i, j), i < j, takes subspace i against the exact
-    # complement of closure j, the factors its cut drops.  Cutting from
-    # the last seed back holds one n x n factor matrix at a time.
-    dropped, distance = {}, {}
-    for i in reversed(range(len(seeds))):
-        factors, kept = spectrum.cut(seeds[i])
-        first = core if i == 0 else factors[:, kept]
-        for j in dropped:
-            distance[i, j] = _complement_distance(first, dropped[j])
-        dropped[i] = factors[:, ~kept]
+    # complement of closure j, the factors its cut drops: ||A^dag B_perp||,
+    # block-diagonal by cluster when A is a closure too
+    cuts = [spectrum.cut(seed) for seed in seeds]
+    distance = {(i, j): _complement_distance(_cut_product(
+        cuts[i] if i else core.conj().T, cuts[j], keep=False), len(core))
+        for i in range(len(seeds)) for j in range(i + 1, len(seeds))}
     equalities = [(f"{names[i]} vs {names[j]}", d)
-                  for (i, j), d in sorted(distance.items())]
+                  for (i, j), d in distance.items()]
     equalities.append(("diag closure vs h1c+h2c", dec.route_distance))
     core_reconstructible = max(distance[0, 1], distance[0, 2]) <= \
         CONSISTENCY_FACTOR * tol
 
-    # the last cut is the core's; being invariant, the core holds in each
-    # cluster as many eigenvalues as the cut keeps there
-    mult = int(max(np.add.reduceat(kept, spectrum.starts), default=0))
+    # being invariant, the core holds in each cluster as many eigenvalues
+    # as its cut keeps there
+    mult = int(max((ranks.max() for *_, ranks in cuts[0]), default=0))
     bound = min(2 * dec.ran_gamma.dim, dec.h1c.dim, dec.h2c.dim)
 
     return TheoremReport(

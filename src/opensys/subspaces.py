@@ -43,7 +43,7 @@ The decomposition uses every row but containment: it reads its parts
 off the cluster cuts and calls no :func:`complement`.
 
 The central operation is :meth:`Spectrum.cut`, which takes a seed
-subspace in the eigenbasis of a Hermitian matrix and returns both its
+subspace in the eigenbasis of a Hermitian matrix and yields both its
 orbit, the smallest invariant subspace containing it, and the orbit's
 orthogonal complement, the largest invariant subspace orthogonal to the
 seed.  Both are read off one eigendecomposition, a :class:`Spectrum`,
@@ -51,7 +51,10 @@ which several cuts under the same matrix share: the rank cuts of all its
 clusters of one size take one stacked :func:`_range_basis` call (row
 norms for one-eigenvalue clusters, else a QR and the SVD of its
 triangle), the orbit is the left singular vectors each cut keeps, and
-its complement those it drops.
+its complement those it drops.  A cut keeps these factors per cluster
+size, stacked, never as one n x n block-diagonal matrix;
+:func:`_cut_product` takes every product with them, one batched product
+per size, and a gather for one-eigenvalue clusters, whose factor is 1.
 :func:`orbit` returns the orbit in the standard basis.
 :func:`complement` makes no rank decision: it takes the trailing columns
 of a Householder QR, and its dimension is fixed by the inputs.
@@ -182,16 +185,18 @@ def orthonormalize(columns: np.ndarray, tol: float = DEFAULT_TOL) -> SubspaceBas
 
 
 def check_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
-    """Validate near-Hermiticity (Frobenius norm) and return (A + A^dag)/2."""
+    """Validate near-Hermiticity (Frobenius norm) and return (A + A^dag)/2,
+    a new array: a copy of A when A already equals A^dag."""
     a = as_field(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{what} is not square: shape {a.shape}")
-    if a.size:
-        defect = np.linalg.norm(a - a.conj().T)
-        if defect > tol * max(np.linalg.norm(a), 1.0):
-            raise SymmetryError(
-                f"{what} is not Hermitian: ||A - A^dag|| = {defect:.3e}"
-            )
+    if np.array_equal(a, a.conj().T):
+        return a.copy()
+    defect = np.linalg.norm(a - a.conj().T)
+    if defect > tol * max(np.linalg.norm(a), 1.0):
+        raise SymmetryError(
+            f"{what} is not Hermitian: ||A - A^dag|| = {defect:.3e}"
+        )
     return (a + a.conj().T) / 2
 
 
@@ -228,7 +233,8 @@ class Spectrum:
         self.values, self.vectors = eigenpairs
         self.starts, self.sizes = _eigen_clusters(self.values, tol)
 
-    def cut(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def cut(self, coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray,
+                                                     np.ndarray]]:
         """Rank cut, in every cluster, of a seed given by its eigen-coordinates.
 
         ``coords`` is the n x k matrix V^dag S of a seed S in the basis of
@@ -240,28 +246,23 @@ class Spectrum:
         zero columns up to the largest cluster size.  That adds only zero
         singular values, so the cut is unchanged, and every cluster's left
         factor is complete (square).
-        Returns the block-diagonal n x n matrix F of these factors, cluster
-        ``i`` in rows and columns ``starts[i]`` onwards, and the mask of its
-        columns that the cuts keep: the leading ``rank`` of each cluster.
-        In eigen-coordinates the invariant closure of S is ``F[:, kept]``,
-        and ``F[:, ~kept]``, the largest invariant subspace orthogonal to S,
-        is its exact complement: a column's component in span(S) is its
-        dropped singular value, at most ``tol * max(1, s_max)`` of its
-        cluster.  The eigenvalues of A on the closure are
-        ``values[kept]``.
+        Returns, for each cluster size g in ascending order, the row
+        indices (m, g) of its m clusters, their stacked left factors
+        (m, g, g) and their ranks (m,).  The factors are the diagonal
+        blocks of an n x n matrix F, which is never formed: in
+        eigen-coordinates the invariant closure of S is F's kept columns,
+        the leading ``rank`` of each cluster, and the dropped ones, the
+        largest invariant subspace orthogonal to S, are its exact
+        complement: a column's component in span(S) is its dropped
+        singular value, at most ``tol * max(1, s_max)`` of its cluster.
+        :func:`_cut_product` takes every product with F.
         """
-        n = len(self.values)
         pad = max(int(np.max(self.sizes, initial=0)) - coords.shape[1], 0)
-        coords = np.hstack([coords, np.zeros((n, pad), dtype=coords.dtype)])
-        factors = np.zeros((n, n), dtype=coords.dtype)
-        ranks = np.zeros(len(self.sizes), dtype=int)
-        for size in np.unique(self.sizes):
-            members = np.flatnonzero(self.sizes == size)
-            rows = self.starts[members, None] + np.arange(size)
-            left, ranks[members] = _range_basis(coords[rows], self.tol)
-            factors[rows[:, :, None], rows[:, None, :]] = left
-        position = np.arange(n) - np.repeat(self.starts, self.sizes)
-        return factors, position < np.repeat(ranks, self.sizes)
+        if pad:
+            coords = np.hstack([coords, np.zeros((len(coords), pad))])
+        groups = [self.starts[self.sizes == size, None] + np.arange(size)
+                  for size in np.unique(self.sizes)]
+        return [(rows, *_range_basis(coords[rows], self.tol)) for rows in groups]
 
     def orbit(self, seed: SubspaceBasis) -> SubspaceBasis:
         """Smallest invariant subspace containing span(seed).
@@ -269,18 +270,65 @@ class Spectrum:
         In finite dimension the invariant closure of a seed S is the direct
         sum, over the eigenspaces E of A, of span(P_E S).  Each eigenspace is
         one eigenvalue cluster, and the rank of the projected seed in it is
-        cut by :meth:`cut`.  The orbit is the product of the eigenvectors
-        with the left singular vectors the cuts keep, which are
-        block-sparse; its columns come cluster by cluster in ascending
-        order.  The result P satisfies
+        cut by :meth:`cut`.  The orbit is the eigenvectors times the left
+        singular vectors the cuts keep, formed cluster by cluster by
+        :func:`_cut_product`; its columns come cluster by cluster in
+        ascending order.  The result P satisfies
         ||(I - P) A P|| <= ORBIT_CERT_FACTOR * tol * ||A||.
         """
         if seed.ambient_dim != len(self.values):
             raise DimensionMismatchError(
                 f"seed ambient {seed.ambient_dim} != matrix dimension "
                 f"{len(self.values)}")
-        factors, kept = self.cut(self.vectors.conj().T @ seed.matrix)
-        return SubspaceBasis(self.vectors @ factors[:, kept])
+        cut = self.cut(self.vectors.conj().T @ seed.matrix)
+        return SubspaceBasis(_cut_product(self.vectors, cut))
+
+
+def _places(cut: list, keep: bool) -> np.ndarray:
+    """Each column's place among the columns of a cut's factor F that it
+    keeps (``keep``) or drops, counted cluster by cluster in ascending
+    order, and -1 for the other columns."""
+    chosen = np.zeros(sum(rows.size for rows, _, _ in cut), dtype=bool)
+    for rows, _, ranks in cut:
+        chosen[rows] = (np.arange(rows.shape[1]) < ranks[:, None]) == keep
+    return np.where(chosen, chosen.cumsum() - 1, -1)
+
+
+def _cut_product(a, cut: list, keep: bool = True) -> np.ndarray:
+    """``a F[:, S]`` for the block-diagonal factor F of a :meth:`Spectrum.cut`
+    and S the columns it keeps (``keep``) or drops, without forming F.
+
+    ``a`` is a p x n array, such as the eigenvectors, whose product with
+    F's kept columns is an orbit; or another cut of the same spectrum,
+    standing for the conjugate transpose of its kept columns, with which
+    the product is block-diagonal.  Each cluster size takes one batched
+    product of its factors.  A one-eigenvalue cluster has the factor 1,
+    so it takes a gather.  Columns come cluster by cluster in ascending
+    order; in the product with a cut, rows too.  Each cluster's product
+    is written to its places in a result with one spare row and column,
+    which take the columns outside S (and the other cut's dropped ones)
+    and are cut off.
+    """
+    is_cut = isinstance(a, list)
+    kept = sum(int(ranks.sum()) for *_, ranks in cut)
+    count = kept if keep else sum(rows.size for rows, _, _ in cut) - kept
+    width = sum(int(ranks.sum()) for *_, ranks in a) if is_cut else len(a)
+    out = np.zeros((count + 1, width + 1), dtype=np.result_type(
+        float if is_cut else a, *(left for _, left, _ in cut)))
+    place = _places(cut, keep) if count else None
+    columns = _places(a, True) if is_cut and count else None
+    for group, (rows, left, _) in enumerate(cut if count else []):
+        hit = np.any(place[rows] >= 0, axis=1)
+        rows, left = rows[hit], left[hit]
+        if not is_cut:
+            at, block = (place[rows], slice(width)), a.T[rows]
+        else:
+            at = place[rows][:, :, None], columns[rows][:, None, :]
+            block = a[group][1][hit].conj()
+        if rows.shape[1] > 1:
+            block = np.swapaxes(left, -1, -2) @ block
+        out[at] = block
+    return out[:-1, :width].T
 
 
 def orbit(a: np.ndarray, seed: SubspaceBasis, tol: float = DEFAULT_TOL) -> SubspaceBasis:
@@ -357,19 +405,19 @@ def projector_distance(a: SubspaceBasis, b: SubspaceBasis) -> float:
     return _spectral_norm(a.matrix - b.matrix @ (b.matrix.conj().T @ a.matrix))
 
 
-def _complement_distance(a: np.ndarray, b_perp: np.ndarray) -> float:
-    """||P_A - P_B|| from orthonormal bases of A and of B's orthogonal
-    complement, both n-row matrices.
+def _complement_distance(product: np.ndarray, n: int) -> float:
+    """||P_A - P_B|| from the product B_perp^dag A, or its conjugate
+    transpose, of orthonormal bases of A and of B's orthogonal complement
+    in an n-dimensional space.
 
     When dim A = dim B, that is when A and B_perp have n columns between
     them, it is ||B_perp^dag A|| (Golub & Van Loan, *Matrix
-    Computations*, Thm 2.5.1), an (n - k) x k product whose norm is taken
+    Computations*, Thm 2.5.1), the norm of an (n - k) x k product, taken
     by :func:`_spectral_norm`.  Otherwise it is exactly 1.  B_perp must be
     exact by construction (the trailing columns of a complete QR, or the
     factors a cut drops): the distance is only as good as its complement.
     """
-    same_dim = a.shape[1] + b_perp.shape[1] == a.shape[0]
-    return _spectral_norm(b_perp.conj().T @ a) if same_dim else 1.0
+    return _spectral_norm(product) if sum(product.shape) == n else 1.0
 
 
 def numeric_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:

@@ -1,7 +1,8 @@
 import dataclasses
 import functools
 import hashlib
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from opensys.lattice import LatticeSpec, build_lattice_system
 from opensys.subspaces import (
     ORBIT_CERT_FACTOR,
     Spectrum,
+    _complement_distance,
     SubspaceBasis,
     check_hermitian,
     complement,
@@ -36,7 +38,8 @@ from opensys.systems import (
     random_system,
     save_system,
 )
-from test_subspaces import degenerate_hermitian, orbit_complement
+from test_subspaces import (dense_factors, degenerate_hermitian,
+                            orbit_complement)
 from test_systems import decoupled_parts
 
 TOL = 1e-10
@@ -334,6 +337,71 @@ def planted_system(k1d, k1c, k2c, k2d, rank, seed, real=False):
                       u1 @ gamma @ u2.conj().T, TOL)
     return sys, [SubspaceBasis(u1[:, :k1d]), SubspaceBasis(u1[:, k1d:]),
                  SubspaceBasis(u2[:, :k2c]), SubspaceBasis(u2[:, k2c:])]
+
+
+def dense_factor_route(sys):
+    """decompose and verify_theorem through the n x n factor matrices of
+    the cuts (:func:`test_subspaces.dense_factors`), as they were formed
+    before the cuts kept their factors per cluster.  Returns the dims, the
+    theorem's distances with the route distance last, the multiplicity,
+    the bound and the verdict."""
+    d1, tol = sys.d1, sys.tol
+    spectrum = Spectrum(None, tol, eigenpairs=sys.eigenpairs())
+    vectors, n = spectrum.vectors, len(spectrum.values)
+
+    def dense_cut(spec, coords):
+        return dense_factors(spec.cut(coords), len(spec.values))
+
+    def distance(a, b_perp):  # ||B_perp^dag A|| from the two n-row bases
+        return _complement_distance(b_perp.conj().T @ a, a.shape[0])
+
+    factors, kept = dense_cut(spectrum, vectors[:d1].conj().T)
+    h2d, h2c = _split_block(SubspaceBasis(vectors @ factors[:, ~kept]),
+                            slice(d1, None), slice(0, d1), tol, "H2c")
+    factors, kept = dense_cut(spectrum, vectors[d1:].conj().T)
+    h1d, h1c = _split_block(SubspaceBasis(vectors @ factors[:, ~kept]),
+                            slice(0, d1), slice(d1, None), tol, "H1c")
+    ran_gamma = orthonormalize(sys.gamma, tol)
+    ran_gamma_dag = SubspaceBasis(
+        np.linalg.qr(sys.gamma.conj().T @ ran_gamma.matrix)[0])
+    route = 0.0
+    for block, seed, rest in ((sys.omega1, ran_gamma, h1d),
+                              (sys.omega2, ran_gamma_dag, h2d)):
+        spec = Spectrum(block, tol)
+        factors, kept = dense_cut(spec, spec.vectors.conj().T @ seed.matrix)
+        route = max(route, distance(spec.vectors @ factors[:, kept],
+                                    rest.matrix))
+
+    top, bottom = vectors[:d1].conj().T, vectors[d1:].conj().T
+    core = np.hstack([top @ h1c.matrix, bottom @ h2c.matrix])
+    coupling = np.hstack([top @ ran_gamma.matrix,
+                          bottom @ ran_gamma_dag.matrix])
+    cuts = [dense_cut(spectrum, seed) for seed in
+            (core, core[:, :h1c.dim], core[:, h1c.dim:], coupling)]
+    distances = [distance(
+        core if i == 0 else cuts[i][0][:, cuts[i][1]],
+        cuts[j][0][:, ~cuts[j][1]]) for i, j in combinations(range(4), 2)]
+    mult = int(max(np.add.reduceat(cuts[0][1], spectrum.starts), default=0))
+    bound = min(2 * ran_gamma.dim, h1c.dim, h2c.dim)
+    limit = 100 * tol
+    passed = (max(distances + [route]) <= limit and mult <= bound
+              and max(distances[:2]) <= limit)
+    dims = {"h1d": h1d.dim, "h1c": h1c.dim, "h2c": h2c.dim, "h2d": h2d.dim}
+    return dims, distances + [route], mult, bound, passed
+
+
+def assert_matches_dense_factor_route(sys):
+    """The same dims, multiplicity, bound and verdict as the n x n factor
+    route, and every distance within 1e-12 of its."""
+    dec = decompose(sys)
+    report = verify_theorem(sys, dec)
+    dims, distances, mult, bound, passed = dense_factor_route(sys)
+    assert dec.dims == dims
+    assert (report.multiplicity_omega_c, report.bound, report.passed()) == \
+        (mult, bound, passed)
+    got = [d for _, d in report.orbit_equalities]
+    assert len(got) == len(distances)
+    assert np.max(np.abs(np.subtract(got, distances))) <= 1e-12
 
 
 def assert_block_form_matches_conjugation(sys, dec):
@@ -699,6 +767,51 @@ def test_two_complete_qrs(monkeypatch):
     decompose(sys)
     assert [mode for mode in modes if mode != "r"] == ["complete", "complete",
                                                        "reduced"]
+
+
+@pytest.mark.parametrize("offset", list(product((1, 3), repeat=3)))
+def test_offset_lattices_match_dense_factor_route(offset):
+    """The box 6, cube 2 lattice at each of its eight off-centre cubes."""
+    assert_matches_dense_factor_route(
+        build_lattice_system(LatticeSpec(6, 2, offset, 3, TOL)))
+
+
+@pytest.mark.parametrize("box,cube", [(8, 3), (10, 3)])
+def test_centred_lattices_match_dense_factor_route(box, cube):
+    assert_matches_dense_factor_route(
+        build_lattice_system(LatticeSpec.centered(box, cube, 3, TOL)))
+
+
+@pytest.mark.parametrize("parts, rank, seed, real", [
+    ((2, 3, 4, 2), 1, 1, True),
+    ((3, 4, 5, 3), 2, 2, False),
+    ((4, 3, 6, 5), 3, 4, False),
+])
+def test_planted_systems_match_dense_factor_route(parts, rank, seed, real):
+    assert_matches_dense_factor_route(planted_system(*parts, rank, seed,
+                                                     real)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(real_systems(), complex_systems()))
+def test_random_systems_match_dense_factor_route(sys):
+    assert_matches_dense_factor_route(sys)
+
+
+def test_peak_memory_below_six_n_squared():
+    """decompose + verify_theorem on the centred box 10, cube 3 lattice
+    (n = 1000) allocate at their peak less than 6 n^2 float64, 48 MB: the
+    eigenvectors of Omega, the hidden block's and the parts, with no
+    n x n factor matrix beside them."""
+    sys = build_lattice_system(LatticeSpec.centered(10, 3, 3, TOL))
+    n = sys.d1 + sys.d2
+    tracemalloc.start()
+    try:
+        verify_theorem(sys, decompose(sys))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * n * 8
 
 
 @pytest.mark.parametrize("box,cube", [(6, 2), (8, 3)])

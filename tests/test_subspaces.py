@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,9 @@ from opensys.subspaces import (
     SubspaceBasis,
     SymmetryError,
     _complement_distance,
+    _cut_product,
     _range_basis,
+    check_hermitian,
     complement,
     numeric_rank,
     orbit,
@@ -391,6 +395,21 @@ def test_basis_must_be_a_matrix():
     assert SubspaceBasis(np.zeros((4, 0))).ambient_dim == 4
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_exactly_hermitian_input_is_copied(real):
+    """An input equal to its conjugate transpose, read-only like a decoded
+    buffer, comes back as a new writable array, bit for bit (A + A^dag)/2."""
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((5, 5))
+    if not real:
+        g = g + 1j * rng.standard_normal((5, 5))
+    a = g + g.conj().T
+    a.flags.writeable = False
+    out = check_hermitian(a, TOL)
+    assert not np.shares_memory(out, a) and out.flags.writeable
+    assert np.array_equal(out, (a + a.conj().T) / 2)
+
+
 def eigen_coords(spectrum, seed):
     return spectrum.vectors.conj().T @ seed.matrix
 
@@ -398,13 +417,31 @@ def eigen_coords(spectrum, seed):
 def orbit_complement(spectrum, seed):
     """Largest invariant subspace orthogonal to span(seed): the
     eigenvectors times the factors that :meth:`Spectrum.cut` drops."""
-    factors, kept = spectrum.cut(eigen_coords(spectrum, seed))
-    return SubspaceBasis(spectrum.vectors @ factors[:, ~kept])
+    return SubspaceBasis(_cut_product(
+        spectrum.vectors, spectrum.cut(eigen_coords(spectrum, seed)),
+        keep=False))
+
+
+def dense_factors(cut, n):
+    """A cut in its old form: its factors as one block-diagonal n x n
+    matrix F, cluster ``i`` in rows and columns ``starts[i]`` onwards, and
+    the mask of F's kept columns, the leading ``rank`` of each cluster."""
+    factors = np.zeros((n, n), dtype=np.result_type(
+        float, *(left for _, left, _ in cut)))
+    kept = np.zeros(n, dtype=bool)
+    for rows, left, ranks in cut:
+        factors[rows[:, :, None], rows[:, None, :]] = left
+        kept[rows] = np.arange(rows.shape[1]) < ranks[:, None]
+    return factors, kept
 
 
 def closure_values(spectrum, seed):
-    """Eigenvalues on orbit(seed): those the cut keeps, cluster by cluster."""
-    return spectrum.values[spectrum.cut(eigen_coords(spectrum, seed))[1]]
+    """Eigenvalues on orbit(seed): those the cut keeps, the leading
+    ``rank`` of each cluster, in ascending order."""
+    cut = spectrum.cut(eigen_coords(spectrum, seed))
+    return spectrum.values[np.sort(np.concatenate(
+        [rows[np.arange(rows.shape[1]) < ranks[:, None]]
+         for rows, _, ranks in cut]))]
 
 
 def per_cluster_orbit(spectrum, seed):
@@ -448,6 +485,35 @@ def assert_matches_per_cluster(spectrum, seed):
                   initial=0.0) <= spectrum.tol
 
 
+def assert_products_match_dense(spectrum, seeds, rng):
+    """Every product of :func:`_cut_product` equals its dense form with the
+    n x n factor matrices: a F[:, kept] and a F[:, ~kept] for a random a,
+    and F_a[:, kept_a]^dag F[:, kept] and F[:, ~kept] for the cut of
+    another seed; each cut's factors are unitary and cover every
+    eigenvalue once."""
+    n = len(spectrum.values)
+    cuts = [spectrum.cut(eigen_coords(spectrum, seed)) for seed in seeds]
+    a = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    for cut in cuts:
+        assert np.array_equal(np.sort(np.concatenate(
+            [rows.ravel() for rows, _, _ in cut])), np.arange(n))
+        for rows, left, ranks in cut:
+            assert left.shape == (*rows.shape, rows.shape[1])
+            assert np.allclose(np.swapaxes(left, -1, -2).conj() @ left,
+                               np.eye(rows.shape[1]), atol=1e-12)
+            assert ranks.shape == rows.shape[:1]
+    for (cut_a, cut), keep in itertools.product(
+            itertools.product(cuts, repeat=2), (True, False)):
+        factors, kept = dense_factors(cut, n)
+        columns = factors[:, kept == keep]
+        assert np.allclose(_cut_product(a, cut, keep), a @ columns,
+                           rtol=0, atol=1e-12)
+        factors_a, kept_a = dense_factors(cut_a, n)
+        product = _cut_product(cut_a, cut, keep)
+        assert np.allclose(product, factors_a[:, kept_a].conj().T @ columns,
+                           rtol=0, atol=1e-12)
+
+
 def degenerate_hermitian(multiplicities, rng):
     """Random Hermitian matrix whose eigenvalues repeat ``multiplicities``
     times each, so its clusters have several sizes."""
@@ -473,8 +539,11 @@ class TestStackedClusterCuts:
         for seed in block_seeds(sys.d1, sys.d2, float):
             assert_matches_per_cluster(spectrum, seed)
         rng = np.random.default_rng(0)
-        assert_matches_per_cluster(spectrum, orthonormalize(
-            rng.standard_normal((sys.d1 + sys.d2, 5)), TOL))
+        random_seed = orthonormalize(
+            rng.standard_normal((sys.d1 + sys.d2, 5)), TOL)
+        assert_matches_per_cluster(spectrum, random_seed)
+        assert_products_match_dense(
+            spectrum, [*block_seeds(sys.d1, sys.d2, float), random_seed], rng)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 9), st.data())
@@ -495,6 +564,8 @@ class TestStackedClusterCuts:
         n = len(spectrum.values)
         seed_basis = orthonormalize(rng.standard_normal((n, min(k, n))), TOL)
         assert_matches_per_cluster(spectrum, seed_basis)
+        other = orthonormalize(rng.standard_normal((n, 1)), TOL)
+        assert_products_match_dense(spectrum, [seed_basis, other], rng)
 
 
 def test_svd_counts(monkeypatch):
@@ -523,7 +594,8 @@ def test_svd_counts(monkeypatch):
     rest = complement(closure, h1, TOL)
     assert rest.dim == closure.dim - h1.dim
     assert projector_distance(rest, complement(closure, h1, TOL)) < 1e-12
-    assert _complement_distance(closure.matrix, outside.matrix) < 1e-12
+    assert _complement_distance(outside.matrix.conj().T @ closure.matrix,
+                                len(spectrum.values)) < 1e-12
     assert calls == []
 
 
@@ -587,7 +659,7 @@ def test_complement_distance_matches_projector_distance(n, data, log_angle,
     a = SubspaceBasis(q[:, :k] @ unitary(k))
     b = SubspaceBasis(rotated @ unitary(k) if k_b == k else unitary(n)[:, :k_b])
     b_perp = np.linalg.qr(b.matrix, mode="complete")[0][:, k_b:]
-    distance = _complement_distance(a.matrix, b_perp)
+    distance = _complement_distance(b_perp.conj().T @ a.matrix, n)
     oracle = projector_distance(a, b)
     if k_b != k:
         assert distance == oracle == 1.0
