@@ -44,16 +44,19 @@ cut drops for the theorem distances.  Both functions work in the
 eigenbasis of Omega, where H1 and H2 are the conjugate transposes of the
 first d1 and last d2 rows of its eigenvectors; no closure is formed in
 n-space.  There a closure and its complement are the factors its cut
-keeps and drops, one small square factor per eigenvalue cluster, and
-every product with them is taken cluster by cluster
-(:func:`~opensys.subspaces._cut_product`): between two closures the
-complement product is block-diagonal by cluster, and no n x n factor
-matrix is formed.
+keeps and drops, one small square factor per eigenvalue cluster, and no
+n x n factor matrix is formed.  The core's distances take its product
+with a closure's dropped factors cluster by cluster
+(:func:`~opensys.subspaces._cut_product`).  Two closures of one spectrum
+are equal exactly when they agree inside every cluster, so they are
+compared cluster by cluster (:func:`~opensys.subspaces._cut_distance`):
+their distance is the largest over the clusters, and no product between
+them is wider than one cluster.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,6 +65,7 @@ from .subspaces import (
     Spectrum,
     SubspaceBasis,
     _complement_distance,
+    _cut_distance,
     _cut_product,
     _eigen_clusters,
     _spectral_norm,
@@ -163,16 +167,8 @@ class TheoremReport:
                 and self.reconstructible_core)
 
     def to_dict(self) -> dict:
-        return {
-            "orbit_equalities": [[name, dist] for name, dist in
-                                 self.orbit_equalities],
-            "multiplicity_omega_c": self.multiplicity_omega_c,
-            "bound": self.bound,
-            "bound_satisfied": self.bound_satisfied,
-            "reconstructible_core": self.reconstructible_core,
-            "dims": self.dims,
-            "tol": self.tol,
-        }
+        return {**asdict(self), "orbit_equalities": [
+            [name, dist] for name, dist in self.orbit_equalities]}
 
 
 def _split_block(decoupled: SubspaceBasis, take: slice, other: slice,
@@ -300,9 +296,10 @@ def verify_theorem(sys: BlockSystem,
     core: H1c + H2c and the invariant closures of H1c, of H2c and of the
     range of the symmetrized coupling.  All four are taken in the
     eigenbasis of Omega, where a closure is the factors its cut keeps and
-    the factors it drops are its exact complement; each pair is compared
-    by the complement product ||B_perp^dag A||, the closure B always the
-    second of the pair, so the core's complement is never needed.
+    the factors it drops are its exact complement.  The core is compared
+    with each closure B by the complement product ||B_perp^dag A||, so
+    its own complement is never needed; two closures are compared cluster
+    by cluster, the largest of their per-cluster distances.
     The proof-chain entry (the closure of that range under diag(Omega1,
     Omega2) is H1c + H2c) is ``dec.route_distance``, exact because both
     sides are block-diagonal in H1 + H2.  The core is reconstructible
@@ -328,13 +325,14 @@ def verify_theorem(sys: BlockSystem,
     names = ["h1c+h2c", "closure(h1c)", "closure(h2c)",
              "closure(ran coupling)"]
     seeds = [core, core[:, :dec.h1c.dim], core[:, dec.h1c.dim:], coupling]
-    # Each distance d(i, j), i < j, takes subspace i against the exact
-    # complement of closure j, the factors its cut drops: ||A^dag B_perp||,
-    # block-diagonal by cluster when A is a closure too
+    # Each distance d(i, j), i < j, takes subspace i against closure j:
+    # the core against the exact complement of the closure, the factors
+    # its cut drops (||A^dag B_perp||), and two closures cluster by cluster
     cuts = [spectrum.cut(seed) for seed in seeds]
-    distance = {(i, j): _complement_distance(_cut_product(
-        cuts[i] if i else core.conj().T, cuts[j], keep=False), len(core))
-        for i in range(len(seeds)) for j in range(i + 1, len(seeds))}
+    distance = {(i, j): _cut_distance(cuts[i], cuts[j]) if i else
+                _complement_distance(_cut_product(
+                    core.conj().T, cuts[j], keep=False), len(core))
+                for i in range(len(seeds)) for j in range(i + 1, len(seeds))}
     equalities = [(f"{names[i]} vs {names[j]}", d)
                   for (i, j), d in distance.items()]
     equalities.append(("diag closure vs h1c+h2c", dec.route_distance))

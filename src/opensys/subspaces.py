@@ -53,8 +53,11 @@ norms for one-eigenvalue clusters, else a QR and the SVD of its
 triangle), the orbit is the left singular vectors each cut keeps, and
 its complement those it drops.  A cut keeps these factors per cluster
 size, stacked, never as one n x n block-diagonal matrix;
-:func:`_cut_product` takes every product with them, one batched product
-per size, and a gather for one-eigenvalue clusters, whose factor is 1.
+:func:`_cut_product` takes their products with a p x n array, one
+batched product per size, and a gather for one-eigenvalue clusters,
+whose factor is 1.  Two closures cut from one spectrum are direct sums
+of their parts in the clusters, so :func:`_cut_distance` compares them
+cluster by cluster, with no product wider than one cluster.
 :func:`orbit` returns the orbit in the standard basis.
 :func:`complement` makes no rank decision: it takes the trailing columns
 of a Householder QR, and its dimension is fixed by the inputs.
@@ -64,9 +67,13 @@ A||`` for subspaces of equal dimension (:func:`_complement_distance`),
 with B_perp a complement that is exact by construction: the trailing
 columns of a complete QR, or the factors a cut drops.  The norm of that
 (n - k) x k product is the top eigenvalue of its smaller Gram matrix
-(:func:`_spectral_norm`), not an SVD.  :func:`projector_distance` needs
-no complement: it takes the norm of the n x k residual (I - P_B) A, and
-is the oracle of the complement form.
+(:func:`_spectral_norm`), not an SVD.  Between two closures of one
+spectrum the product is block-diagonal by cluster, and its norm is the
+largest of the blocks' (:func:`_cut_distance`): 1 when the closures keep
+a different rank in some cluster, else the top singular value of the
+g x g blocks, one batched SVD per cluster size.
+:func:`projector_distance` needs no complement: it takes the norm of the
+n x k residual (I - P_B) A, and is the oracle of the complement form.
 """
 
 from __future__ import annotations
@@ -255,7 +262,8 @@ class Spectrum:
         largest invariant subspace orthogonal to S, are its exact
         complement: a column's component in span(S) is its dropped
         singular value, at most ``tol * max(1, s_max)`` of its cluster.
-        :func:`_cut_product` takes every product with F.
+        :func:`_cut_product` takes F's products with an array, and
+        :func:`_cut_distance` compares two cuts cluster by cluster.
         """
         pad = max(int(np.max(self.sizes, initial=0)) - coords.shape[1], 0)
         if pad:
@@ -284,51 +292,62 @@ class Spectrum:
         return SubspaceBasis(_cut_product(self.vectors, cut))
 
 
-def _places(cut: list, keep: bool) -> np.ndarray:
-    """Each column's place among the columns of a cut's factor F that it
-    keeps (``keep``) or drops, counted cluster by cluster in ascending
-    order, and -1 for the other columns."""
-    chosen = np.zeros(sum(rows.size for rows, _, _ in cut), dtype=bool)
+def _cut_product(a: np.ndarray, cut: list, keep: bool = True) -> np.ndarray:
+    """``a F[:, S]`` for a p x n array ``a``, the block-diagonal factor F of
+    a :meth:`Spectrum.cut` and S the columns it keeps (``keep``) or drops,
+    without forming F.
+
+    With the eigenvectors as ``a`` the kept columns give an orbit.  Each
+    cluster size takes one batched product of its factors.  A
+    one-eigenvalue cluster has the factor 1, so it takes a gather.
+    Columns come in F's order, cluster by cluster in ascending order; each
+    cluster's product is written to its places in a result with one spare
+    row, which takes the columns outside S and is cut off.
+    """
+    kept = sum(int(ranks.sum()) for *_, ranks in cut)
+    count = kept if keep else a.shape[1] - kept
+    out = np.zeros((count + 1, len(a)),
+                   dtype=np.result_type(a, *(left for _, left, _ in cut)))
+    if not count:
+        return out[:-1].T
+    chosen = np.zeros(a.shape[1], dtype=bool)
     for rows, _, ranks in cut:
         chosen[rows] = (np.arange(rows.shape[1]) < ranks[:, None]) == keep
-    return np.where(chosen, chosen.cumsum() - 1, -1)
-
-
-def _cut_product(a, cut: list, keep: bool = True) -> np.ndarray:
-    """``a F[:, S]`` for the block-diagonal factor F of a :meth:`Spectrum.cut`
-    and S the columns it keeps (``keep``) or drops, without forming F.
-
-    ``a`` is a p x n array, such as the eigenvectors, whose product with
-    F's kept columns is an orbit; or another cut of the same spectrum,
-    standing for the conjugate transpose of its kept columns, with which
-    the product is block-diagonal.  Each cluster size takes one batched
-    product of its factors.  A one-eigenvalue cluster has the factor 1,
-    so it takes a gather.  Columns come cluster by cluster in ascending
-    order; in the product with a cut, rows too.  Each cluster's product
-    is written to its places in a result with one spare row and column,
-    which take the columns outside S (and the other cut's dropped ones)
-    and are cut off.
-    """
-    is_cut = isinstance(a, list)
-    kept = sum(int(ranks.sum()) for *_, ranks in cut)
-    count = kept if keep else sum(rows.size for rows, _, _ in cut) - kept
-    width = sum(int(ranks.sum()) for *_, ranks in a) if is_cut else len(a)
-    out = np.zeros((count + 1, width + 1), dtype=np.result_type(
-        float if is_cut else a, *(left for _, left, _ in cut)))
-    place = _places(cut, keep) if count else None
-    columns = _places(a, True) if is_cut and count else None
-    for group, (rows, left, _) in enumerate(cut if count else []):
+    place = np.where(chosen, chosen.cumsum() - 1, -1)
+    for rows, left, _ in cut:
         hit = np.any(place[rows] >= 0, axis=1)
         rows, left = rows[hit], left[hit]
-        if not is_cut:
-            at, block = (place[rows], slice(width)), a.T[rows]
-        else:
-            at = place[rows][:, :, None], columns[rows][:, None, :]
-            block = a[group][1][hit].conj()
+        block = a.T[rows]
         if rows.shape[1] > 1:
             block = np.swapaxes(left, -1, -2) @ block
-        out[at] = block
-    return out[:-1, :width].T
+        out[place[rows]] = block
+    return out[:-1].T
+
+
+def _cut_distance(cut_a: list, cut_b: list) -> float:
+    """||P_A - P_B|| for the closures A and B that two cuts of one
+    :class:`Spectrum` keep.
+
+    Both are direct sums of their parts in the eigenvalue clusters, so
+    the distance is the largest over the clusters.  It is exactly 1 when
+    the cuts keep a different rank in any cluster, the parts there then
+    differing in dimension (and so when dim A != dim B).  Otherwise a
+    cluster of rank r, 0 < r < g, gives ||L_b[:, r:]^dag L_a[:, :r]||
+    (:func:`_complement_distance`), L_a and L_b the cuts' g x g factors.
+    Each cluster size takes one batched SVD of these blocks, padded with
+    zeros to g x g; one-eigenvalue clusters take none.
+    """
+    norm = 0.0
+    for (rows, left_a, ranks), (_, left_b, ranks_b) in zip(cut_a, cut_b):
+        if np.any(ranks != ranks_b):
+            return 1.0
+        hit = (ranks > 0) & (ranks < rows.shape[1])
+        if hit.any():
+            g, r = np.arange(rows.shape[1]), ranks[hit, None, None]
+            cross = np.swapaxes(left_b[hit], -1, -2).conj() @ left_a[hit]
+            blocks = np.where((g[:, None] >= r) & (g < r), cross, 0)
+            norm = max(norm, np.linalg.svd(blocks, compute_uv=False).max())
+    return float(norm)
 
 
 def orbit(a: np.ndarray, seed: SubspaceBasis, tol: float = DEFAULT_TOL) -> SubspaceBasis:

@@ -1033,6 +1033,26 @@ def test_verify_theorem_cuts_no_gamma(make, monkeypatch):
                                dec.h1c.dim, dec.h2c.dim)
 
 
+def test_verify_theorem_norms_only_against_the_core(monkeypatch):
+    """Only the three distances against the core take a dense spectral
+    norm, each of a product with the core's dimension on one side; the
+    closures are compared with each other cluster by cluster."""
+    sys = build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL))
+    dec = decompose(sys)
+    shapes = []
+
+    def recorded(m, _norm=subspaces._spectral_norm):
+        shapes.append(m.shape)
+        return _norm(m)
+    monkeypatch.setattr(subspaces, "_spectral_norm", recorded)
+    assert verify_theorem(sys, dec).passed()
+    monkeypatch.undo()
+
+    core = dec.h1c.dim + dec.h2c.dim
+    assert len(shapes) == 3
+    assert all(core in shape for shape in shapes)
+
+
 def test_leak_failure_names_stage_and_limit():
     decoupled = SubspaceBasis(np.array([[1.0], [-1.0]]) / np.sqrt(2))
     with pytest.raises(DecompositionError) as info:

@@ -12,6 +12,7 @@ from opensys.subspaces import (
     SubspaceBasis,
     SymmetryError,
     _complement_distance,
+    _cut_distance,
     _cut_product,
     _range_basis,
     check_hermitian,
@@ -487,10 +488,10 @@ def assert_matches_per_cluster(spectrum, seed):
 
 def assert_products_match_dense(spectrum, seeds, rng):
     """Every product of :func:`_cut_product` equals its dense form with the
-    n x n factor matrices: a F[:, kept] and a F[:, ~kept] for a random a,
-    and F_a[:, kept_a]^dag F[:, kept] and F[:, ~kept] for the cut of
-    another seed; each cut's factors are unitary and cover every
-    eigenvalue once."""
+    n x n factor matrices, a F[:, kept] and a F[:, ~kept] for a random a,
+    and :func:`_cut_distance` between the cuts of two seeds equals the
+    dense ||F_a[:, kept_a]^dag F[:, ~kept]||; each cut's factors are
+    unitary and cover every eigenvalue once."""
     n = len(spectrum.values)
     cuts = [spectrum.cut(eigen_coords(spectrum, seed)) for seed in seeds]
     a = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
@@ -502,16 +503,15 @@ def assert_products_match_dense(spectrum, seeds, rng):
             assert np.allclose(np.swapaxes(left, -1, -2).conj() @ left,
                                np.eye(rows.shape[1]), atol=1e-12)
             assert ranks.shape == rows.shape[:1]
-    for (cut_a, cut), keep in itertools.product(
-            itertools.product(cuts, repeat=2), (True, False)):
+    for cut_a, cut in itertools.product(cuts, repeat=2):
         factors, kept = dense_factors(cut, n)
-        columns = factors[:, kept == keep]
-        assert np.allclose(_cut_product(a, cut, keep), a @ columns,
-                           rtol=0, atol=1e-12)
+        for keep in (True, False):
+            assert np.allclose(_cut_product(a, cut, keep),
+                               a @ factors[:, kept == keep], rtol=0, atol=1e-12)
         factors_a, kept_a = dense_factors(cut_a, n)
-        product = _cut_product(cut_a, cut, keep)
-        assert np.allclose(product, factors_a[:, kept_a].conj().T @ columns,
-                           rtol=0, atol=1e-12)
+        dense = _complement_distance(
+            factors_a[:, kept_a].conj().T @ factors[:, ~kept], n)
+        assert abs(_cut_distance(cut_a, cut) - dense) <= 1e-12
 
 
 def degenerate_hermitian(multiplicities, rng):
@@ -568,10 +568,28 @@ class TestStackedClusterCuts:
         assert_products_match_dense(spectrum, [seed_basis, other], rng)
 
 
+def test_cut_distance_is_one_when_cluster_ranks_differ():
+    """Two closures of equal dimension, 2, whose cuts keep ranks (2, 0) and
+    (1, 1) in the two clusters of a doubly degenerate spectrum, are at
+    distance exactly 1; the dense complement product reads 1 too."""
+    rng = np.random.default_rng(3)
+    spectrum = Spectrum(degenerate_hermitian([2, 2], rng), TOL)
+    v = spectrum.vectors
+    cuts = [spectrum.cut(eigen_coords(spectrum, SubspaceBasis(seed)))
+            for seed in (v[:, :2], v[:, [0, 2]])]
+    assert [cut[0][2].tolist() for cut in cuts] == [[2, 0], [1, 1]]
+    assert _cut_distance(*cuts) == _cut_distance(*cuts[::-1]) == 1.0
+    (factors_a, kept_a), (factors, kept) = (dense_factors(cut, 4)
+                                            for cut in cuts)
+    assert abs(_complement_distance(
+        factors_a[:, kept_a].conj().T @ factors[:, ~kept], 4) - 1) <= 1e-12
+
+
 def test_svd_counts(monkeypatch):
     """A cut, through Spectrum.orbit or orbit_complement, makes one SVD per
-    distinct cluster size; complement, projector_distance and
-    _complement_distance make none."""
+    distinct cluster size; _cut_distance at most one per cluster size, and
+    none when every cluster has one eigenvalue; complement,
+    projector_distance and _complement_distance make none."""
     inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # norm's svd
     sys = build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL))
     spectrum = Spectrum(assemble_full(sys).omega, TOL)
@@ -596,6 +614,20 @@ def test_svd_counts(monkeypatch):
     assert projector_distance(rest, complement(closure, h1, TOL)) < 1e-12
     assert _complement_distance(outside.matrix.conj().T @ closure.matrix,
                                 len(spectrum.values)) < 1e-12
+    assert calls == []
+    cuts = [spectrum.cut(eigen_coords(spectrum, seed))
+            for seed in (h1, closure)]
+    calls.clear()
+    assert _cut_distance(*cuts) < 1e-12
+    assert 0 < len(calls) <= 4
+    generic = Spectrum(degenerate_hermitian([1] * 12,
+                                            np.random.default_rng(0)), TOL)
+    assert set(generic.sizes.tolist()) == {1}
+    cuts = [generic.cut(eigen_coords(generic, SubspaceBasis(seed)))
+            for seed in (generic.vectors[:, :5], generic.vectors[:, 7:])]
+    calls.clear()
+    assert _cut_distance(cuts[0], cuts[0]) == 0.0
+    assert _cut_distance(*cuts) == 1.0
     assert calls == []
 
 
