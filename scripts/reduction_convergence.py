@@ -5,10 +5,12 @@ At each level, ``reduction_discrepancy`` propagates the system through the
 reduced observable equation with memory convolution at ``steps`` and
 ``2 * steps`` and compares both runs with the exact full propagation of
 the observable rows; the step count doubles from level to level.  Prints
-the seconds the kernel takes to build and the number of its modes that
-Gamma couples next to d2, then at each level both sup-norm gaps, the
-empirical convergence order (should approach 2) and the peak resident
-memory of the process so far.  ``--lattice BOX CUBE`` runs the centred
+the seconds the kernel takes to build, the number of its modes that
+Gamma couples next to d2 and the number of the cube's reflection sectors
+that the reduced equation splits into (1 for a system of matrices), then
+at each level both sup-norm gaps, the empirical convergence order (should
+approach 2), the seconds ``reduction_discrepancy`` took and the peak
+resident memory of the process so far.  ``--lattice BOX CUBE`` runs the centred
 3-d lattice of that box and cube, built from its spec with no file.  Set
 OPENBLAS_NUM_THREADS=1 for timings on one BLAS thread.
 """
@@ -20,7 +22,7 @@ import time
 import numpy as np
 
 from opensys.dynamics import make_kernel, reduction_discrepancy
-from opensys.lattice import LatticeSpec, build_lattice_system
+from opensys.lattice import Fold, LatticeSpec, build_lattice_system
 from opensys.systems import load_system, random_system
 
 
@@ -51,19 +53,24 @@ def main():
     start = time.perf_counter()
     modes = len(make_kernel(sys).eigvals)
     seconds = time.perf_counter() - start
+    # the sectors of the cube's fold that hold a site
+    sectors = int(Fold.of(sys.lattice, True, sys.d1).keep.any(axis=1).sum())
     print(f"d1={sys.d1} d2={sys.d2} ({modes} coupled kernel modes, built in "
-          f"{seconds:.3f} s), horizon {args.t_max}")
+          f"{seconds:.3f} s; {sectors} reflection sector(s) of the cube), "
+          f"horizon {args.t_max}")
     print(f"{'steps':>8} {'h':>10} {'sup gap':>12} {'at 2 steps':>12} "
-          f"{'order':>7} {'peak MB':>8}")
+          f"{'order':>7} {'seconds':>8} {'peak MB':>8}")
     for level in range(args.levels):
         steps = args.base_steps * 2 ** level
+        start = time.perf_counter()
         result = reduction_discrepancy(sys, v1, args.t_max, steps)
+        seconds = time.perf_counter() - start
         # ru_maxrss is in kilobytes on Linux
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"{steps:>8} {args.t_max / steps:>10.2e} "
               f"{result['sup_diff_coarse']:>12.3e} "
               f"{result['sup_diff_fine']:>12.3e} {result['order']:7.2f} "
-              f"{peak_mb:>8.1f}")
+              f"{seconds:>8.4f} {peak_mb:>8.1f}")
 
 
 if __name__ == "__main__":

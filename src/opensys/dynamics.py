@@ -32,14 +32,20 @@ kept mode, the memory sum obeys a one-step modal recursion (the exact
 case of Lubich & Schaedle's fast convolution, SIAM J. Sci. Comput. 2002).
 Below, d2 counts the kept modes.
 With the history, the state (v, R) obeys one linear time-invariant
-recurrence, so it is taken L = min(128 // d1, 2^16 // (d1 (d1 + 2 d2)))
-steps at a time (at least 1): the rows of the first L powers of the
-one-step matrix give each block's L states as one product with the state
-at its start, and no block system is solved, so a run costs
+recurrence, so it is taken L = min(128 // d1, 2^16 // (d1 (d1 + 2 d2)),
+sqrt(steps)) steps at a time (at least 1): the rows of the first L powers
+of the one-step matrix give each block's L states as one product with
+the state at its start, and no block system is solved, so a run costs
 O(steps d1 (d1 + d2)) flops in steps / L Python-level iterations and
-O(steps d1) memory.  The no-gain form of a signal p(t) u separates in the
-same modes into one autocorrelation of p, summed as the trapezoid over the
-triangle tau <= t, with a closed-form O(h^2) error bound.
+O(steps d1) memory.  On a lattice built from its spec whose cube is
+centred on some axis, the mirror reflections of those axes commute with
+Omega, so the reduced equation and its exact reference split into up to
+2^dims independent parity sectors of the cube (:class:`~opensys.lattice.
+Fold`); each runs on its own modes only, and d1 and d2 above are then a
+sector's.  Every other system is one sector.  The no-gain form of a
+signal p(t) u separates in the same modes into one autocorrelation of p,
+summed as the trapezoid over the triangle tau <= t, with a closed-form
+O(h^2) error bound.
 """
 
 from __future__ import annotations
@@ -49,8 +55,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
+from .lattice import Fold, eigenvector_sectors
 from .subspaces import DimensionMismatchError, check_hermitian
 from .systems import BlockSystem, FullOperator
 
@@ -71,10 +77,14 @@ class ResponseKernel:
     (hidden side) those of Omega1 and modes Gamma^dag U; both keep only
     the modes that ``make_kernel`` finds coupled.  The kernel at time t
     is modes @ diag(exp(-i eigvals t)) @ modes^dag, exact in t.
+    ``sectors`` holds the reflection sector of each mode on a lattice
+    built from its spec (:class:`opensys.lattice.Fold`), and is None
+    for modes that no fold sorted.
     """
 
     eigvals: np.ndarray
     coupling_modes: np.ndarray
+    sectors: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -183,13 +193,14 @@ def make_kernel(sys: BlockSystem, side: str = OBSERVABLE) -> ResponseKernel:
     """
     if side not in (OBSERVABLE, HIDDEN):
         raise ValueError(f"unknown kernel side {side!r}")
-    w, modes = sys.mode_columns(hidden=side == HIDDEN)
+    w, modes, sectors = sys.mode_columns(hidden=side == HIDDEN)
     norms = np.linalg.norm(modes, axis=0)
     coupled = norms > sys.tol * max(1.0, np.max(norms, initial=0.0))
     # compress keeps the C order of modes, so with no mode dropped the
     # kernel, and all that is computed from it, is bit for bit the same
     return ResponseKernel(eigvals=w[coupled],
-                          coupling_modes=np.compress(coupled, modes, axis=1))
+                          coupling_modes=np.compress(coupled, modes, axis=1),
+                          sectors=None if sectors is None else sectors[coupled])
 
 
 def _exact_states(mat: np.ndarray | None, v0: np.ndarray,
@@ -209,7 +220,11 @@ def _exact_states(mat: np.ndarray | None, v0: np.ndarray,
     exp(-i w j B h) exp(-i w m h).  Unforced, the states are one product of
     the (J, n) coarse phases with the (n, B rows) matrix
     G[:, (m, i)] = exp(-i w m h) (U^dag v0) U[i].  B = ceil(sqrt(nt /
-    rows)) balances the two at about n sqrt(nt rows) entries each.
+    rows)) balances the two at about n sqrt(nt rows) entries each.  The
+    exponentials are taken once for each distinct value of w, which on a
+    lattice is a fraction of them.  Unforced, w (.., n), U (.., rows, n)
+    and v0 (.., rows) may carry leading batch axes, such as reflection
+    sectors, and the states then do too.
     Forcing needs an (nt, n) table of the conjugate phases, built from the
     same factors, and one of the Duhamel integrand; the trapezoid, the
     cumulative sum and the final product are taken in place, the phases
@@ -217,18 +232,23 @@ def _exact_states(mat: np.ndarray | None, v0: np.ndarray,
     """
     h = _uniform_step(times)
     w, u = np.linalg.eigh(mat) if eigenpairs is None else eigenpairs
-    n, nt = len(w), len(times)
+    *batch, n = w.shape
+    nt = len(times)
     # the least B with B^2 max(rows, 1) >= nt, so J <= B max(rows, 1)
     block = math.isqrt(-(-nt // max(rows, 1)) - 1) + 1
     count = -(-nt // block)  # J
-    fine = np.exp(-1j * h * np.outer(np.arange(block), w))
-    coarse = np.exp(-1j * h * block * np.outer(np.arange(count), w))
-    coeff = u.conj().T @ v0
-    top = u[:rows]
+    # the phases of each distinct frequency, taken once and gathered
+    distinct, where = np.unique(w, return_inverse=True)
+    fine, coarse = (np.moveaxis(np.exp(-1j * h * step * np.outer(
+        np.arange(length), distinct))[:, where.reshape(w.shape)], 0, -2)
+        for step, length in ((1, block), (block, count)))
+    coeff = (v0[..., None, :] @ u.conj())[..., 0, :]
+    top = u[..., :rows, :]
     if forcing.samples is None:
-        g = ((fine * coeff).T[:, :, None]
-             * top.T[:, None, :]).reshape(n, block * rows)
-        return (coarse @ g).reshape(count * block, rows)[:nt]
+        g = ((fine * coeff[..., None, :]).swapaxes(-1, -2)[..., None]
+             * top.swapaxes(-1, -2)[..., None, :]).reshape(
+                 *batch, n, block * rows)
+        return (coarse @ g).reshape(*batch, count * block, rows)[..., :nt, :]
     phases = (coarse.conj()[:, None] * fine.conj()).reshape(-1, n)[:nt]
     g = forcing.sampled(nt, n) @ u.conj()
     g *= phases
@@ -266,7 +286,8 @@ def propagate_full(omega: FullOperator | np.ndarray, v0: np.ndarray,
 
 
 def _block_length(d1: int, d2: int) -> int:
-    """Steps in one block of ``propagate_reduced``."""
+    """Steps in one block of ``propagate_reduced``, for a sector of d1
+    observable coordinates and d2 modes."""
     return max(1, min(_BLOCK_ROWS // d1,
                       _BLOCK_ENTRIES // (d1 * (d1 + 2 * d2))))
 
@@ -294,19 +315,38 @@ def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
         v_{j+1} = [I 0] T^(j+1) x_0 + sum_{k<=j} D_{j-k} c_k,
 
     with D_m = [I 0] T^m inject (D_0 = I).  The rows [I 0] T^(j+1),
-    j < L, are built once, d1 rows at a time: [I 0] T^(j+1) is D_j [A B]
-    plus E times the R columns of [I 0] T^j, so T itself is never formed.
-    A block is then one product of that map with x_0; the forcing of every
-    block is one product with the lower block-Toeplitz map whose m-th
-    block diagonal is D_m, taken a diagonal at a time; and
-    R_L = E^L R_0 + sum_k E^(L-k) M^dag v_k carries the history exactly to
-    the next block.  No system is solved besides the d1 x d1 LU of the
-    step.  L = 128 // d1, lowered so that the two matrices a block streams
-    through, L d1 (d1 + 2 d2) entries, stay within 2^16 complex entries
-    (1 MiB, which a core's L2 cache holds), and at least 1.  Cost:
-    O(steps d1 (d1 + d2)) time in steps / L blocks, plus
-    O(L d1^2 (d1 + d2)) for the powers (O(steps L d1^2) more with
-    forcing), and O(steps d1) memory.
+    j < L, are built once, and T itself is never formed: with
+    G_l = B E^l M^dag (plus A for l = 0), D_j = sum_{i<j} D_i G_(j-1-i),
+    one product a step, and [I 0] T^(j+1) = [D_j A, sum_{i<=j} D_i B
+    E^(j-i)], whose R columns are one cumulative sum over j.  A block is
+    then one product of that map with x_0; the forcing of every block is
+    one product with the lower block-Toeplitz map whose m-th block
+    diagonal is D_m, taken a diagonal at a time; and R_L = E^L R_0 +
+    sum_k E^(L-k) M^dag v_k carries the history exactly to the next
+    block.  No system is solved besides the d1 x d1 one of the step.
+
+    On a lattice built from its spec, whose kernel modes carry their
+    reflection sectors, the cube's mirror fold
+    (:class:`opensys.lattice.Fold`) splits the equation into independent
+    sectors: Omega1, the coupling columns of each sector's modes, v1 and
+    the forcing are taken into the sector coordinates by sums over the
+    reflections, and the states are unfolded to the cube's sites at the
+    end.  Every other system, and a kernel whose modes carry no sectors,
+    is one sector with the identity fold.  Sectors with the same number
+    of cube coordinates run as one batch with a leading sector axis,
+    their modes padded with zero columns to the batch's largest count.
+
+    In a sector of d1 coordinates and d2 modes, L = 128 // d1, lowered so
+    that the two matrices a block streams through, L d1 (d1 + 2 d2)
+    entries, stay within 2^16 complex entries (1 MiB, which a core's L2
+    cache holds), and to sqrt(steps), since building the powers takes L
+    Python-level iterations and the run steps / L; at least 1.  Cost per
+    sector: O(steps d1 (d1 + d2)) time in steps / L blocks, plus
+    O(L d1^2 (d1 + d2) + L^2 d1^3) for the powers (O(steps L d1^2) more
+    with forcing), and O(steps d1) memory.  On the 3-d centred lattice
+    the eight sectors each hold about an eighth of d1 and of d2, so a
+    step costs about d1 (d1 + 2 d2) / 64 complex multiply-adds in each of
+    them: about 37k in all at box 14, cube 4, against 294k unfolded.
 
     Valid in the regime the reduced equation is derived in: hidden initial
     state zero and no hidden forcing.  ``kernel`` must be
@@ -324,65 +364,99 @@ def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
 
     if kernel is None:
         kernel = make_kernel(sys, OBSERVABLE)
-    modes = kernel.coupling_modes  # M, so a1(t) = M diag(e^{-i w t}) M^dag
-    # complex once here, not a real-to-complex cast of real modes every block
-    modes_dag = modes.conj().T.astype(complex)
-    d2 = len(kernel.eigvals)
-    block = _block_length(d1, d2)  # L
-    powers = np.exp(-1j * h * np.outer(np.arange(block + 1),
-                                       kernel.eigvals))  # E^m, m = 0..L
+    labels = kernel.sectors  # modes that no fold sorted make one sector
+    fold = Fold.of(None if labels is None else sys.lattice, True, d1)
+    if labels is None:
+        labels = np.zeros(kernel.eigvals.size, int)
+    start = fold.coordinates(v)
+    forcing = None if f1.samples is None else \
+        fold.coordinates(f1.sampled(nt, d1).T)  # (sectors, R, nt)
+    out = np.zeros((*fold.keep.shape, nt), dtype=complex)
+    w = np.append(kernel.eigvals, 0.0)  # a padding mode takes w = 0
+    for (sector, rep), omega1, (cols, modes) in zip(
+            fold.groups, fold.blocks(sys.omega1),
+            fold.columns(kernel.coupling_modes, labels)):
+        at = sector[:, None], rep
+        out[at] = _sector_states(omega1, modes, w[cols], start[at],
+                                 None if forcing is None else forcing[at],
+                                 h, nt)
+    return Trajectory(times, fold.sites(out).T)
+
+
+def _sector_states(omega1: np.ndarray, modes: np.ndarray, w: np.ndarray,
+                   v: np.ndarray, f: np.ndarray | None, h: float, nt: int
+                   ) -> np.ndarray:
+    """The block recurrence of :func:`propagate_reduced` on a batch of
+    sectors: Omega1 (s, d1, d1), the modes' coupling columns (s, d1, d2),
+    their frequencies (s, d2), the initial states (s, d1) and the forcing
+    (s, d1, nt) or None, all in sector coordinates.  Returns the states
+    (s, d1, nt)."""
+    s, d1, d2 = modes.shape
+    modes_dag = modes.conj().transpose(0, 2, 1).astype(complex)
+    # L: building the L powers and taking the steps / L blocks are each a
+    # Python-level loop, so L is at most sqrt(steps)
+    block = min(_block_length(d1, d2), max(1, math.isqrt(nt - 1)))
+    powers = np.exp(-1j * h * w[:, None, :]
+                    * np.arange(block + 1)[:, None])  # E^m, m = 0..L
     k0 = modes @ modes_dag
-    eye = np.eye(d1, dtype=complex)
+    eye = np.eye(d1)
 
     # (I + (h/2) i Omega1 + (h^2/4) K0) v_{n+1} = known terms, so
     # v_{n+1} = [A B] (v_n, R_n) + c_n
-    lu = lu_factor(eye + (h / 2) * 1j * sys.omega1 + (h * h / 4) * k0)
-    step = lu_solve(lu, np.hstack([
-        eye - (h / 2) * 1j * sys.omega1 + (h * h / 4) * k0,
-        (-h * h / 2) * modes * (1 + powers[1])]))
-    # prop[j] = [I 0] T^(j+1) and diagonals[j] = D_j = [I 0] T^j inject
-    inject = np.vstack([eye, modes_dag])
-    prop = np.empty((block, d1, d1 + d2), dtype=complex)
-    diagonals = np.empty((block, d1, d1), dtype=complex)
-    top = np.eye(d1, d1 + d2, dtype=complex)  # [I 0] T^0
-    for j in range(block):
-        diagonals[j] = top @ inject
-        prop[j] = diagonals[j] @ step
-        prop[j, :, d1:] += top[:, d1:] * powers[1]
-        top = prop[j]
-    prop = prop.reshape(block * d1, d1 + d2)  # the L states from (v_0, R_0)
+    lhs = eye + (h / 2) * 1j * omega1 + (h * h / 4) * k0
+    step = np.linalg.solve(lhs, np.concatenate([
+        eye - (h / 2) * 1j * omega1 + (h * h / 4) * k0,
+        (-h * h / 2) * modes * (1 + powers[:, 1, None])], axis=2))
+    # D_j = sum_{i<j} D_i G_(j-1-i), with G_l = B E^l M^dag + [l = 0] A:
+    # spread[:, :, j d1:] starts with D_j, gains[:, l d1:] with G_(L-1-l)
+    gains = (step[:, None, :, d1:] * powers[:, block - 1::-1, None]).reshape(
+        s, block * d1, d2) @ modes_dag
+    gains[:, -d1:] += step[..., :d1]
+    spread = np.zeros((s, d1, block * d1), dtype=complex)
+    spread[..., :d1] = eye
+    for j in range(1, block):
+        spread[..., j * d1:(j + 1) * d1] = spread[..., :j * d1] \
+            @ gains[:, (block - j) * d1:]
+    # prop[:, j] = [I 0] T^(j+1) = [D_j A, sum_{i<=j} D_i B E^(j-i)]
+    diagonals = spread.reshape(s, d1, block, d1).swapaxes(1, 2)
+    prop = (diagonals.reshape(s, block * d1, d1) @ step).reshape(
+        s, block, d1, d1 + d2)
+    prop[..., d1:] = powers[:, :block, None] * np.cumsum(
+        prop[..., d1:] * powers[:, :block, None].conj(), axis=1)
+    prop = prop.reshape(s, block * d1, d1 + d2)  # the L states from x_0
 
-    starts = range(0, nt - 1, block)
+    count = -(-(nt - 1) // block)  # blocks; the last one may overrun
     forced = None
-    if f1.samples is not None:
-        f = f1.sampled(nt, d1)
+    if f is not None:
         # c_n, zero-padded to whole blocks, through the lower block-Toeplitz
         # map with D_m on its m-th block diagonal
-        c = np.zeros((len(starts) * block, d1), dtype=complex)
-        c[:nt - 1] = lu_solve(lu, (h / 2) * (f[:-1] + f[1:]).T).T
-        c = c.reshape(len(starts), block, d1)
-        forced = np.zeros_like(c)
+        c = np.zeros((s, count * block, d1), dtype=complex)
+        c[:, :nt - 1] = np.linalg.solve(
+            lhs, (h / 2) * (f[..., :-1] + f[..., 1:])).swapaxes(1, 2)
+        forced = np.zeros((s, count, block, d1), dtype=complex)
         for m in range(block):
-            forced[:, m:] += c[:, :block - m] @ diagonals[m].T
-        forced = forced.reshape(len(starts), block * d1)
+            forced[:, :, m:] += c.reshape(forced.shape)[:, :, :block - m] \
+                @ diagonals[:, m, None].swapaxes(2, 3)
+        forced = forced.reshape(s, count, block * d1, 1)
     # column block k holds E^(L-1-k) M^dag
-    hist_out = (powers[block - 1::-1].T[:, :, None]
-                * modes_dag[:, None, :]).reshape(d2, block * d1)
+    hist_out = (powers[:, block - 1::-1].transpose(0, 2, 1)[..., None]
+                * modes_dag[:, :, None, :]).reshape(s, d2, block * d1)
+    carry = powers[:, block, :, None]  # E^L
 
-    states = np.empty((nt, d1), dtype=complex)
-    states[0] = v
-    state = np.concatenate([v, 0.5 * (modes_dag @ v)])  # (v_0, R_0)
-    for b, start in enumerate(starts):
-        n = min(block, nt - 1 - start)
-        rows = n * d1  # a short last block takes the leading rows
-        x = prop[:rows] @ state
+    states = np.empty((s, 1 + count * block, d1), dtype=complex)
+    states[:, 0] = v
+    state = np.concatenate([v, 0.5 * (modes_dag @ v[..., None])[..., 0]],
+                           axis=1)[..., None]  # (v_0, R_0)
+    now, history = state[:, :d1], state[:, d1:]
+    for b, x in enumerate(states[:, 1:].reshape(s, count, block * d1, 1)
+                          .transpose(1, 0, 2, 3)):  # x: the block's states
+        np.matmul(prop, state, out=x)
         if forced is not None:
-            x += forced[b, :rows]
-        states[start + 1:start + 1 + n] = x.reshape(n, d1)
-        state[:d1] = x[-d1:]
-        state[d1:] = (powers[n] * state[d1:]
-                      + hist_out[:, (block - n) * d1:] @ x)
-    return Trajectory(times, states)
+            x += forced[:, b]
+        now[...] = x[:, -d1:]
+        history *= carry
+        history += hist_out @ x
+    return states[:, :nt].transpose(0, 2, 1)
 
 
 def reduction_discrepancy(sys: BlockSystem, v1_0: np.ndarray, t_max: float,
@@ -393,14 +467,30 @@ def reduction_discrepancy(sys: BlockSystem, v1_0: np.ndarray, t_max: float,
     initial state zero, no forcing), with one kernel shared by both runs,
     against the exact full propagation on the fine grid; reports both gaps
     and the empirical convergence order log2(coarse / fine), near 2 for a
-    second-order reduced stepper.
+    second-order reduced stepper.  The reference takes the cube's rows of
+    Omega's eigenvectors (:meth:`~opensys.systems.BlockSystem.
+    observable_eigenpairs`) into the cube's sector coordinates, each
+    closed-form eigenvector into the one sector its parities select
+    (:func:`opensys.lattice.eigenvector_sectors`), and takes the phase
+    product sector by sector; a system of matrices is one sector.
     """
     fine_grid = make_grid(t_max, 2 * steps)
-    # the hidden initial state is zero, so the reference reads U[:d1] only
-    full = _exact_states(None, np.asarray(v1_0, dtype=complex),
-                         ForcingSignal.zero(), fine_grid, sys.d1,
-                         eigenpairs=sys.observable_eigenpairs())
     kernel = make_kernel(sys, OBSERVABLE)
+    # the hidden initial state is zero, so the reference reads U[:d1] only
+    fold = Fold.of(sys.lattice, True, sys.d1)
+    values, rows = sys.observable_eigenpairs()
+    labels = np.zeros(len(values), int) if sys.lattice is None \
+        else eigenvector_sectors(sys.lattice)
+    start = fold.coordinates(np.asarray(v1_0, dtype=complex))
+    full = np.zeros((*fold.keep.shape, len(fine_grid)), dtype=complex)
+    w = np.append(values, 0.0)
+    for (sector, rep), (cols, vectors) in zip(fold.groups,
+                                               fold.columns(rows, labels)):
+        at = sector[:, None], rep
+        full[at] = _exact_states(None, start[at], ForcingSignal.zero(),
+                                 fine_grid, rep.shape[1],
+                                 eigenpairs=(w[cols], vectors)).swapaxes(1, 2)
+    full = fold.sites(full).T
 
     def gap(stride: int) -> float:
         red = propagate_reduced(sys, v1_0, ForcingSignal.zero(OBSERVABLE),

@@ -161,11 +161,19 @@ def _kron_eigenpairs(spec: LatticeSpec, rows: list[slice], order: np.ndarray
     k = np.arange(1, m)
     # the argument reduced modulo 2 pi exactly, in integers
     sine = np.sqrt(2.0 / m) * np.sin(np.pi * (np.outer(k, k) % (2 * m)) / m)
-    axis = 2.0 * np.cos(np.pi * k / m) - 2.0
+    values, columns = _eigen_order(spec)
+    vectors = functools.reduce(np.kron, [sine[r] for r in rows])
+    return values, vectors[np.ix_(order, columns)]
+
+
+def _eigen_order(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The box Laplacian's eigenvalues, ascending, and the flat indices
+    (k_1 - 1, ..., k_dims - 1) of their DST-I columns in that order."""
+    axis = 2.0 * np.cos(np.pi * np.arange(1, spec.box + 1) / (spec.box + 1)) \
+        - 2.0
     values = functools.reduce(np.add.outer, [axis] * spec.dims).ravel()
     columns = np.argsort(values, kind="stable")
-    vectors = functools.reduce(np.kron, [sine[r] for r in rows])
-    return values[columns], vectors[np.ix_(order, columns)]
+    return values[columns], columns
 
 
 def omega_eigenpairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -197,62 +205,161 @@ def observable_eigenpairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     return _kron_eigenpairs(spec, cube, np.arange(spec.cube ** spec.dims))
 
 
-def sector_modes(sys: BlockSystem, hidden: bool
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues w of Omega2 and the coupling columns Gamma U2 of
-    its eigenvectors (of Omega1 and Gamma^dag U1 when ``hidden``), taken
-    one reflection sector at a time, with no d2 x d2 matrix.
+@dataclass(frozen=True)
+class Fold:
+    """The mirror fold of the cube's sites, or of the rest of the box's.
 
     An axis is centred when 2 offset + cube = box; the reflections pi_k,
     k in {0, 1}^a, of the a centred axes then commute with Omega and map
-    each block onto itself.  The representatives b are the block's sites
+    each block onto itself.  The representatives b are the part's sites
     with 2 x_j <= box - 1 on every centred axis, and |S_b| is 2 to the
     number of those axes whose mid-plane 2 x_j = box - 1 holds b.  Sector
     sigma, with the character chi_sigma(k) = (-1)^(sigma . k), has the
-    orthonormal basis sum_k chi_sigma(k) e_{pi_k b} / sqrt(2^a |S_b|) over
-    the b on no mid-plane of an axis where sigma is odd, on which the
-    block is B[a, b] = sum_k chi_sigma(k) Omega[a, pi_k b] / sqrt(|S_a|
-    |S_b|) (Fassler & Stiefel, *Group Theoretical Methods and Their
-    Applications*, 1992).  The sums are of the integer entries, so they
-    are exact and no entry between sectors is formed.  Sectors of one
-    size take one batched ``eigh``; the values come sector by sector,
-    ascending in each.  With no centred axis the one sector is the block.
+    orthonormal basis e_(sigma, b) = sum_k chi_sigma(k) e_(pi_k b) /
+    sqrt(2^a |S_b|) over the b on no mid-plane of an axis where sigma is
+    odd (Fassler & Stiefel, *Group Theoretical Methods and Their
+    Applications*, 1992).  ``images[k, b]`` is the part's index of
+    pi_k b, ``sign[sigma, k]`` is chi_sigma(k), ``stab[b]`` is |S_b| and
+    ``keep[sigma, b]`` tells whether sector sigma holds b.  Every sum of
+    the fold runs over k, within one sector, so no entry between two
+    sectors is formed; on the integer stencil the sums are exact.
     """
-    spec = sys.lattice
+
+    images: np.ndarray
+    sign: np.ndarray
+    stab: np.ndarray
+    keep: np.ndarray
+
+    @classmethod
+    @functools.lru_cache(maxsize=16)
+    def of(cls, spec: LatticeSpec | None, cube: bool, size: int) -> "Fold":
+        """The fold of the cube (``cube``) or of the rest of the box of
+        ``spec``; with no spec, the identity of ``size`` sites, one
+        sector.  A spec centred on no axis folds to the identity too.
+        The last few folds are kept, so callers share them and must not
+        write to their arrays."""
+        if spec is None:
+            return cls(np.arange(size)[None], np.ones((1, 1)),
+                       np.ones(size, int), np.ones((1, size), bool))
+        coords, order, d1 = _cube_first(spec)
+        sites = order[:d1] if cube else order[d1:]
+        position = np.empty_like(order)
+        position[sites] = np.arange(sites.size)
+        axes = [j for j, o in enumerate(spec.offset)
+                if 2 * o + spec.cube == spec.box]
+        x = coords[axes][:, sites]
+        reps = np.flatnonzero(np.all(2 * x <= spec.box - 1, axis=0))
+        x = x[:, reps]
+        bits = np.arange(2 ** len(axes))[:, None] >> np.arange(len(axes)) & 1
+        stride = spec.box ** (spec.dims - 1 - np.array(axes, dtype=int))
+        mid = (2 * x == spec.box - 1).astype(int)
+        return cls(position[sites[reps] + bits @ ((spec.box - 1 - 2 * x)
+                                                  * stride[:, None])],
+                   (-1.0) ** (bits @ bits.T), 2 ** mid.sum(axis=0),
+                   bits @ mid == 0)
+
+    def signed(self, x: np.ndarray) -> np.ndarray:
+        """sum_k chi_sigma(k) x[k] over the leading axis of ``x``: one
+        real product with the characters, the real and imaginary parts
+        side by side, and none for the one sector of the identity."""
+        if len(x) == 1:
+            return x
+        y = np.ascontiguousarray(x).reshape(len(x), -1)
+        return (self.sign @ y.view(np.float64)).view(x.dtype).reshape(x.shape)
+
+    @functools.cached_property
+    def groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each sector size g > 0, ascending: the sectors (m,) that
+        hold g representatives, and those (m, g)."""
+        sizes = self.keep.sum(axis=1)
+        return [(sector, np.nonzero(self.keep[sector])[1].reshape(-1, size))
+                for size in np.unique(sizes[sizes > 0])
+                for sector in [np.flatnonzero(sizes == size)]]
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """The (sectors, R, ...) coordinates <e_(sigma, b), x> of ``x``,
+        whose first axis runs over the part's sites."""
+        scale = np.sqrt(len(self.sign) * self.stab)
+        return self.signed(x[self.images]) / scale.reshape(-1, *[1] * (x.ndim - 1))
+
+    def sites(self, coords: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`coordinates`, for coordinates that are zero
+        where ``keep`` is False: x[pi_k b] = sum_sigma chi_sigma(k)
+        sqrt(|S_b| / 2^a) x_(sigma, b).  A site on a mid-plane is pi_k b
+        for several k, which all give it the same value."""
+        out = np.empty((self.images.max(initial=-1) + 1, *coords.shape[2:]),
+                       coords.dtype)
+        unit = np.sqrt(self.stab / len(self.sign))
+        out[self.images] = self.signed(coords) \
+            * unit.reshape(-1, *[1] * (coords.ndim - 2))
+        return out
+
+    def blocks(self, op: np.ndarray) -> list[np.ndarray]:
+        """For each of :attr:`groups`, the (m, g, g) blocks
+        <e_(sigma, a), op e_(sigma, b)> = sum_k chi_sigma(k) op[a, pi_k b]
+        / sqrt(|S_a| |S_b|) of an operator on the part that commutes with
+        the reflections."""
+        folded = self.signed(op[self.images[0][:, None],
+                                self.images[:, None, :]]) \
+            / np.sqrt(np.outer(self.stab, self.stab))
+        return [folded[sector[:, None, None], rep[:, :, None], rep[:, None, :]]
+                for sector, rep in self.groups]
+
+    def columns(self, x: np.ndarray, labels: np.ndarray):
+        """For each of :attr:`groups`: the indices (m, p) of the columns
+        of ``x`` that ``labels`` puts in each of its sectors, padded with
+        -1, and those columns in the sector's coordinates, (m, g, p), a
+        padding column zero.  No column is taken into another sector."""
+        order = np.append(np.argsort(labels, kind="stable"), -1)
+        counts = np.bincount(labels, minlength=len(self.sign))
+        x = np.hstack([x, np.zeros((len(x), 1))])
+        for sector, rep in self.groups:
+            slot = np.arange(counts[sector].max())
+            cols = order[np.where(slot < counts[sector, None], slot + (
+                np.cumsum(counts) - counts)[sector, None], -1)]
+            yield cols, np.einsum("sk,ksgp->sgp", self.sign[sector],
+                                  x[self.images[:, rep, None], cols[:, None]]
+                                  ) / np.sqrt(len(self.sign) * self.stab[rep,
+                                                                         None])
+
+
+def sector_modes(sys: BlockSystem, hidden: bool
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues w of Omega2, the coupling columns Gamma U2 of its
+    eigenvectors (of Omega1 and Gamma^dag U1 when ``hidden``) and the
+    reflection sector of each, taken one sector of the :class:`Fold` at
+    a time, with no d2 x d2 matrix.
+
+    Sectors of one size take one batched ``eigh`` of their folded
+    blocks; the values come sector by sector, ascending in each.  With no
+    centred axis the one sector is the block.
+    """
     block, coupling = ((sys.omega1, sys.gamma.conj()) if hidden
                        else (sys.omega2, sys.gamma.T))  # coupling rows: sites
-    coords, order, d1 = _cube_first(spec)
-    sites = order[:d1] if hidden else order[d1:]
-    position = np.empty_like(order)
-    position[sites] = np.arange(sites.size)
-    axes = [j for j, o in enumerate(spec.offset)
-            if 2 * o + spec.cube == spec.box]
-    x = coords[axes][:, sites]
-    reps = np.flatnonzero(np.all(2 * x <= spec.box - 1, axis=0))
-    x = x[:, reps]
-    bits = np.arange(2 ** len(axes))[:, None] >> np.arange(len(axes)) & 1
-    stride = spec.box ** (spec.dims - 1 - np.array(axes, dtype=int))
-    images = position[sites[reps] + bits @ ((spec.box - 1 - 2 * x)
-                                            * stride[:, None])]  # (2^a, R)
-    mid = (2 * x == spec.box - 1).astype(int)
-    sign = (-1.0) ** (bits @ bits.T)  # chi_sigma(k)
-    stab = 2 ** mid.sum(axis=0)
-    folded = np.tensordot(sign, block[reps[:, None], images[:, None, :]], 1) \
-        / np.sqrt(np.outer(stab, stab))
-    columns = np.tensordot(sign, coupling[images], 1) \
-        / np.sqrt(len(bits) * stab)[:, None]
-    keep = bits @ mid == 0  # (sector, representative)
-    sizes = keep.sum(axis=1)
-    values, modes = [], []
-    for size in np.unique(sizes):
-        sector = np.flatnonzero(sizes == size)
-        rep = np.nonzero(keep[sector])[1].reshape(len(sector), size)
-        w, v = np.linalg.eigh(folded[sector[:, None, None], rep[:, :, None],
-                                     rep[:, None, :]])
+    fold = Fold.of(sys.lattice, hidden, len(block))
+    columns = fold.coordinates(coupling)
+    # empty parts, so that a part with no site still gives its shapes
+    values, modes, sectors = [np.zeros(0)], [coupling[:0].T], [np.zeros(0, int)]
+    for (sector, rep), folded in zip(fold.groups, fold.blocks(block)):
+        w, v = np.linalg.eigh(folded)
         values.append(w.ravel())
         modes.append((columns[sector[:, None], rep].transpose(0, 2, 1) @ v)
                      .transpose(1, 0, 2).reshape(coupling.shape[1], w.size))
-    return np.concatenate(values), np.hstack(modes)
+        sectors.append(np.repeat(sector, rep.shape[1]))
+    return np.concatenate(values), np.hstack(modes), np.concatenate(sectors)
+
+
+def eigenvector_sectors(spec: LatticeSpec) -> np.ndarray:
+    """The reflection sector of each eigenvector of
+    :func:`omega_eigenpairs`, in its column order.  Axis j's DST-I
+    column k is even under the axis's mirror for odd k and odd for even
+    k, so sector sigma has bit i set where k is even on the i-th centred
+    axis, as in :class:`Fold`."""
+    wavenumbers = np.unravel_index(_eigen_order(spec)[1],
+                                   (spec.box,) * spec.dims)  # k - 1
+    return sum(((wavenumbers[j] & 1) << i for i, j in enumerate(
+        j for j, o in enumerate(spec.offset) if 2 * o + spec.cube == spec.box)),
+        np.zeros(spec.box ** spec.dims, int))
 
 
 # --- system files ------------------------------------------------------------

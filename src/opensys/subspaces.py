@@ -228,7 +228,9 @@ class Spectrum:
     The eigenpairs are one ``eigh`` of the Hermitian ``a``, unless they
     are given: ascending values and orthonormal vectors, such as a
     system's :meth:`~opensys.systems.BlockSystem.eigenpairs`, which a
-    lattice builds in closed form.  ``a`` is then not read.
+    lattice builds in closed form.  ``a`` is then not read.  The row
+    indices of each cluster size's clusters, ``groups``, are laid out
+    once, for every :meth:`cut` to share.
     """
 
     def __init__(self, a: np.ndarray | None, tol: float = DEFAULT_TOL, *,
@@ -239,6 +241,8 @@ class Spectrum:
         self.tol = tol
         self.values, self.vectors = eigenpairs
         self.starts, self.sizes = _eigen_clusters(self.values, tol)
+        self.groups = [self.starts[self.sizes == size, None] + np.arange(size)
+                       for size in np.unique(self.sizes)]
 
     def cut(self, coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]]:
@@ -268,9 +272,8 @@ class Spectrum:
         pad = max(int(np.max(self.sizes, initial=0)) - coords.shape[1], 0)
         if pad:
             coords = np.hstack([coords, np.zeros((len(coords), pad))])
-        groups = [self.starts[self.sizes == size, None] + np.arange(size)
-                  for size in np.unique(self.sizes)]
-        return [(rows, *_range_basis(coords[rows], self.tol)) for rows in groups]
+        return [(rows, *_range_basis(coords[rows], self.tol))
+                for rows in self.groups]
 
     def orbit(self, seed: SubspaceBasis) -> SubspaceBasis:
         """Smallest invariant subspace containing span(seed).

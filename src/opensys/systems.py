@@ -114,20 +114,21 @@ class BlockSystem:
         return observable_eigenpairs(self.lattice)
 
     def mode_columns(self, hidden: bool = False
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues w of Omega2 and the coupling columns Gamma U2
-        of its eigenvectors; when ``hidden``, those of Omega1 and
-        Gamma^dag U1.  For a lattice built from its spec they are taken
-        one reflection sector at a time, with no d2 x d2 matrix
-        (:func:`opensys.lattice.sector_modes`); else from one ``eigh``,
-        in ascending order."""
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The eigenvalues w of Omega2, the coupling columns Gamma U2 of
+        its eigenvectors and the reflection sector of each; when
+        ``hidden``, those of Omega1 and Gamma^dag U1.  For a lattice built
+        from its spec they are taken one reflection sector at a time,
+        with no d2 x d2 matrix (:func:`opensys.lattice.sector_modes`);
+        else from one ``eigh``, in ascending order, with no sectors
+        (None)."""
         if self.lattice is not None:
             from .lattice import sector_modes
             return sector_modes(self, hidden)
         block, coupling = ((self.omega1, self.gamma.conj().T) if hidden
                            else (self.omega2, self.gamma))
         w, u = np.linalg.eigh(block)
-        return w, coupling @ u
+        return w, coupling @ u, None
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,60 @@ def _quadratic_reduced(sys, v1_0, f1, times):
     return states
 
 
+def _unfolded_reduced(sys, v1_0, f1, times, kernel):
+    """The block recurrence of propagate_reduced run on the whole cube in
+    site coordinates, with the block length _block_length(d1, d2), the
+    powers [I 0] T^(j+1) built one step at a time from the last and the
+    states of a short last block taken from the leading rows: an oracle,
+    summed in another order, for systems of one sector."""
+    d1, h, nt = sys.d1, times[1] - times[0], len(times)
+    modes = kernel.coupling_modes
+    modes_dag = modes.conj().T.astype(complex)
+    d2 = len(kernel.eigvals)
+    block = _block_length(d1, d2)
+    powers = np.exp(-1j * h * np.outer(np.arange(block + 1), kernel.eigvals))
+    k0 = modes @ modes_dag
+    eye = np.eye(d1, dtype=complex)
+    lu = lu_factor(eye + (h / 2) * 1j * sys.omega1 + (h * h / 4) * k0)
+    step = lu_solve(lu, np.hstack([
+        eye - (h / 2) * 1j * sys.omega1 + (h * h / 4) * k0,
+        (-h * h / 2) * modes * (1 + powers[1])]))
+    inject = np.vstack([eye, modes_dag])
+    prop = np.empty((block, d1, d1 + d2), dtype=complex)
+    diagonals = np.empty((block, d1, d1), dtype=complex)
+    top = np.eye(d1, d1 + d2, dtype=complex)
+    for j in range(block):
+        diagonals[j] = top @ inject
+        prop[j] = diagonals[j] @ step
+        prop[j, :, d1:] += top[:, d1:] * powers[1]
+        top = prop[j]
+    prop = prop.reshape(block * d1, d1 + d2)
+    starts = range(0, nt - 1, block)
+    forced = np.zeros((len(starts), block * d1), dtype=complex)
+    if f1.samples is not None:
+        f = f1.sampled(nt, d1)
+        c = np.zeros((len(starts) * block, d1), dtype=complex)
+        c[:nt - 1] = lu_solve(lu, (h / 2) * (f[:-1] + f[1:]).T).T
+        c = c.reshape(len(starts), block, d1)
+        forced = np.zeros_like(c)
+        for m in range(block):
+            forced[:, m:] += c[:, :block - m] @ diagonals[m].T
+        forced = forced.reshape(len(starts), block * d1)
+    hist_out = (powers[block - 1::-1].T[:, :, None]
+                * modes_dag[:, None, :]).reshape(d2, block * d1)
+    states = np.empty((nt, d1), dtype=complex)
+    states[0] = v1_0
+    state = np.concatenate([v1_0, 0.5 * (modes_dag @ v1_0)])
+    for b, start in enumerate(starts):
+        n = min(block, nt - 1 - start)
+        x = prop[:n * d1] @ state + forced[b, :n * d1]
+        states[start + 1:start + 1 + n] = x.reshape(n, d1)
+        state[:d1] = x[-d1:]
+        state[d1:] = (powers[n] * state[d1:]
+                      + hist_out[:, (block - n) * d1:] @ x)
+    return states
+
+
 def _trial_draws(times, dim, trials, seed):
     """The (lo, hi, u) of each no-gain trial, drawn as ``no_gain_check`` does."""
     span = times[-1] - times[0]
@@ -252,6 +306,11 @@ class TestCoupledModes:
 # every centred lattice with box - cube even, box <= 10, cubes 1 to 4 and
 # dims 1 to 3 (odd boxes put sites on the mirrors' mid-planes), then specs
 # centred on some axes only
+def _spec_id(spec):
+    return (f"{spec.dims}d-box{spec.box}-cube{spec.cube}-at"
+            + "".join(map(str, spec.offset)))
+
+
 SECTOR_SPECS = [LatticeSpec.centered(box, cube, dims)
                 for dims in (1, 2, 3) for cube in range(1, 5)
                 for box in range(cube, 11, 2)] + [
@@ -272,8 +331,7 @@ def _sup_gap(kernel, reference, times):
     return gap, top
 
 
-@pytest.mark.parametrize("spec", SECTOR_SPECS, ids=lambda s: (
-    f"{s.dims}d-box{s.box}-cube{s.cube}-at" + "".join(map(str, s.offset))))
+@pytest.mark.parametrize("spec", SECTOR_SPECS, ids=_spec_id)
 @pytest.mark.parametrize("side", [OBSERVABLE, HIDDEN])
 def test_sector_kernel_is_the_dense_kernel(spec, side):
     """The kernel that a spec-built lattice takes one reflection sector at
@@ -283,7 +341,7 @@ def test_sector_kernel_is_the_dense_kernel(spec, side):
     (modes) theta^2 to a(t)."""
     sys = build_lattice_system(spec)
     dense = BlockSystem(sys.omega1, sys.omega2, sys.gamma, sys.tol)
-    values, columns = sys.mode_columns(hidden=side == HIDDEN)
+    values, columns, _ = sys.mode_columns(hidden=side == HIDDEN)
     block = sys.omega1 if side == HIDDEN else sys.omega2
     assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(block)),
                   initial=0.0) <= 1e-12
@@ -296,6 +354,63 @@ def test_sector_kernel_is_the_dense_kernel(spec, side):
     zeroed = ResponseKernel(values, columns * (norms > theta))
     dropped, _ = _sup_gap(ResponseKernel(values, columns), zeroed, times)
     assert dropped <= len(values) * theta ** 2
+
+
+def _sine_forcing(grid, dim):
+    rates = np.arange(1, dim + 1)
+    return ForcingSignal(np.sin(np.outer(grid, rates))
+                         + 1j * np.cos(np.outer(grid, rates / 2)), OBSERVABLE)
+
+
+@pytest.mark.parametrize("spec", SECTOR_SPECS, ids=_spec_id)
+def test_sector_dynamics_match_one_sector(spec):
+    """propagate_reduced, free and forced, and reduction_discrepancy run
+    in the cube's reflection sectors give what the same blocks give as a
+    system of matrices, run as one sector in site coordinates: states to
+    1e-12 relative, gaps within 1e-12 and the order within 1e-9.  The
+    specs include odd boxes, whose mid-planes leave some sectors with no
+    cube site, and specs centred on some axes only."""
+    sys = build_lattice_system(spec)
+    dense = BlockSystem(sys.omega1, sys.omega2, sys.gamma, sys.tol)
+    assert make_kernel(sys).sectors is not None
+    assert make_kernel(dense).sectors is None
+    grid = make_grid(2.5, 60)
+    rng = np.random.default_rng(spec.box * 10 + spec.cube)
+    v1 = rng.standard_normal(sys.d1) + 1j * rng.standard_normal(sys.d1)
+    for f1 in (ForcingSignal.zero(OBSERVABLE), _sine_forcing(grid, sys.d1)):
+        got = propagate_reduced(sys, v1, f1, grid).states
+        want = propagate_reduced(dense, v1, f1, grid).states
+        assert _relative_gap(got, want) <= 1e-12
+    got, want = (reduction_discrepancy(s, v1, 2.5, 60) for s in (sys, dense))
+    for key in ("sup_diff_coarse", "sup_diff_fine"):
+        assert abs(got[key] - want[key]) <= 1e-12
+    assert abs(got["order"] - want["order"]) <= 1e-9
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("which", ["random-4-8", "random-8-300",
+                                   "random-130-4", "offset-1.3.1"])
+def test_one_sector_states_match_unfolded_stepper(which, forced):
+    """A system of one sector (random systems, and the box 6, cube 2
+    lattice at offset (1, 3, 1), centred on no axis) runs through the
+    identity fold: its states are those of the stepper on the whole cube
+    in site coordinates to 1e-13 relative, at step counts below, at and
+    beyond the sqrt(steps) cap on the block length."""
+    if which.startswith("offset"):
+        sys = build_lattice_system(LatticeSpec(6, 2, (1, 3, 1)))
+    else:
+        d1, d2 = map(int, which.split("-")[1:])
+        sys = random_system(d1, d2, 2, seed=d1 + d2)
+    kernel = make_kernel(sys)
+    rng = np.random.default_rng(sys.d1)
+    v1 = rng.standard_normal(sys.d1) + 1j * rng.standard_normal(sys.d1)
+    for steps in (7, 64, 1000, 2001):
+        grid = make_grid(0.005 * steps, steps)
+        f1 = _sine_forcing(grid, sys.d1) if forced \
+            else ForcingSignal.zero(OBSERVABLE)
+        got = propagate_reduced(sys, v1, f1, grid).states
+        want = _unfolded_reduced(sys, v1, f1, grid, kernel)
+        assert _relative_gap(got, want) <= 1e-13, steps
 
 
 def test_uncentred_lattice_kernel_is_unchanged():

@@ -51,6 +51,9 @@ def test_workload_round_passes_its_checks(name, workloads, tmp_path):
     ["perfbench/crosscheck.py"],
     ["scripts/reduction_convergence.py", "--lattice", "5", "1", "--levels",
      "2"],
+    # eight sectors of one cube site each
+    ["scripts/reduction_convergence.py", "--lattice", "6", "2", "--levels",
+     "2"],
 ])
 def test_script_runs(argv):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
