@@ -15,14 +15,15 @@ forcing) leaves the observable part with a memory term,
 
 where the delayed-response kernel a1(t) = Gamma exp(-i Omega2 t) Gamma^dag
 is held in spectral form, a1(t) = M diag(exp(-i w t)) M^dag with
-M = Gamma U2.  A system of matrices factors Omega2 by one ``eigh``; a
-lattice built from its spec folds it by the mirror reflections of the
-axes on which its cube is centred, into up to 2^dims sectors of about
-d2 / 2^dims sites each, and factors each sector on its own, so no
-d2 x d2 matrix is formed.  The reduced equation is integrated with a
-trapezoidal (Crank-Nicolson style) step and trapezoidal memory
-quadrature, globally second order, against the exact full propagator as
-its accuracy oracle.
+M = Gamma U2.  Omega2 is folded by the mirror reflections of the axes on
+which a lattice's cube is centred (:class:`~opensys.lattice.Fold`), into
+up to 2^dims sectors of about d2 / 2^dims sites each, and each sector is
+factored on its own, so no d2 x d2 matrix is formed; a system of
+matrices, and a lattice centred on no axis, is one sector, the identity
+fold, whose one ``eigh`` is of Omega2 itself.  Each mode carries its
+sector.  The reduced equation is integrated with a trapezoidal
+(Crank-Nicolson style) step and trapezoidal memory quadrature, globally
+second order, against the exact full propagator as its accuracy oracle.
 The history is zero before t = 0, so the convolution's upper limit of
 infinity truncates to [0, t] exactly.  The kernel keeps only the modes
 of Omega2 that Gamma couples, those whose column of M is above the rank
@@ -37,15 +38,14 @@ sqrt(steps)) steps at a time (at least 1): the rows of the first L powers
 of the one-step matrix give each block's L states as one product with
 the state at its start, and no block system is solved, so a run costs
 O(steps d1 (d1 + d2)) flops in steps / L Python-level iterations and
-O(steps d1) memory.  On a lattice built from its spec whose cube is
-centred on some axis, the mirror reflections of those axes commute with
-Omega, so the reduced equation and its exact reference split into up to
-2^dims independent parity sectors of the cube (:class:`~opensys.lattice.
-Fold`); each runs on its own modes only, and d1 and d2 above are then a
-sector's.  Every other system is one sector.  The no-gain form of a
-signal p(t) u separates in the same modes into one autocorrelation of p,
-summed as the trapezoid over the triangle tau <= t, with a closed-form
-O(h^2) error bound.
+O(steps d1) memory.  The same reflections commute with Omega, so the
+reduced equation and its exact reference split into the parity sectors
+of the cube's fold, one sector for a system of matrices; each runs on
+its own modes only, and d1 and d2 above are then a sector's.  The kernel
+is made for one system: its modes are sorted by that system's fold.
+The no-gain form of a signal p(t) u separates in the same modes into one
+autocorrelation of p, summed as the trapezoid over the triangle
+tau <= t, with a closed-form O(h^2) error bound.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Fold, eigenvector_sectors
+from .lattice import Fold, sector_modes
 from .subspaces import DimensionMismatchError, check_hermitian
 from .systems import BlockSystem, FullOperator
 
@@ -77,14 +77,14 @@ class ResponseKernel:
     (hidden side) those of Omega1 and modes Gamma^dag U; both keep only
     the modes that ``make_kernel`` finds coupled.  The kernel at time t
     is modes @ diag(exp(-i eigvals t)) @ modes^dag, exact in t.
-    ``sectors`` holds the reflection sector of each mode on a lattice
-    built from its spec (:class:`opensys.lattice.Fold`), and is None
-    for modes that no fold sorted.
+    ``sectors`` holds the reflection sector of each mode in the fold of
+    the system it was made for (:class:`opensys.lattice.Fold`): all 0 for
+    a system of matrices, which is one sector.
     """
 
     eigvals: np.ndarray
     coupling_modes: np.ndarray
-    sectors: np.ndarray | None = None
+    sectors: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -176,10 +176,10 @@ def make_kernel(sys: BlockSystem, side: str = OBSERVABLE) -> ResponseKernel:
     other, on its coupled modes only.
 
     With w, U the eigenpairs of Omega2 (of Omega1 on the hidden side), a
-    mode's coupling column is Gamma u_m (Gamma^dag u_m), as the system's
-    :meth:`~opensys.systems.BlockSystem.mode_columns` gives them: from one
-    ``eigh``, or on a lattice built from its spec one reflection sector at
-    a time (:func:`opensys.lattice.sector_modes`).  A mode whose
+    mode's coupling column is Gamma u_m (Gamma^dag u_m), as
+    :func:`opensys.lattice.sector_modes` gives them, one reflection sector
+    at a time, with each mode's sector; a system of matrices is one
+    sector, factored by one ``eigh``.  A mode whose
     column has 2-norm <= theta = tol * max(1, max_m ||Gamma u_m||), the
     rank rule's threshold, is dropped: a mode Gamma does not couple adds
     nothing to a1(t), and the dropped terms change a1(t) by at most
@@ -193,14 +193,14 @@ def make_kernel(sys: BlockSystem, side: str = OBSERVABLE) -> ResponseKernel:
     """
     if side not in (OBSERVABLE, HIDDEN):
         raise ValueError(f"unknown kernel side {side!r}")
-    w, modes, sectors = sys.mode_columns(hidden=side == HIDDEN)
+    w, modes, sectors = sector_modes(sys, hidden=side == HIDDEN)
     norms = np.linalg.norm(modes, axis=0)
     coupled = norms > sys.tol * max(1.0, np.max(norms, initial=0.0))
     # compress keeps the C order of modes, so with no mode dropped the
     # kernel, and all that is computed from it, is bit for bit the same
     return ResponseKernel(eigvals=w[coupled],
                           coupling_modes=np.compress(coupled, modes, axis=1),
-                          sectors=None if sectors is None else sectors[coupled])
+                          sectors=sectors[coupled])
 
 
 def _exact_states(mat: np.ndarray | None, v0: np.ndarray,
@@ -325,16 +325,16 @@ def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
     sum_k E^(L-k) M^dag v_k carries the history exactly to the next
     block.  No system is solved besides the d1 x d1 one of the step.
 
-    On a lattice built from its spec, whose kernel modes carry their
-    reflection sectors, the cube's mirror fold
-    (:class:`opensys.lattice.Fold`) splits the equation into independent
-    sectors: Omega1, the coupling columns of each sector's modes, v1 and
-    the forcing are taken into the sector coordinates by sums over the
-    reflections, and the states are unfolded to the cube's sites at the
-    end.  Every other system, and a kernel whose modes carry no sectors,
-    is one sector with the identity fold.  Sectors with the same number
-    of cube coordinates run as one batch with a leading sector axis,
-    their modes padded with zero columns to the batch's largest count.
+    The cube's mirror fold (:class:`opensys.lattice.Fold`) splits the
+    equation into independent sectors: Omega1, the coupling columns of
+    each sector's modes, v1 and the forcing are taken into the sector
+    coordinates by sums over the reflections, and the states are unfolded
+    to the cube's sites at the end.  A system of matrices, and a lattice
+    centred on no axis, is one sector with the identity fold; a cube with
+    no site has no sector, and its trajectory is (nt, 0).  Sectors with
+    the same number of cube coordinates run as one batch with a leading
+    sector axis, their modes padded with zero columns to the batch's
+    largest count.
 
     In a sector of d1 coordinates and d2 modes, L = 128 // d1, lowered so
     that the two matrices a block streams through, L d1 (d1 + 2 d2)
@@ -350,7 +350,12 @@ def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
 
     Valid in the regime the reduced equation is derived in: hidden initial
     state zero and no hidden forcing.  ``kernel`` must be
-    ``make_kernel(sys)``; it is computed when omitted.
+    ``make_kernel(sys)``; it is computed when omitted.  Each mode's column
+    is taken into the sector its label names only, so the kernel of
+    another system, such as a lattice's kernel on the same blocks held as
+    matrices, or the reverse, loses the squared norm of its columns that
+    lie in other sectors; a loss above ``sys.tol`` times the total raises
+    ``ValueError``.
     """
     d1 = sys.d1
     v = np.asarray(v1_0, dtype=complex)
@@ -359,27 +364,26 @@ def propagate_reduced(sys: BlockSystem, v1_0: np.ndarray,
     times = np.asarray(times, dtype=float)
     h = _uniform_step(times)
     nt = len(times)
-    if d1 == 0:  # nothing observed: an empty trajectory, and no blocks
-        return Trajectory(times, np.empty((nt, 0), dtype=complex))
-
     if kernel is None:
         kernel = make_kernel(sys, OBSERVABLE)
-    labels = kernel.sectors  # modes that no fold sorted make one sector
-    fold = Fold.of(None if labels is None else sys.lattice, True, d1)
-    if labels is None:
-        labels = np.zeros(kernel.eigvals.size, int)
+    fold = Fold.of(sys.lattice, True, d1)
     start = fold.coordinates(v)
     forcing = None if f1.samples is None else \
         fold.coordinates(f1.sampled(nt, d1).T)  # (sectors, R, nt)
     out = np.zeros((*fold.keep.shape, nt), dtype=complex)
-    w = np.append(kernel.eigvals, 0.0)  # a padding mode takes w = 0
-    for (sector, rep), omega1, (cols, modes) in zip(
+    total = lost = np.vdot(kernel.coupling_modes, kernel.coupling_modes).real
+    for (sector, rep), omega1, (w, modes) in zip(
             fold.groups, fold.blocks(sys.omega1),
-            fold.columns(kernel.coupling_modes, labels)):
+            fold.columns(kernel.eigvals, kernel.coupling_modes,
+                         kernel.sectors)):
+        lost -= np.vdot(modes, modes).real
         at = sector[:, None], rep
-        out[at] = _sector_states(omega1, modes, w[cols], start[at],
+        out[at] = _sector_states(omega1, modes, w, start[at],
                                  None if forcing is None else forcing[at],
                                  h, nt)
+    if abs(lost) > sys.tol * total:  # the kernel of another system
+        raise ValueError(f"the kernel's modes keep {1 - lost / total:.3g} of "
+                         f"their squared norm in this system's sectors")
     return Trajectory(times, fold.sites(out).T)
 
 
@@ -468,28 +472,23 @@ def reduction_discrepancy(sys: BlockSystem, v1_0: np.ndarray, t_max: float,
     against the exact full propagation on the fine grid; reports both gaps
     and the empirical convergence order log2(coarse / fine), near 2 for a
     second-order reduced stepper.  The reference takes the cube's rows of
-    Omega's eigenvectors (:meth:`~opensys.systems.BlockSystem.
-    observable_eigenpairs`) into the cube's sector coordinates, each
-    closed-form eigenvector into the one sector its parities select
-    (:func:`opensys.lattice.eigenvector_sectors`), and takes the phase
+    Omega's eigenvectors into the cube's sector coordinates, each
+    eigenvector into the one sector that :meth:`~opensys.systems.
+    BlockSystem.observable_eigenpairs` gives it, and takes the phase
     product sector by sector; a system of matrices is one sector.
     """
     fine_grid = make_grid(t_max, 2 * steps)
     kernel = make_kernel(sys, OBSERVABLE)
     # the hidden initial state is zero, so the reference reads U[:d1] only
     fold = Fold.of(sys.lattice, True, sys.d1)
-    values, rows = sys.observable_eigenpairs()
-    labels = np.zeros(len(values), int) if sys.lattice is None \
-        else eigenvector_sectors(sys.lattice)
     start = fold.coordinates(np.asarray(v1_0, dtype=complex))
     full = np.zeros((*fold.keep.shape, len(fine_grid)), dtype=complex)
-    w = np.append(values, 0.0)
-    for (sector, rep), (cols, vectors) in zip(fold.groups,
-                                               fold.columns(rows, labels)):
+    for (sector, rep), eigenpairs in zip(
+            fold.groups, fold.columns(*sys.observable_eigenpairs())):
         at = sector[:, None], rep
         full[at] = _exact_states(None, start[at], ForcingSignal.zero(),
                                  fine_grid, rep.shape[1],
-                                 eigenpairs=(w[cols], vectors)).swapaxes(1, 2)
+                                 eigenpairs=eigenpairs).swapaxes(1, 2)
     full = fold.sites(full).T
 
     def gap(stride: int) -> float:

@@ -16,9 +16,10 @@ from which loading builds the system (:func:`spec_from_dict`).  A system
 built from a spec keeps it, and gives the eigenpairs of its Omega in
 closed form (:func:`omega_eigenpairs`), with no ``eigh``, or the
 eigenvalues and the cube's rows of the eigenvectors alone
-(:func:`observable_eigenpairs`), with no n x n matrix.  The
-delayed-response kernel takes its blocks one reflection sector at a
-time (:func:`sector_modes`).
+(:func:`observable_eigenpairs`), with no n x n matrix, each eigenvector
+with the reflection sector its parities select.  The delayed-response
+kernel of every system takes its blocks one reflection sector at a time
+(:func:`sector_modes`); a system of matrices is one sector.
 
 The infinite-lattice statements (infinite multiplicity of the ambient
 operator, infinitely many decoupled hidden modes) are only checked here
@@ -153,17 +154,18 @@ def build_lattice_system(spec: LatticeSpec) -> BlockSystem:
 
 
 def _kron_eigenpairs(spec: LatticeSpec, rows: list[slice], order: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues, ascending, and the matching columns of the
-    Kronecker product of the rows ``rows[j]`` of axis j's DST-I matrix,
-    taken in the row order ``order``."""
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues, ascending, the matching columns of the Kronecker
+    product of the rows ``rows[j]`` of axis j's DST-I matrix, taken in the
+    row order ``order``, and their flat indices (k_1 - 1, ..., k_dims - 1)
+    (:func:`_eigen_order`)."""
     m = spec.box + 1
     k = np.arange(1, m)
     # the argument reduced modulo 2 pi exactly, in integers
     sine = np.sqrt(2.0 / m) * np.sin(np.pi * (np.outer(k, k) % (2 * m)) / m)
     values, columns = _eigen_order(spec)
     vectors = functools.reduce(np.kron, [sine[r] for r in rows])
-    return values, vectors[np.ix_(order, columns)]
+    return values, vectors[np.ix_(order, columns)], columns
 
 
 def _eigen_order(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -191,18 +193,26 @@ def omega_eigenpairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     cube first, and the columns in ascending order of the eigenvalues.
     """
     return _kron_eigenpairs(spec, [slice(None)] * spec.dims,
-                            _cube_first(spec)[1])
+                            _cube_first(spec)[1])[:2]
 
 
-def observable_eigenpairs(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of :func:`omega_eigenpairs` and the first d1 rows
-    of its eigenvectors, those of the cube, built alone: the cube's sites
-    come first and in lexicographic order, so their rows are the
+def observable_eigenpairs(spec: LatticeSpec
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues of :func:`omega_eigenpairs`, the first d1 rows of
+    its eigenvectors, those of the cube, and the reflection sector of each
+    eigenvector (:class:`Fold`).  The rows are built alone: the cube's
+    sites come first and in lexicographic order, so their rows are the
     Kronecker product of the ``cube x box`` slices of the axes' DST-I
     matrices at the cube's offset.  It holds d1 x n entries and no n x n
-    matrix."""
+    matrix.  Axis j's DST-I column k is even under the axis's mirror for
+    odd k and odd for even k, so sector sigma has bit i set where k is
+    even on the i-th centred axis."""
     cube = [slice(o, o + spec.cube) for o in spec.offset]
-    return _kron_eigenpairs(spec, cube, np.arange(spec.cube ** spec.dims))
+    values, rows, columns = _kron_eigenpairs(
+        spec, cube, np.arange(spec.cube ** spec.dims))
+    axes = np.flatnonzero(2 * np.array(spec.offset) == spec.box - spec.cube)
+    k = columns[:, None] // spec.box ** (spec.dims - 1 - axes) % spec.box + 1
+    return values, rows, (1 - k % 2) @ 2 ** np.arange(len(axes))
 
 
 @dataclass(frozen=True)
@@ -245,13 +255,12 @@ class Fold:
         sites = order[:d1] if cube else order[d1:]
         position = np.empty_like(order)
         position[sites] = np.arange(sites.size)
-        axes = [j for j, o in enumerate(spec.offset)
-                if 2 * o + spec.cube == spec.box]
+        axes = np.flatnonzero(2 * np.array(spec.offset) == spec.box - spec.cube)
         x = coords[axes][:, sites]
         reps = np.flatnonzero(np.all(2 * x <= spec.box - 1, axis=0))
         x = x[:, reps]
         bits = np.arange(2 ** len(axes))[:, None] >> np.arange(len(axes)) & 1
-        stride = spec.box ** (spec.dims - 1 - np.array(axes, dtype=int))
+        stride = spec.box ** (spec.dims - 1 - axes)
         mid = (2 * x == spec.box - 1).astype(int)
         return cls(position[sites[reps] + bits @ ((spec.box - 1 - 2 * x)
                                                   * stride[:, None])],
@@ -268,6 +277,11 @@ class Fold:
         return (self.sign @ y.view(np.float64)).view(x.dtype).reshape(x.shape)
 
     @functools.cached_property
+    def scale(self) -> np.ndarray:
+        """sqrt(2^a |S_b|), the norm of sum_k e_(pi_k b), for each b."""
+        return np.sqrt(len(self.sign) * self.stab)
+
+    @functools.cached_property
     def groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """For each sector size g > 0, ascending: the sectors (m,) that
         hold g representatives, and those (m, g)."""
@@ -279,8 +293,8 @@ class Fold:
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """The (sectors, R, ...) coordinates <e_(sigma, b), x> of ``x``,
         whose first axis runs over the part's sites."""
-        scale = np.sqrt(len(self.sign) * self.stab)
-        return self.signed(x[self.images]) / scale.reshape(-1, *[1] * (x.ndim - 1))
+        return self.signed(x[self.images]) \
+            / self.scale.reshape(-1, *[1] * (x.ndim - 1))
 
     def sites(self, coords: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`coordinates`, for coordinates that are zero
@@ -289,9 +303,8 @@ class Fold:
         for several k, which all give it the same value."""
         out = np.empty((self.images.max(initial=-1) + 1, *coords.shape[2:]),
                        coords.dtype)
-        unit = np.sqrt(self.stab / len(self.sign))
-        out[self.images] = self.signed(coords) \
-            * unit.reshape(-1, *[1] * (coords.ndim - 2))
+        out[self.images] = self.signed(coords) * (self.scale / len(
+            self.sign)).reshape(-1, *[1] * (coords.ndim - 2))
         return out
 
     def blocks(self, op: np.ndarray) -> list[np.ndarray]:
@@ -305,22 +318,25 @@ class Fold:
         return [folded[sector[:, None, None], rep[:, :, None], rep[:, None, :]]
                 for sector, rep in self.groups]
 
-    def columns(self, x: np.ndarray, labels: np.ndarray):
-        """For each of :attr:`groups`: the indices (m, p) of the columns
-        of ``x`` that ``labels`` puts in each of its sectors, padded with
-        -1, and those columns in the sector's coordinates, (m, g, p), a
-        padding column zero.  No column is taken into another sector."""
-        order = np.append(np.argsort(labels, kind="stable"), -1)
+    def columns(self, values: np.ndarray, x: np.ndarray, labels: np.ndarray):
+        """For each of :attr:`groups`: the values (m, p) of the columns of
+        ``x`` that ``labels`` puts in each of its sectors, and those columns
+        in the sector's coordinates, (m, g, p); a sector with fewer than p
+        columns is padded with value 0 and zero columns.  No column is
+        taken into another sector, so a column labelled with a sector it
+        does not lie in keeps only its part in that sector."""
+        order = np.concatenate([np.argsort(labels, kind="stable"), [-1]])
         counts = np.bincount(labels, minlength=len(self.sign))
-        x = np.hstack([x, np.zeros((len(x), 1))])
+        starts = np.cumsum(counts) - counts
+        x = np.concatenate([x, np.zeros((len(x), 1))], axis=1)
+        values = np.concatenate([values, [0.0]])
         for sector, rep in self.groups:
             slot = np.arange(counts[sector].max())
-            cols = order[np.where(slot < counts[sector, None], slot + (
-                np.cumsum(counts) - counts)[sector, None], -1)]
-            yield cols, np.einsum("sk,ksgp->sgp", self.sign[sector],
-                                  x[self.images[:, rep, None], cols[:, None]]
-                                  ) / np.sqrt(len(self.sign) * self.stab[rep,
-                                                                         None])
+            cols = order[np.where(slot < counts[sector, None],
+                                  slot + starts[sector, None], -1)]
+            folded = np.einsum("sk,ksgp->sgp", self.sign[sector],
+                               x[self.images[:, rep, None], cols[:, None]])
+            yield values[cols], folded / self.scale[rep, None]
 
 
 def sector_modes(sys: BlockSystem, hidden: bool
@@ -328,11 +344,14 @@ def sector_modes(sys: BlockSystem, hidden: bool
     """The eigenvalues w of Omega2, the coupling columns Gamma U2 of its
     eigenvectors (of Omega1 and Gamma^dag U1 when ``hidden``) and the
     reflection sector of each, taken one sector of the :class:`Fold` at
-    a time, with no d2 x d2 matrix.
+    a time, with no d2 x d2 matrix: the one route of the kernel for every
+    system.
 
     Sectors of one size take one batched ``eigh`` of their folded
-    blocks; the values come sector by sector, ascending in each.  With no
-    centred axis the one sector is the block.
+    blocks; the values come sector by sector, ascending in each.  A
+    system of matrices, and a spec centred on no axis, has the identity
+    fold: the one sector 0 is the block, taken by one ``eigh``, whose
+    values and columns are those of a plain ``eigh`` of the block.
     """
     block, coupling = ((sys.omega1, sys.gamma.conj()) if hidden
                        else (sys.omega2, sys.gamma.T))  # coupling rows: sites
@@ -347,19 +366,6 @@ def sector_modes(sys: BlockSystem, hidden: bool
                      .transpose(1, 0, 2).reshape(coupling.shape[1], w.size))
         sectors.append(np.repeat(sector, rep.shape[1]))
     return np.concatenate(values), np.hstack(modes), np.concatenate(sectors)
-
-
-def eigenvector_sectors(spec: LatticeSpec) -> np.ndarray:
-    """The reflection sector of each eigenvector of
-    :func:`omega_eigenpairs`, in its column order.  Axis j's DST-I
-    column k is even under the axis's mirror for odd k and odd for even
-    k, so sector sigma has bit i set where k is even on the i-th centred
-    axis, as in :class:`Fold`."""
-    wavenumbers = np.unravel_index(_eigen_order(spec)[1],
-                                   (spec.box,) * spec.dims)  # k - 1
-    return sum(((wavenumbers[j] & 1) << i for i, j in enumerate(
-        j for j, o in enumerate(spec.offset) if 2 * o + spec.cube == spec.box)),
-        np.zeros(spec.box ** spec.dims, int))
 
 
 # --- system files ------------------------------------------------------------

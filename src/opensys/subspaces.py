@@ -37,6 +37,11 @@ kernel mode         keep eigenvector u of Omega2 when          make_kernel
                     ``||Gamma u|| > theta = tol * max(1,
                     max_u ||Gamma u||)``; the dropped modes
                     change a1(t) by ``<= d2 theta^2``
+kernel sectors      each kernel column folded into the sector  propagate_reduced
+                    its label names: the kept squared norm
+                    is within ``tol * ||M||_F^2`` of
+                    ``||M||_F^2``, else the kernel is another
+                    system's
 ==================  =========================================  ===============
 
 The decomposition uses every row but containment: it reads its parts

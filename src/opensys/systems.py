@@ -102,33 +102,19 @@ class BlockSystem:
         from .lattice import omega_eigenpairs  # lattice imports this module
         return omega_eigenpairs(self.lattice)
 
-    def observable_eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues of :meth:`eigenpairs` and the first d1 rows of
-        its eigenvectors: built alone in closed form for a lattice built
-        from its spec (:func:`opensys.lattice.observable_eigenpairs`), with
-        no n x n matrix, else rows of the one ``eigh``."""
+    def observable_eigenpairs(self
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The eigenvalues of :meth:`eigenpairs`, the first d1 rows of its
+        eigenvectors and the reflection sector of each eigenvector: built
+        alone in closed form for a lattice built from its spec, with no
+        n x n matrix, and the sectors its DST parities select
+        (:func:`opensys.lattice.observable_eigenpairs`); else rows of the
+        one ``eigh``, all in sector 0."""
         if self.lattice is None:
             values, vectors = self.eigenpairs()
-            return values, vectors[:self.d1]
+            return values, vectors[:self.d1], np.zeros(len(values), int)
         from .lattice import observable_eigenpairs
         return observable_eigenpairs(self.lattice)
-
-    def mode_columns(self, hidden: bool = False
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The eigenvalues w of Omega2, the coupling columns Gamma U2 of
-        its eigenvectors and the reflection sector of each; when
-        ``hidden``, those of Omega1 and Gamma^dag U1.  For a lattice built
-        from its spec they are taken one reflection sector at a time,
-        with no d2 x d2 matrix (:func:`opensys.lattice.sector_modes`);
-        else from one ``eigh``, in ascending order, with no sectors
-        (None)."""
-        if self.lattice is not None:
-            from .lattice import sector_modes
-            return sector_modes(self, hidden)
-        block, coupling = ((self.omega1, self.gamma.conj().T) if hidden
-                           else (self.omega2, self.gamma))
-        w, u = np.linalg.eigh(block)
-        return w, coupling @ u, None
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from opensys.dynamics import (
     reduction_discrepancy,
     trajectory_to_csv,
 )
-from opensys.lattice import LatticeSpec, build_lattice_system
+from opensys.lattice import LatticeSpec, build_lattice_system, sector_modes
 from opensys.subspaces import DimensionMismatchError
 from opensys.systems import BlockSystem, assemble_full, random_system
 from test_acceptance import REDUCTION_SUP_TOL
@@ -240,8 +240,8 @@ class TestKernel:
 
 def _all_mode_kernel(sys, side=OBSERVABLE):
     """The kernel on every eigenvector of Omega2 (of Omega1 on the hidden
-    side) that the system's mode_columns gives, coupled or not."""
-    return ResponseKernel(*sys.mode_columns(hidden=side == HIDDEN))
+    side) that sector_modes gives, coupled or not."""
+    return ResponseKernel(*sector_modes(sys, hidden=side == HIDDEN))
 
 
 def _acceptance_dynamics_systems():
@@ -280,7 +280,8 @@ class TestCoupledModes:
         norms = np.linalg.norm(full.coupling_modes, axis=0)
         theta = sys.tol * max(1.0, norms.max())
         kept = norms > theta
-        zeroed = ResponseKernel(full.eigvals, full.coupling_modes * kept)
+        zeroed = ResponseKernel(full.eigvals, full.coupling_modes * kept,
+                                full.sectors)
         times = make_grid(10.0, 200)
         dropped = full.on_grid(times) - zeroed.on_grid(times)
         assert np.max(np.linalg.norm(dropped, 2, axis=(1, 2))) \
@@ -341,7 +342,7 @@ def test_sector_kernel_is_the_dense_kernel(spec, side):
     (modes) theta^2 to a(t)."""
     sys = build_lattice_system(spec)
     dense = BlockSystem(sys.omega1, sys.omega2, sys.gamma, sys.tol)
-    values, columns, _ = sys.mode_columns(hidden=side == HIDDEN)
+    values, columns, sectors = sector_modes(sys, hidden=side == HIDDEN)
     block = sys.omega1 if side == HIDDEN else sys.omega2
     assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(block)),
                   initial=0.0) <= 1e-12
@@ -351,8 +352,9 @@ def test_sector_kernel_is_the_dense_kernel(spec, side):
     assert gap <= 1e-12 * top
     norms = np.linalg.norm(columns, axis=0)
     theta = sys.tol * max(1.0, np.max(norms, initial=0.0))
-    zeroed = ResponseKernel(values, columns * (norms > theta))
-    dropped, _ = _sup_gap(ResponseKernel(values, columns), zeroed, times)
+    zeroed = ResponseKernel(values, columns * (norms > theta), sectors)
+    dropped, _ = _sup_gap(ResponseKernel(values, columns, sectors), zeroed,
+                          times)
     assert dropped <= len(values) * theta ** 2
 
 
@@ -372,8 +374,7 @@ def test_sector_dynamics_match_one_sector(spec):
     cube site, and specs centred on some axes only."""
     sys = build_lattice_system(spec)
     dense = BlockSystem(sys.omega1, sys.omega2, sys.gamma, sys.tol)
-    assert make_kernel(sys).sectors is not None
-    assert make_kernel(dense).sectors is None
+    assert not make_kernel(dense).sectors.any()
     grid = make_grid(2.5, 60)
     rng = np.random.default_rng(spec.box * 10 + spec.cube)
     v1 = rng.standard_normal(sys.d1) + 1j * rng.standard_normal(sys.d1)
@@ -385,6 +386,61 @@ def test_sector_dynamics_match_one_sector(spec):
     for key in ("sup_diff_coarse", "sup_diff_fine"):
         assert abs(got[key] - want[key]) <= 1e-12
     assert abs(got["order"] - want["order"]) <= 1e-9
+
+
+def _real_system(d1, d2, seed):
+    """A system of real symmetric blocks and a real coupling of full rank."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((d1, d1)), rng.standard_normal((d2, d2))
+    return BlockSystem(a + a.T, b + b.T, rng.standard_normal((d1, d2)))
+
+
+@pytest.mark.parametrize("side", [OBSERVABLE, HIDDEN])
+@pytest.mark.parametrize("d1, d2", [(4, 8), (12, 20), (50, 150), (1, 1)])
+def test_matrix_kernel_is_one_eigh(d1, d2, side):
+    """On a system of matrices the kernel is one plain eigh of Omega2 (of
+    Omega1 on the hidden side) and the column test, independent of the
+    fold: on a complex random system bit for bit, on a real symmetric one
+    the values bit for bit and the columns within 1e-14 relative; every
+    mode is in sector 0."""
+    for sys, exact in ((random_system(d1, d2, min(d1, d2), seed=d1), True),
+                       (_real_system(d1, d2, seed=d2), False)):
+        block, coupling = ((sys.omega1, sys.gamma.conj().T) if side == HIDDEN
+                           else (sys.omega2, sys.gamma))
+        w, u = np.linalg.eigh(block)
+        columns = coupling @ u
+        norms = np.linalg.norm(columns, axis=0)
+        coupled = norms > sys.tol * max(1.0, norms.max())
+        kernel = make_kernel(sys, side)
+        assert np.array_equal(kernel.eigvals, w[coupled])
+        assert np.array_equal(kernel.sectors, np.zeros(coupled.sum(), int))
+        if exact:
+            assert np.array_equal(kernel.coupling_modes, columns[:, coupled])
+        else:
+            assert _relative_gap(kernel.coupling_modes,
+                                 columns[:, coupled]) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec.centered(6, 2),
+                                  LatticeSpec.centered(7, 3),
+                                  LatticeSpec(6, 2, (2, 1), dims=2)],
+                         ids=_spec_id)
+def test_kernel_of_another_system_rejected(spec):
+    """A kernel sorts its modes by the fold of the system it was made for.
+    Handed to the same blocks as a system of matrices (one sector), a
+    lattice's kernel keeps only its sector-0 modes; handed to the lattice,
+    the dense kernel puts every mode in sector 0.  Either way the modes
+    lose most of their norm, and propagate_reduced raises ValueError, free
+    and forced; each system's own kernel passes."""
+    sys = build_lattice_system(spec)
+    dense = BlockSystem(sys.omega1, sys.omega2, sys.gamma, sys.tol)
+    grid = make_grid(2.5, 50)
+    v1 = np.random.default_rng(spec.box).standard_normal(sys.d1)
+    for f1 in (ForcingSignal.zero(OBSERVABLE), _sine_forcing(grid, sys.d1)):
+        for system, other in ((dense, sys), (sys, dense)):
+            propagate_reduced(system, v1, f1, grid, make_kernel(system))
+            with pytest.raises(ValueError, match="squared norm"):
+                propagate_reduced(system, v1, f1, grid, make_kernel(other))
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -459,7 +515,8 @@ def test_rank_zero_coupling_keeps_no_mode(side):
     assert result.passed
     if side == OBSERVABLE:
         w = np.linalg.eigh(sys.omega2)[0]
-        zero_columns = ResponseKernel(w, np.zeros((sys.d1, sys.d2)))
+        zero_columns = ResponseKernel(w, np.zeros((sys.d1, sys.d2)),
+                                      np.zeros(sys.d2, int))
         v1 = np.ones(3, dtype=complex) / np.sqrt(3)
         zero = ForcingSignal.zero(OBSERVABLE)
         assert _relative_gap(
@@ -748,18 +805,37 @@ class TestPropagateReduced:
         assert peak < 16 * len(grid) * 100 + 16 * len(grid) * 200 / 2
 
     def test_empty_observable(self):
-        """d1 = 0: both propagations give (nt, 0) trajectories, and the
-        discrepancy is zero with order 0."""
+        """d1 = 0: both propagations give (nt, 0) trajectories, free and
+        forced, and the discrepancy is zero with order 0."""
         sys = random_system(0, 3, 0, seed=1)
         grid = make_grid(10.0, 100)
         v1 = np.zeros(0, dtype=complex)
-        red = propagate_reduced(sys, v1, ForcingSignal.zero(OBSERVABLE), grid)
-        assert red.states.shape == (101, 0)
+        for f1 in (ForcingSignal.zero(OBSERVABLE),
+                   ForcingSignal(np.zeros((101, 0)), OBSERVABLE)):
+            red = propagate_reduced(sys, v1, f1, grid)
+            assert red.states.shape == (101, 0)
         assert _exact_states(assemble_full(sys).omega, np.zeros(3),
                              ForcingSignal.zero(), grid, 0).shape == (101, 0)
         result = reduction_discrepancy(sys, v1, 10.0, 100)
         assert result["sup_diff_coarse"] == result["sup_diff_fine"] == 0.0
         assert result["order"] == 0.0
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_empty_hidden(self, forced):
+        """d2 = 0: the kernel has no mode, and its sectors shape (0,); the
+        reduced states, free and forced, are those of the whole-cube
+        stepper to 1e-14 relative."""
+        sys = random_system(3, 0, 0, seed=1)
+        kernel = make_kernel(sys)
+        assert kernel.eigvals.shape == kernel.sectors.shape == (0,)
+        assert kernel.coupling_modes.shape == (3, 0)
+        grid = make_grid(2.0, 200)
+        v1 = np.array([1.0, 1j, -0.5])
+        f1 = _sine_forcing(grid, 3) if forced \
+            else ForcingSignal.zero(OBSERVABLE)
+        got = propagate_reduced(sys, v1, f1, grid).states
+        want = _unfolded_reduced(sys, v1, f1, grid, kernel)
+        assert _relative_gap(got, want) <= 1e-14
 
     def test_one_eigh_per_operator_in_discrepancy(self, monkeypatch):
         """The coarse and the fine reduced run share one kernel: eigh runs
@@ -773,7 +849,7 @@ class TestPropagateReduced:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         reduction_discrepancy(sys, np.ones(3) / np.sqrt(3), 2.0, 50)
-        assert sorted(calls) == [(5, 5), (8, 8)]
+        assert sorted(calls) == [(1, 5, 5), (8, 8)]
 
     def test_lattice_discrepancy_factors_omega2_only(self, lattice,
                                                      monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from opensys.lattice import (
+    Fold,
     LatticeSpec,
     build_lattice_system,
     multiplicity_bound,
@@ -240,15 +241,38 @@ def test_observable_rows_are_the_closed_form_rows(box, dims):
         values, vectors = omega_eigenpairs(spec)
         d1 = spec.cube ** dims
         sys = build_lattice_system(spec)
-        for got_values, rows in (observable_eigenpairs(spec),
-                                 sys.observable_eigenpairs()):
+        for got_values, rows, _ in (observable_eigenpairs(spec),
+                                    sys.observable_eigenpairs()):
             assert np.array_equal(got_values, values)
             assert np.array_equal(rows, vectors[:d1])
         dense = BlockSystem(sys.omega1, sys.omega2, sys.gamma, sys.tol)
         dense_values, dense_vectors = dense.eigenpairs()
-        got_values, rows = dense.observable_eigenpairs()
+        got_values, rows, sectors = dense.observable_eigenpairs()
         assert np.array_equal(got_values, dense_values)
         assert np.array_equal(rows, dense_vectors[:d1])
+        assert np.array_equal(sectors, np.zeros(box ** dims, int))
+
+
+@pytest.mark.parametrize("spec", [
+    *(LatticeSpec.centered(box, cube, dims) for dims in (1, 2, 3)
+      for box, cube in ((4, 2), (5, 1), (6, 2), (7, 3))),
+    LatticeSpec(7, 3, (2, 1, 2)), LatticeSpec(8, 2, (3, 1, 2)),
+    LatticeSpec(6, 2, (1, 3, 1))],
+    ids=lambda s: f"{s.dims}d-box{s.box}-cube{s.cube}-at"
+                  + "".join(map(str, s.offset)))
+def test_eigenvector_sectors_hold_the_eigenvectors(spec):
+    """The sector that observable_eigenpairs gives each eigenvector holds
+    all of it: folded by the reflections of the centred axes, its cube
+    rows and its other rows have no part in any other sector, to 1e-13."""
+    _, vectors = omega_eigenpairs(spec)
+    _, rows, sectors = observable_eigenpairs(spec)
+    d1 = spec.cube ** spec.dims
+    assert np.array_equal(rows, vectors[:d1])
+    for cube, part in ((True, vectors[:d1]), (False, vectors[d1:])):
+        fold = Fold.of(spec, cube, len(part))
+        coords = fold.coordinates(part)  # (sectors, R, n)
+        outside = np.arange(len(coords))[:, None, None] != sectors
+        assert np.max(np.abs(coords * outside)) <= 1e-13
 
 
 def test_observable_rows_need_no_square_matrix():
@@ -259,7 +283,7 @@ def test_observable_rows_need_no_square_matrix():
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        values, rows = observable_eigenpairs(spec)
+        values, rows, _ = observable_eigenpairs(spec)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
