@@ -23,8 +23,11 @@ coupling ranges under the diagonal blocks alone).  Their agreement is the
 strongest internal correctness certificate available.
 
 Each operator is factored once per certificate.  :func:`decompose` runs
-one ``eigh`` each of Omega1 and Omega2 and two complete QRs, one per
-block.  It takes the eigenpairs of Omega from the system: one ``eigh``
+one ``eigh`` each of Omega1 and Omega2 and one Householder QR for each
+block that has a decoupled part, whose complete Q it forms from the
+reflectors as I - Y T Y^dag with one triangular solve and one matrix
+product (:func:`~opensys.subspaces._complete_q`); a block with nothing
+decoupled has Q = I and takes no QR.  It takes the eigenpairs of Omega from the system: one ``eigh``
 for a system of matrices, the closed form for a lattice built from its
 spec, so that there the two routes rest on independent factorizations.
 It keeps the spectrum of Omega, the rank cut of Gamma (rank Gamma is
@@ -38,9 +41,9 @@ have rank.  Its multiplicity is the largest of these ranks: one cluster
 rule, at ``tol``, for the split and the multiplicity alike.
 
 Every distance is ||P_A - P_B|| = ||B_perp^dag A||, taken against a
-complement of B that is already exact: h1d and h2d, the trailing columns
-of the QRs, for the route distances; the eigen-directions a closure's
-cut drops for the theorem distances.  Both functions work in the
+complement of B that is already exact: h1d and h2d, the trailing
+columns of the complete Qs, for the route distances; the eigen-directions
+a closure's cut drops for the theorem distances.  Both functions work in the
 eigenbasis of Omega, where H1 and H2 are the conjugate transposes of the
 first d1 and last d2 rows of its eigenvectors; no closure is formed in
 n-space.  There a closure and its complement are the factors its cut
@@ -65,12 +68,12 @@ from .subspaces import (
     Spectrum,
     SubspaceBasis,
     _complement_distance,
+    _complete_q,
     _cut_distance,
     _cut_product,
     _eigen_clusters,
     _spectral_norm,
     check_hermitian,
-    orbit,
     orthonormalize,
 )
 from .systems import BlockSystem
@@ -181,9 +184,13 @@ def _split_block(decoupled: SubspaceBasis, take: slice, other: slice,
     other block must vanish to within CONSISTENCY_FACTOR * tol.  Then
     rows^dag rows = I - leak^dag leak, so with ||leak||_F < 1/2 every
     singular value of the rows exceeds sqrt(3)/2: they have full column
-    rank.  The leading columns of their complete Householder QR are then
-    an orthonormal basis of the same dimension as E, and the trailing
-    columns one of its complement in the block.
+    rank.  The leading columns of the complete Q of their Householder QR
+    are then an orthonormal basis of the same dimension as E, and the
+    trailing columns one of its complement in the block.  That Q is
+    I - Y T Y^dag, formed from the QR's reflectors Y with one triangular
+    solve and one matrix product (:func:`~opensys.subspaces._complete_q`);
+    a reflector with tau = 0 is the identity and drops out of T.  A
+    block with nothing decoupled has Q = I and takes no QR.
     """
     leak = decoupled.matrix[other]
     worst = np.max(np.linalg.norm(leak, axis=0), initial=0.0)
@@ -197,7 +204,7 @@ def _split_block(decoupled: SubspaceBasis, take: slice, other: slice,
         raise DecompositionError(
             stage, "||leak||_F, below which the kept rows have full rank",
             leak_norm, 0.5)
-    q = np.linalg.qr(decoupled.matrix[take], mode="complete")[0]
+    q = _complete_q(decoupled.matrix[take])
     return SubspaceBasis(q[:, :decoupled.dim]), SubspaceBasis(q[:, decoupled.dim:])
 
 
@@ -233,10 +240,11 @@ def decompose(sys: BlockSystem) -> FourWayDecomposition:
     # once, and Ran Gamma^dag needs no second cut
     ran_gamma_dag = SubspaceBasis(
         np.linalg.qr(sys.gamma.conj().T @ ran_gamma.matrix)[0])
-    dist1 = _complement_distance(
-        h1d.matrix.conj().T @ orbit(sys.omega1, ran_gamma, tol).matrix, d1)
-    dist2 = _complement_distance(
-        h2d.matrix.conj().T @ orbit(sys.omega2, ran_gamma_dag, tol).matrix, d2)
+    # the system's diagonal blocks are exactly Hermitian
+    dist1, dist2 = (_complement_distance(part.matrix.conj().T @ Spectrum(
+        None, tol, eigenpairs=np.linalg.eigh(omega)).orbit(seed).matrix, d)
+        for part, omega, seed, d in ((h1d, sys.omega1, ran_gamma, d1),
+                                     (h2d, sys.omega2, ran_gamma_dag, d2)))
     route_distance = max(dist1, dist2)
     if route_distance > CONSISTENCY_FACTOR * tol:
         raise DecompositionError(

@@ -312,9 +312,8 @@ class Fold:
         <e_(sigma, a), op e_(sigma, b)> = sum_k chi_sigma(k) op[a, pi_k b]
         / sqrt(|S_a| |S_b|) of an operator on the part that commutes with
         the reflections."""
-        folded = self.signed(op[self.images[0][:, None],
-                                self.images[:, None, :]]) \
-            / np.sqrt(np.outer(self.stab, self.stab))
+        folded = self.signed(op[self.images[0][:, None], self.images[:, None, :]])
+        folded /= np.sqrt(self.stab[:, None] * self.stab)  # a fresh array
         return [folded[sector[:, None, None], rep[:, :, None], rep[:, None, :]]
                 for sector, rep in self.groups]
 
@@ -357,15 +356,18 @@ def sector_modes(sys: BlockSystem, hidden: bool
                        else (sys.omega2, sys.gamma.T))  # coupling rows: sites
     fold = Fold.of(sys.lattice, hidden, len(block))
     columns = fold.coordinates(coupling)
-    # empty parts, so that a part with no site still gives its shapes
-    values, modes, sectors = [np.zeros(0)], [coupling[:0].T], [np.zeros(0, int)]
+    # the sectors hold one mode a site, written in place group by group
+    values, sectors = np.empty(len(block)), np.empty(len(block), int)
+    modes = np.empty((coupling.shape[1], len(block)),
+                     np.result_type(columns, block))
+    end = 0
     for (sector, rep), folded in zip(fold.groups, fold.blocks(block)):
         w, v = np.linalg.eigh(folded)
-        values.append(w.ravel())
-        modes.append((columns[sector[:, None], rep].transpose(0, 2, 1) @ v)
-                     .transpose(1, 0, 2).reshape(coupling.shape[1], w.size))
-        sectors.append(np.repeat(sector, rep.shape[1]))
-    return np.concatenate(values), np.hstack(modes), np.concatenate(sectors)
+        start, end = end, end + w.size
+        values[start:end], sectors[start:end] = w.ravel(), sector.repeat(w.shape[1])
+        modes[:, start:end].reshape(len(modes), *w.shape)[...] = (
+            columns[sector[:, None], rep].transpose(0, 2, 1) @ v).transpose(1, 0, 2)
+    return values, modes, sectors
 
 
 # --- system files ------------------------------------------------------------

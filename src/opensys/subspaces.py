@@ -70,7 +70,8 @@ of a Householder QR, and its dimension is fixed by the inputs.
 Every distance the package certifies is ``||P_A - P_B|| = ||B_perp^dag
 A||`` for subspaces of equal dimension (:func:`_complement_distance`),
 with B_perp a complement that is exact by construction: the trailing
-columns of a complete QR, or the factors a cut drops.  The norm of that
+columns of a complete Householder Q, formed as I - Y T Y^dag from the
+reflectors (:func:`_complete_q`), or the factors a cut drops.  The norm of that
 (n - k) x k product is the top eigenvalue of its smaller Gram matrix
 (:func:`_spectral_norm`), not an SVD.  Between two closures of one
 spectrum the product is block-diagonal by cluster, and its norm is the
@@ -172,12 +173,13 @@ def _range_basis(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
                 np.zeros(m.shape[:-2], dtype=int))
     if m.shape[-2] == 1:
         left = np.ones((*m.shape[:-1], 1), dtype=m.dtype)
-        sing = np.linalg.norm(m, axis=-1)
+        # np.linalg.norm(m, axis=-1), without its argument handling
+        sing = np.sqrt(np.add.reduce((m.conj() * m).real, axis=-1))
     else:
         r = np.linalg.qr(np.swapaxes(m, -1, -2).conj(), mode="r")
         left, sing, _ = np.linalg.svd(np.swapaxes(r, -1, -2).conj(),
                                       full_matrices=False)
-    kept = np.sum(sing > tol * np.maximum(1.0, sing[..., :1]), axis=-1)
+    kept = (sing > tol * np.maximum(1.0, sing[..., :1])).sum(axis=-1)
     return left, kept
 
 
@@ -202,7 +204,7 @@ def check_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarr
     a = as_field(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{what} is not square: shape {a.shape}")
-    if np.array_equal(a, a.conj().T):
+    if (a == a.conj().T).all():
         return a.copy()
     defect = np.linalg.norm(a - a.conj().T)
     if defect > tol * max(np.linalg.norm(a), 1.0):
@@ -214,10 +216,12 @@ def check_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarr
 
 def _eigen_clusters(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """First index and size of each run of sorted eigenvalues chained by
-    gaps <= tol * max(1, |w|max)."""
-    threshold = tol * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > threshold)
-    return starts, np.diff(starts, append=len(w))
+    gaps <= tol * max(1, |w|max); with w ascending, |w|max is -w[0] or
+    w[-1]."""
+    threshold = tol * max([1.0, *-w[:1], *w[-1:]])
+    bounds = np.flatnonzero(np.concatenate(
+        ([True], w[1:] - w[:-1] > threshold, [len(w) > 0])))
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 class Spectrum:
@@ -247,7 +251,7 @@ class Spectrum:
         self.values, self.vectors = eigenpairs
         self.starts, self.sizes = _eigen_clusters(self.values, tol)
         self.groups = [self.starts[self.sizes == size, None] + np.arange(size)
-                       for size in np.unique(self.sizes)]
+                       for size in np.flatnonzero(np.bincount(self.sizes))]
 
     def cut(self, coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]]:
@@ -274,8 +278,9 @@ class Spectrum:
         :func:`_cut_product` takes F's products with an array, and
         :func:`_cut_distance` compares two cuts cluster by cluster.
         """
-        pad = max(int(np.max(self.sizes, initial=0)) - coords.shape[1], 0)
-        if pad:
+        pad = (self.groups[-1].shape[1] if self.groups else 0) - \
+            coords.shape[1]
+        if pad > 0:
             coords = np.hstack([coords, np.zeros((len(coords), pad))])
         return [(rows, *_range_basis(coords[rows], self.tol))
                 for rows in self.groups]
@@ -310,26 +315,28 @@ def _cut_product(a: np.ndarray, cut: list, keep: bool = True) -> np.ndarray:
     one-eigenvalue cluster has the factor 1, so it takes a gather.
     Columns come in F's order, cluster by cluster in ascending order; each
     cluster's product is written to its places in a result with one spare
-    row, which takes the columns outside S and is cut off.
+    row, first, which takes the columns outside S and is cut off.
     """
+    dtype = np.result_type(a, *(left for _, left, _ in cut))
     kept = sum(int(ranks.sum()) for *_, ranks in cut)
     count = kept if keep else a.shape[1] - kept
-    out = np.zeros((count + 1, len(a)),
-                   dtype=np.result_type(a, *(left for _, left, _ in cut)))
     if not count:
-        return out[:-1].T
+        return np.zeros((len(a), 0), dtype)
     chosen = np.zeros(a.shape[1], dtype=bool)
     for rows, _, ranks in cut:
-        chosen[rows] = (np.arange(rows.shape[1]) < ranks[:, None]) == keep
-    place = np.where(chosen, chosen.cumsum() - 1, -1)
+        chosen[rows] = np.arange(rows.shape[1]) < ranks[:, None]
+    if not keep:
+        chosen = ~chosen
+    place = chosen.cumsum() * chosen
+    out = np.empty((count + 1, len(a)), dtype)
     for rows, left, _ in cut:
-        hit = np.any(place[rows] >= 0, axis=1)
+        hit = chosen[rows].any(axis=1)
         rows, left = rows[hit], left[hit]
         block = a.T[rows]
         if rows.shape[1] > 1:
             block = np.swapaxes(left, -1, -2) @ block
         out[place[rows]] = block
-    return out[:-1].T
+    return out[1:].T
 
 
 def _cut_distance(cut_a: list, cut_b: list) -> float:
@@ -358,6 +365,31 @@ def _cut_distance(cut_a: list, cut_b: list) -> float:
     return float(norm)
 
 
+def _complete_q(a: np.ndarray) -> np.ndarray:
+    """The m x m unitary Q of a Householder QR of an m x k array, k <= m.
+
+    LAPACK's raw QR keeps the reflectors H_i = I - tau_i y_i y_i^dag,
+    the columns of a unit lower trapezoid Y, and Q = H_1 ... H_k is
+    I - Y T Y^dag with T^-1 = D^-1 + S, D = diag(tau) and S the strict
+    upper triangle of Y^dag Y (Schreiber & Van Loan, *SIAM J. Sci. Stat.
+    Comput.* 10, 1989; Joffrain et al., *ACM TOMS* 32, 2006).  So
+    T Y^dag = (I + D S)^-1 D Y^dag is one unit triangular solve, and Q
+    one matrix product in place of LAPACK's panels.  No tau is inverted:
+    a reflector with tau = 0, the identity, gets a zero row and column
+    of T.  With k = 0, Q = I and no QR is taken.
+    """
+    m, k = a.shape
+    if not k:
+        return np.eye(m, dtype=a.dtype)
+    h, tau = np.linalg.qr(a, mode="raw")
+    y = np.tril(h.T, -1) + np.eye(m, k)
+    dyh = tau[:, None] * y.conj().T
+    trtrs = scipy.linalg.get_lapack_funcs("trtrs", (dyh,))
+    q = y @ -trtrs(dyh @ y, dyh, unitdiag=1)[0]
+    q.flat[::m + 1] += 1
+    return q
+
+
 def orbit(a: np.ndarray, seed: SubspaceBasis, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     """Smallest A-invariant subspace containing span(seed), A Hermitian.
 
@@ -374,8 +406,9 @@ def complement(whole: SubspaceBasis, part: SubspaceBasis,
     Requires part to be contained in whole: every part vector within
     distance 10*tol of span(whole).  Then C = whole^dag part has
     orthonormal columns up to that residual, and with the full Householder
-    QR C = Q R the complement is whole @ Q[:, dim(part):].  No rank is
-    decided: its dimension is dim(whole) - dim(part) by construction.
+    QR C = Q R (:func:`_complete_q`) the complement is
+    whole @ Q[:, dim(part):].  No rank is decided: its dimension is
+    dim(whole) - dim(part) by construction.
     """
     if whole.ambient_dim != part.ambient_dim:
         raise DimensionMismatchError(
@@ -389,8 +422,7 @@ def complement(whole: SubspaceBasis, part: SubspaceBasis,
             raise ContainmentError(
                 f"part is not contained in whole: max residual {worst:.3e}"
             )
-    q = np.linalg.qr(coords, mode="complete")[0]
-    return SubspaceBasis(whole.matrix @ q[:, part.dim:])
+    return SubspaceBasis(whole.matrix @ _complete_q(coords)[:, part.dim:])
 
 
 def _spectral_norm(m: np.ndarray) -> float:
@@ -441,8 +473,8 @@ def _complement_distance(product: np.ndarray, n: int) -> float:
     them, it is ||B_perp^dag A|| (Golub & Van Loan, *Matrix
     Computations*, Thm 2.5.1), the norm of an (n - k) x k product, taken
     by :func:`_spectral_norm`.  Otherwise it is exactly 1.  B_perp must be
-    exact by construction (the trailing columns of a complete QR, or the
-    factors a cut drops): the distance is only as good as its complement.
+    exact by construction (the trailing columns of a complete Householder
+    Q, see :func:`_complete_q`, or the factors a cut drops): the distance is only as good as its complement.
     """
     return _spectral_norm(product) if sum(product.shape) == n else 1.0
 

@@ -753,20 +753,36 @@ def test_one_eigendecomposition_per_operator(make, closed_form, monkeypatch):
     assert sorted(inputs) == sorted(expected)
 
 
-def test_two_complete_qrs(monkeypatch):
-    """decompose splits each block with one complete QR of its decoupled
-    part's rows, and takes no complement; Ran Gamma^dag is one reduced QR
-    of Gamma^dag U_r, and every other QR is a rank cut's triangle."""
-    sys = build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL))
+@pytest.mark.parametrize("make, raw", [
+    (lambda: build_lattice_system(LatticeSpec.centered(6, 2, 3, TOL)), 1),
+    (lambda: random_system(12, 20, 2, seed=3), 0),
+    (lambda: random_system(12, 20, 0, seed=3), 2),
+    (coupled_plus_decoupled, 2),
+], ids=["lattice-box6-cube2", "random-rank2", "random-rank0",
+        "both-decoupled"])
+def test_one_householder_qr_per_decoupled_block(make, raw, monkeypatch):
+    """decompose splits each block that has a decoupled part with one
+    Householder QR of that part's rows, whose Q it forms from the raw
+    reflectors, and a block with none with no QR; it takes no complement.
+    Ran Gamma^dag is one reduced QR of Gamma^dag U_r, and every other QR
+    is a rank cut's triangle.  On the centred lattice only the hidden
+    block has a decoupled part."""
+    sys = make()
     modes = []
 
     def counted(a, mode="reduced", _qr=np.linalg.qr):
         modes.append(mode)
         return _qr(a, mode=mode)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose took a complement")
     monkeypatch.setattr(np.linalg, "qr", counted)
-    decompose(sys)
-    assert [mode for mode in modes if mode != "r"] == ["complete", "complete",
-                                                       "reduced"]
+    monkeypatch.setattr(subspaces, "complement", refuse)
+    dec = decompose(sys)
+    monkeypatch.undo()
+    assert [mode for mode in modes if mode != "r"] == ["raw"] * raw + \
+        ["reduced"]
+    assert raw == (dec.h1d.dim > 0) + (dec.h2d.dim > 0)
 
 
 @pytest.mark.parametrize("offset", list(product((1, 3), repeat=3)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opensys.lattice import LatticeSpec, build_lattice_system
+from opensys.lattice import LatticeSpec, _eigen_order, build_lattice_system
 from opensys.subspaces import (
     ContainmentError,
     DimensionMismatchError,
@@ -12,8 +12,10 @@ from opensys.subspaces import (
     SubspaceBasis,
     SymmetryError,
     _complement_distance,
+    _complete_q,
     _cut_distance,
     _cut_product,
+    _eigen_clusters,
     _range_basis,
     check_hermitian,
     complement,
@@ -703,3 +705,101 @@ def test_complement_distance_matches_projector_distance(n, data, log_angle,
     if m:
         sine = np.sin(np.max(angles))
         assert abs(distance - sine) <= 1e-3 * sine
+
+
+def _complete_q_cases():
+    rng = np.random.default_rng(11)
+
+    def random(m, k, real):
+        a = rng.standard_normal((m, k))
+        return a if real else a + 1j * rng.standard_normal((m, k))
+    return {
+        "real": random(9, 4, True),
+        "complex": random(9, 4, False),
+        "orthonormal-complex": np.linalg.qr(random(40, 13, False))[0],
+        "tall-real": random(120, 40, True),
+        "k=0-real": np.zeros((5, 0)),
+        "k=0-complex": np.zeros((5, 0), complex),
+        "k=m-real": random(6, 6, True),
+        "k=m-complex": random(6, 6, False),
+        "identity-columns": np.eye(6)[:, :3],
+        "permuted-identity": np.eye(6)[:, [4, 1, 3]],
+        "complex-permuted-identity": 1j * np.eye(4)[:, [1, 3, 0, 2]],
+        "F-ordered": np.asfortranarray(random(8, 5, True)),
+        "F-ordered-complex": np.asfortranarray(random(8, 5, False)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_complete_q_cases()))
+def test_complete_q_is_lapacks(name):
+    """The Y-T form of Q equals LAPACK's complete Q and is unitary, on real
+    and complex input, with nothing (k = 0) or everything (k = m) to
+    factor, on identity columns, whose reflectors have tau = 0 or swap
+    two axes, and on F-ordered input."""
+    a = _complete_q_cases()[name]
+    q = _complete_q(a)
+    m, k = a.shape
+    assert q.shape == (m, m) and q.dtype == a.dtype
+    assert np.max(np.abs(q - np.linalg.qr(a, mode="complete")[0]),
+                  initial=0.0) <= 1e-14
+    assert np.max(np.abs(q.conj().T @ q - np.eye(m)), initial=0.0) <= 1e-14
+    if name == "identity-columns":
+        assert not np.linalg.qr(a, mode="raw")[1].any()
+
+
+def _old_eigen_clusters(w, tol):
+    """The cluster rule as it was written with ``np.diff``: the oracle of
+    :func:`_eigen_clusters`."""
+    threshold = tol * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > threshold)
+    return starts, np.diff(starts, append=len(w))
+
+
+def _old_groups(starts, sizes):
+    """Spectrum.groups as it was written with ``np.unique``."""
+    return [starts[sizes == size, None] + np.arange(size)
+            for size in np.unique(sizes)]
+
+
+def _cluster_spectra():
+    tol = 2.0 ** -20
+    rng = np.random.default_rng(5)
+    spectra = {
+        "empty": np.zeros(0),
+        "one": np.array([3.0]),
+        "all-tied": np.full(7, -2.5),
+        # gaps exactly at the threshold tol * max(1, |w|max), chained
+        "gap-at-threshold": np.array([0.0, tol, 2 * tol, 4 * tol]),
+        "gap-at-threshold-scaled": np.array([-4.0, -4.0 + 4 * tol, 3.0]),
+        "gap-just-above": np.array([-4.0, -4.0 + 4 * tol + 2.0 ** -40]),
+        "negative": np.sort(-rng.uniform(1, 3, 12)),
+        "small": np.sort(rng.uniform(-0.5, 0.5, 12)),
+        "small-ties": np.repeat(np.sort(rng.uniform(-0.9, 0.9, 5)),
+                                [1, 3, 2, 1, 4]),
+    }
+    for box in range(3, 11):
+        spectra[f"centred-box-{box}"] = _eigen_order(
+            LatticeSpec.centered(box, 1, 3))[0]
+    return spectra
+
+
+@pytest.mark.parametrize("tol", [2.0 ** -20, 1e-10, 0.3, 2.0])
+@pytest.mark.parametrize("name", list(_cluster_spectra()))
+def test_cluster_bookkeeping_matches_old_code(name, tol):
+    """Starts, sizes and groups are those of the ``np.diff`` and
+    ``np.unique`` forms, values and dtypes."""
+    w = _cluster_spectra()[name]
+    starts, sizes = _eigen_clusters(w, tol)
+    old_starts, old_sizes = _old_eigen_clusters(w, tol)
+    assert np.array_equal(starts, old_starts) and starts.dtype == \
+        old_starts.dtype
+    assert np.array_equal(sizes, old_sizes) and sizes.dtype == old_sizes.dtype
+    groups = Spectrum(None, tol, eigenpairs=(w, np.eye(len(w)))).groups
+    old = _old_groups(old_starts, old_sizes)
+    assert len(groups) == len(old)
+    assert all(np.array_equal(g, o) and g.dtype == o.dtype
+               for g, o in zip(groups, old))
+    if name == "gap-at-threshold" and tol == 2.0 ** -20:
+        assert sizes.tolist() == [3, 1]
+    if name == "gap-at-threshold-scaled" and tol == 2.0 ** -20:
+        assert sizes.tolist() == [2, 1]
