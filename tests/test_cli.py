@@ -542,9 +542,10 @@ def test_no_gain_tiny_span_is_finite(sys_file, capsys):
     assert len(numbers) == 2 and all(np.isfinite(numbers))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_no_gain_huge_span_is_usage_error(sys_file, capsys):
     """At t_max = 1e300 the form overflows: an error naming the grid, not
-    a failed certificate."""
+    a failed certificate, and no RuntimeWarning on the way."""
     assert main(["no-gain", "--input", str(sys_file), "--t-max", "1e300",
                  "--trials", "5"]) == EXIT_USAGE
     out, err = capsys.readouterr()

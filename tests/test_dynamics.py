@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from opensys import dynamics
 from opensys.decomposition import decompose
 from opensys.dynamics import (
     HIDDEN,
@@ -25,7 +26,12 @@ from opensys.dynamics import (
     reduction_discrepancy,
     trajectory_to_csv,
 )
-from opensys.lattice import LatticeSpec, build_lattice_system, sector_modes
+from opensys.lattice import (
+    Fold,
+    LatticeSpec,
+    build_lattice_system,
+    sector_modes,
+)
 from opensys.subspaces import DimensionMismatchError
 from opensys.systems import BlockSystem, assemble_full, random_system
 from test_acceptance import REDUCTION_SUP_TOL
@@ -244,6 +250,12 @@ def _all_mode_kernel(sys, side=OBSERVABLE):
     return ResponseKernel(*sector_modes(sys, hidden=side == HIDDEN))
 
 
+def _run_on_kernel(monkeypatch, kernel):
+    """Make the reduced dynamics take ``kernel`` in place of the one
+    make_kernel builds for the system."""
+    monkeypatch.setattr(dynamics, "make_kernel", lambda sys, side: kernel)
+
+
 def _acceptance_dynamics_systems():
     """The random systems that the acceptance suite's dynamics run on: the
     20 of criterion 5, drawn as there, and the two of criterion 7."""
@@ -292,15 +304,15 @@ class TestCoupledModes:
                              zeroed.on_grid(times)) <= 1e-14
 
     @pytest.mark.parametrize("forced", [False, True])
-    def test_states_match_all_modes(self, offset, forced):
+    def test_states_match_all_modes(self, offset, forced, monkeypatch):
         sys = build_lattice_system(LatticeSpec(6, 2, offset))
         grid = make_grid(2.5, 1000)
         v1 = np.exp(1j * np.arange(sys.d1)) / np.sqrt(sys.d1)
         f1 = ForcingSignal(np.outer(np.sin(3 * grid), np.ones(sys.d1))
                            if forced else None)
         states = propagate_reduced(sys, v1, f1, grid).states
-        want = propagate_reduced(sys, v1, f1, grid,
-                                 _all_mode_kernel(sys)).states
+        _run_on_kernel(monkeypatch, _all_mode_kernel(sys))
+        want = propagate_reduced(sys, v1, f1, grid).states
         assert _relative_gap(states, want) <= 1e-12
 
 
@@ -388,6 +400,93 @@ def test_sector_dynamics_match_one_sector(spec):
     assert abs(got["order"] - want["order"]) <= 1e-9
 
 
+def _site_discrepancy(sys, v1, t_max, steps):
+    """reduction_discrepancy's gaps and order taken in the cube's sites:
+    the exact reference in sector coordinates unfolded by Fold.sites,
+    against propagate_reduced's states, a 2-norm per time."""
+    grid = make_grid(t_max, 2 * steps)
+    fold = Fold.of(sys.lattice, True, sys.d1)
+    start = fold.coordinates(np.asarray(v1, dtype=complex))
+    full = np.zeros((*fold.keep.shape, len(grid)), dtype=complex)
+    for (sector, rep), eigenpairs in zip(
+            fold.groups, fold.columns(*sys.observable_eigenpairs())):
+        at = sector[:, None], rep
+        full[at] = _exact_states(None, start[at], ForcingSignal.zero(), grid,
+                                 rep.shape[1],
+                                 eigenpairs=eigenpairs).swapaxes(1, 2)
+    full = fold.sites(full).T
+    coarse, fine = (float(np.max(np.linalg.norm(full[::stride] - (
+        propagate_reduced(sys, v1, ForcingSignal.zero(OBSERVABLE),
+                          grid[::stride]).states), axis=1)))
+        for stride in (2, 1))
+    return coarse, fine, float(np.log2(coarse / fine))
+
+
+def _discrepancy_system(which):
+    if which == "random-4-8":
+        return random_system(4, 8, 2, seed=12)
+    return build_lattice_system(which)
+
+
+DISCREPANCY_CASES = ["random-4-8", LatticeSpec.centered(6, 2),
+                     LatticeSpec.centered(7, 3), LatticeSpec.centered(5, 1),
+                     LatticeSpec(7, 3, (2, 1, 2)), LatticeSpec(6, 2, (1, 3, 1))]
+
+
+@pytest.mark.parametrize("which", DISCREPANCY_CASES,
+                         ids=lambda w: w if isinstance(w, str) else _spec_id(w))
+def test_discrepancy_in_sectors_matches_sites(which):
+    """The gaps taken in sector coordinates are those taken in the cube's
+    sites, the sector basis being orthonormal: within 1e-15 and the order
+    within 1e-9, on centred boxes, an odd box with one cube site (seven
+    of its eight sectors empty), a spec centred on some axes only and one
+    centred on none; bit for bit on a system of matrices."""
+    sys = _discrepancy_system(which)
+    rng = np.random.default_rng(sys.d1)
+    v1 = rng.standard_normal(sys.d1) + 1j * rng.standard_normal(sys.d1)
+    got = reduction_discrepancy(sys, v1, 2.5, 200)
+    coarse, fine, order = _site_discrepancy(sys, v1, 2.5, 200)
+    if sys.lattice is None:
+        assert (got["sup_diff_coarse"], got["sup_diff_fine"], got["order"]) \
+            == (coarse, fine, order)
+    assert abs(got["sup_diff_coarse"] - coarse) <= 1e-15
+    assert abs(got["sup_diff_fine"] - fine) <= 1e-15
+    assert abs(got["order"] - order) <= 1e-9
+
+
+@pytest.mark.parametrize("which", DISCREPANCY_CASES[:2],
+                         ids=["random-4-8", "centred-6-2"])
+def test_discrepancy_folds_once(which, monkeypatch):
+    """One reduction_discrepancy makes one kernel and folds Omega2 (in the
+    kernel) and Omega1 once each, for the reference and both reduced
+    runs, and unfolds no state to the cube's sites."""
+    sys = _discrepancy_system(which)
+    calls = dict.fromkeys(["make_kernel", "blocks", "sites"], 0)
+    for owner, name in ((dynamics, "make_kernel"), (Fold, "blocks"),
+                        (Fold, "sites")):
+        def counted(*args, _name=name, _call=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    reduction_discrepancy(sys, np.ones(sys.d1) / np.sqrt(sys.d1), 2.0, 50)
+    assert calls == {"make_kernel": 1, "blocks": 2, "sites": 0}
+
+
+@pytest.mark.parametrize("which", DISCREPANCY_CASES[:2],
+                         ids=["random-4-8", "centred-6-2"])
+def test_discrepancy_rejects_wrong_length_state(which, monkeypatch):
+    """A v1_0 one entry short or long is bad input, rejected before the
+    kernel is made."""
+    sys = _discrepancy_system(which)
+    made = []
+    monkeypatch.setattr(dynamics, "make_kernel",
+                        lambda *args: made.append(args))
+    for size in (sys.d1 - 1, sys.d1 + 1):
+        with pytest.raises(DimensionMismatchError, match="v1_0 shape"):
+            reduction_discrepancy(sys, np.ones(size), 2.0, 50)
+    assert made == []
+
+
 def _real_system(d1, d2, seed):
     """A system of real symmetric blocks and a real coupling of full rank."""
     rng = np.random.default_rng(seed)
@@ -419,28 +518,6 @@ def test_matrix_kernel_is_one_eigh(d1, d2, side):
         else:
             assert _relative_gap(kernel.coupling_modes,
                                  columns[:, coupled]) <= 1e-14
-
-
-@pytest.mark.parametrize("spec", [LatticeSpec.centered(6, 2),
-                                  LatticeSpec.centered(7, 3),
-                                  LatticeSpec(6, 2, (2, 1), dims=2)],
-                         ids=_spec_id)
-def test_kernel_of_another_system_rejected(spec):
-    """A kernel sorts its modes by the fold of the system it was made for.
-    Handed to the same blocks as a system of matrices (one sector), a
-    lattice's kernel keeps only its sector-0 modes; handed to the lattice,
-    the dense kernel puts every mode in sector 0.  Either way the modes
-    lose most of their norm, and propagate_reduced raises ValueError, free
-    and forced; each system's own kernel passes."""
-    sys = build_lattice_system(spec)
-    dense = BlockSystem(sys.omega1, sys.omega2, sys.gamma, sys.tol)
-    grid = make_grid(2.5, 50)
-    v1 = np.random.default_rng(spec.box).standard_normal(sys.d1)
-    for f1 in (ForcingSignal.zero(OBSERVABLE), _sine_forcing(grid, sys.d1)):
-        for system, other in ((dense, sys), (sys, dense)):
-            propagate_reduced(system, v1, f1, grid, make_kernel(system))
-            with pytest.raises(ValueError, match="squared norm"):
-                propagate_reduced(system, v1, f1, grid, make_kernel(other))
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -480,7 +557,7 @@ def test_uncentred_lattice_kernel_is_unchanged():
         assert np.array_equal(got.coupling_modes, want.coupling_modes)
 
 
-def test_no_mode_dropped_on_acceptance_systems():
+def test_no_mode_dropped_on_acceptance_systems(monkeypatch):
     """Every mode of the acceptance suite's random systems is coupled, so
     the kernel, the reduced states and the no-gain check are bit for bit
     those of the all-mode kernel."""
@@ -491,16 +568,18 @@ def test_no_mode_dropped_on_acceptance_systems():
         assert np.array_equal(kernel.coupling_modes, full.coupling_modes)
         v1 = np.ones(sys.d1, dtype=complex) / np.sqrt(sys.d1)
         zero = ForcingSignal.zero(OBSERVABLE)
-        assert np.array_equal(propagate_reduced(sys, v1, zero, grid).states,
-                              propagate_reduced(sys, v1, zero, grid,
-                                                full).states)
+        states = propagate_reduced(sys, v1, zero, grid).states
+        _run_on_kernel(monkeypatch, full)
+        assert np.array_equal(states,
+                              propagate_reduced(sys, v1, zero, grid).states)
+        monkeypatch.undo()
         got, want = (no_gain_check(k, 5, grid, seed=3) for k in (kernel, full))
         assert np.array_equal(got.values, want.values)
         assert got.quad_error_bound == want.quad_error_bound
 
 
 @pytest.mark.parametrize("side", [OBSERVABLE, HIDDEN])
-def test_rank_zero_coupling_keeps_no_mode(side):
+def test_rank_zero_coupling_keeps_no_mode(side, monkeypatch):
     """Gamma = 0 couples no mode: the kernel has none; the reduced states
     are those of the all-mode kernel of zero columns, to roundoff (the
     step's product takes a d1 x d1 matrix, not a d1 x (d1 + d2) one); the
@@ -519,10 +598,10 @@ def test_rank_zero_coupling_keeps_no_mode(side):
                                       np.zeros(sys.d2, int))
         v1 = np.ones(3, dtype=complex) / np.sqrt(3)
         zero = ForcingSignal.zero(OBSERVABLE)
+        states = propagate_reduced(sys, v1, zero, grid).states
+        _run_on_kernel(monkeypatch, zero_columns)
         assert _relative_gap(
-            propagate_reduced(sys, v1, zero, grid).states,
-            propagate_reduced(sys, v1, zero, grid, zero_columns).states
-        ) <= 1e-14
+            states, propagate_reduced(sys, v1, zero, grid).states) <= 1e-14
 
 
 class TestPropagateFull:
@@ -875,10 +954,10 @@ class TestPropagateReduced:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_perturbed_hidden_block_exceeds_reduction_limit(self, seed):
-        """Negative control for the criterion-5 limit: a kernel built from
-        Omega2 + 1e-3 I, 1000 steps on [0, 10], misses the true full
-        propagation by more than REDUCTION_SUP_TOL; the true kernel does
-        not."""
+        """Negative control for the criterion-5 limit: the reduced run of
+        the system with Omega2 + 1e-3 I, whose kernel is the shifted one,
+        1000 steps on [0, 10], misses the true full propagation by more
+        than REDUCTION_SUP_TOL; the true system's run does not."""
         sys = random_system(4, 8, 2, seed=seed)
         shifted = BlockSystem(sys.omega1, sys.omega2 + 1e-3 * np.eye(8),
                               sys.gamma, sys.tol)
@@ -889,9 +968,9 @@ class TestPropagateReduced:
         full = propagate_full(assemble_full(sys), np.concatenate(
             [v1, np.zeros(8)]), ForcingSignal.zero(), grid).states[:, :4]
 
-        def gap(kernel_sys):
-            red = propagate_reduced(sys, v1, ForcingSignal.zero(OBSERVABLE),
-                                    grid, make_kernel(kernel_sys))
+        def gap(system):
+            red = propagate_reduced(system, v1,
+                                    ForcingSignal.zero(OBSERVABLE), grid)
             return np.max(np.linalg.norm(red.states - full, axis=1))
 
         assert gap(sys) <= REDUCTION_SUP_TOL < gap(shifted)

@@ -3,7 +3,10 @@ each of them must exist, or ``perfbench/run.py --trace 1`` breaks."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from opensys.dynamics import propagate_reduced
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -17,3 +20,10 @@ def test_traced_functions_resolve():
                for name in names
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert tracing.LAYER_FUNCTIONS and not missing
+
+
+def test_propagate_reduced_times_is_fourth():
+    """The tracer's ``_annotate`` reads propagate_reduced's grid as its
+    fourth positional argument."""
+    names = list(inspect.signature(propagate_reduced).parameters)
+    assert names[:4] == ["sys", "v1_0", "f1", "times"]
